@@ -41,7 +41,7 @@ print("index of the induced-from extension:", ind.index)
 ok, reasons = verify_morphism(R, ind.R1, ind.r, ind.delta, 2)
 print("independent re-verification:", ok, reasons)
 
-# the orchestrator runs all routes and cross-checks them
+# the orchestrator scans once and checks the witness by decomposition and descent
 res = primitivity(R, 2)
 print("\nverdict:", res.kind)
 

@@ -492,8 +492,9 @@ def is_prime(f: AdditivePoly) -> bool:
     # base-field Frobenius action in kernel coordinates
     S = _action_matrix_on_rows(B, lambda x: x.frobenius(base.n), ambient)
     f_amb = f.embed_to(ambient)
+    mats = [S.tolist()]
     for coords in _nonzero_coord_vectors(p, n):
-        rows = _cyclic_rows(coords, [S], p)
+        rows = _cyclic_rows(coords, mats, p)
         if 0 < rows.shape[0] < n:
             W = _span_elements(rows, B, ambient)
             f2 = kernel_poly(W)
@@ -527,18 +528,43 @@ def _nonzero_coord_vectors(p, n):
             yield np.array(v, dtype=np.int64)
 
 
-def _cyclic_rows(v, mats, p):
-    """RREF basis of the smallest subspace containing v stable under all mats."""
-    rows = rref(v.reshape(1, -1), p)[0]
-    while True:
-        new = [rows]
+def _cyclic_rows(v, mats, p, gram=None):
+    """RREF basis of the smallest subspace containing v stable under all mats.
+
+    v is a coordinate vector; mats (and gram) are nested int lists acting on
+    column vectors. Each new image is reduced against the fully reduced basis
+    found so far, so a closure costs one reduction per image. Given the Gram
+    matrix of an alternating form, return None as soon as a new basis vector
+    pairs nonzero with an earlier one: such a span is not totally isotropic.
+    As omega(r, r) = 0 and omega(r, b) = -omega(b, r), a closure that
+    completes under a Gram matrix is totally isotropic.
+    """
+    n = len(v)
+    basis = {}  # pivot column -> row with 1 there and 0 at every other pivot
+    todo = [[int(x) % p for x in v]]
+    while todo:
+        r = todo.pop()
+        for c, b in basis.items():
+            a = r[c]
+            if a:
+                r = [(x - a * y) % p for x, y in zip(r, b)]
+        c = next((i for i, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        inv = pow(r[c], p - 2, p)
+        r = [x * inv % p for x in r]
+        if gram is not None:
+            Gr = [sum(x * y for x, y in zip(row, r)) % p for row in gram]
+            if any(sum(x * y for x, y in zip(b, Gr)) % p for b in basis.values()):
+                return None
+        for k, b in basis.items():
+            a = b[c]
+            if a:
+                basis[k] = [(x - a * y) % p for x, y in zip(b, r)]
+        basis[c] = r
         for M in mats:
-            new.append(rows @ M.T % p)
-        stacked = np.vstack(new)
-        nxt, _ = rref(stacked, p)
-        if nxt.shape[0] == rows.shape[0]:
-            return nxt
-        rows = nxt
+            todo.append([sum(x * y for x, y in zip(row, r)) % p for row in M])
+    return np.array([basis[c] for c in sorted(basis)], dtype=np.int64).reshape(-1, n)
 
 
 def _span_elements(rows, B, field):

@@ -1,7 +1,7 @@
 """Command line front end: every subcommand prints exactly one JSON document.
 
 Exit codes: 0 success, 1 unknown subcommand, 2 validation error,
-3 internal cross-route disagreement (which should never happen).
+3 internal consistency check failed (which should never happen).
 """
 
 import argparse
@@ -73,12 +73,32 @@ def _input_args(sub):
 
 
 def _load_input_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"input file {path!r} is not JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError("input file must hold a JSON object")
     for key in ("p", "f", "R", "e", "m"):
         if key not in spec:
             raise ValidationError(f"input file is missing {key!r}")
+    for key in ("p", "f", "e", "m"):
+        if type(spec[key]) is not int:
+            raise ValidationError(f"input file {key!r} must be an integer")
+    rspec = spec["R"]
+    if not isinstance(rspec, str) and not (
+        isinstance(rspec, list) and all(isinstance(t, str) for t in rspec)
+    ):
+        raise ValidationError("input file 'R' must be a string or a list of coefficient strings")
     flags = spec.get("flags", {})
+    if not isinstance(flags, dict):
+        raise ValidationError("input file 'flags' must be a JSON object")
+    max_k = flags.get("max_k")
+    if max_k is not None and type(max_k) is not int:
+        raise ValidationError("input file flag 'max_k' must be an integer or null")
     return spec, flags
 
 

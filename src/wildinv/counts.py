@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import addpoly, ff, linalg
-from .errors import ValidationError
+from .errors import TheoremViolation, ValidationError
 
 BRUTE_FORCE_GUARD = 2 ** 20
 
@@ -626,7 +626,8 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None) -> dict:
     for c in range(1, R.p):
         L = psi_l_polynomial(R, c)
         psi_degrees.append(L.degree)
-    assert psi_l_product_equals_zeta(R, Z)
+    if not psi_l_product_equals_zeta(R, Z):
+        raise TheoremViolation("product of the character L-polynomials differs from the zeta numerator")
     return {
         "counts": point_counts(R, kmax),
         "genus": g,

@@ -2,10 +2,11 @@
 
 The kernel of the E-polynomial carries the antisymmetrized pairing (values in
 the prime field), a scaling action by a canonical root of unity, and the base
-field Frobenius. Complete anisotropy of this module is decided two ways: a
-cyclic-submodule scan, and independently by exhibiting an exact skew
-decomposition of the E-polynomial from a totally isotropic submodule. The two
-must agree; disagreement is raised, never papered over.
+field Frobenius. Complete anisotropy of this module is decided by one scan
+over the cyclic submodules generated by projective points. A witness of
+isotropy is then turned into an exact skew decomposition of the E-polynomial,
+checked by right division, rationality over the base and scaling
+equivariance; a failed check is raised, never papered over.
 """
 
 import itertools
@@ -65,9 +66,9 @@ class SymplecticModule:
 
 
 class Submodule:
-    """Row-span subspace with stability and isotropy flags recomputed on build."""
+    """Row-span subspace; isotropy is recomputed on build, stability on read."""
 
-    __slots__ = ("module", "rows", "t_stable", "s_stable", "isotropic")
+    __slots__ = ("module", "rows", "isotropic")
 
     def __init__(self, module, rows):
         p = module.p
@@ -75,10 +76,16 @@ class Submodule:
         rows, _ = linalg.rref(rows, p)
         self.module = module
         self.rows = rows
-        self.t_stable = _stable_under(rows, module.T, p)
-        self.s_stable = _stable_under(rows, module.S, p)
         G = module.gram
         self.isotropic = not (rows @ G @ rows.T % p).any() if rows.size else True
+
+    @property
+    def t_stable(self):
+        return _stable_under(self.rows, self.module.T, self.module.p)
+
+    @property
+    def s_stable(self):
+        return _stable_under(self.rows, self.module.S, self.module.p)
 
     @property
     def dim(self):
@@ -164,24 +171,42 @@ def omega(M: SymplecticModule, v, w) -> int:
 
 
 def cyclic_submodule(M, coords) -> Submodule:
-    rows = addpoly._cyclic_rows(np.array(coords, dtype=np.int64), [M.T, M.S], M.p)
+    rows = addpoly._cyclic_rows(coords, [M.T.tolist(), M.S.tolist()], M.p)
     return Submodule(M, rows)
 
 
+def _projective_points(p, dim):
+    """Nonzero vectors of F_p^dim whose first nonzero coordinate is 1."""
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 def _least_isotropic_cyclic(M):
-    """Least (dim, signature) totally isotropic cyclic submodule, or None."""
+    """Least (dim, signature) totally isotropic cyclic submodule, or None.
+
+    Only projective points are visited, since C(cv) = C(v) for c in F_p^*,
+    and a closure is abandoned at its first non-isotropic pair, since it can
+    then never be the witness.
+    """
     if M.zero_module():
         return None
+    p = M.p
+    mats = [M.T.tolist(), M.S.tolist()]
+    gram = M.gram.tolist()
     best = None
-    for coords in itertools.product(range(M.p), repeat=M.dim):
-        if not any(coords):
-            continue
-        sub = cyclic_submodule(M, coords)
-        if sub.isotropic:
-            key = (sub.dim, sub.signature())
+    for coords in _projective_points(p, M.dim):
+        rows = addpoly._cyclic_rows(coords, mats, p, gram=gram)
+        if rows is not None:
+            key = (rows.shape[0], rows.tolist())
             if best is None or key < best[0]:
-                best = (key, sub)
-    return None if best is None else best[1]
+                best = (key, rows)
+    if best is None:
+        return None
+    sub = Submodule(M, best[1])
+    if not sub.isotropic:
+        raise TheoremViolation("cyclic scan returned a non-isotropic witness")
+    return sub
 
 
 def completely_anisotropic(M):
@@ -237,8 +262,9 @@ def all_stable_submodules(M):
 
 def decomposition_witness(R: addpoly.AdditivePoly, m: int, module: SymplecticModule = None):
     """A decomposition E = f1 o f2 with f2 scaling-equivariant and isotropic
-    kernel, or None. Verified by exact right division, rationality, and the
-    scaling congruence, independently of the anisotropy verdict.
+    kernel, or None. The kernel of f2 is the witness of the cyclic scan; the
+    factors are verified by exact right division, rationality and the scaling
+    congruence.
     """
     M = module if module is not None else build(R, m)
     found = _least_isotropic_cyclic(M)
@@ -259,7 +285,8 @@ def _decomposition_from_submodule(M: SymplecticModule, sub: Submodule):
     f1, rem = addpoly.right_divmod(ctx.E_amb, f2)
     if not rem.is_zero():
         raise TheoremViolation("kernel polynomial of an isotropic submodule must divide exactly")
-    assert addpoly.compose(f1, f2) == ctx.E_amb
+    if addpoly.compose(f1, f2) != ctx.E_amb:
+        raise TheoremViolation("quotient and kernel polynomial do not compose back to E")
     return f1, f2
 
 
@@ -280,7 +307,8 @@ def perp(M, sub: Submodule) -> Submodule:
         return M.submodule(np.eye(M.dim, dtype=np.int64))
     rows = linalg.nullspace(sub.rows @ M.gram % M.p, M.p)
     out = M.submodule(rows)
-    assert out.dim + sub.dim == M.dim
+    if out.dim + sub.dim != M.dim:
+        raise TheoremViolation("orthogonal complement dimensions must add up to the module's")
     return out
 
 

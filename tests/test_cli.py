@@ -117,6 +117,68 @@ def test_input_file_text_form(tmp_path):
     assert json.loads(out)["verdict"]["kind"] == "imprimitive"
 
 
+def test_input_file_max_k_null_is_default(tmp_path):
+    # "max_k": null means the default count length, as if the key were absent
+    outs = []
+    for flags in ({"curve": True, "max_k": None}, {"curve": True}):
+        spec = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1, "flags": flags}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        code, out = cap(["report", "--input", str(path)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["curve"] is not None
+
+
+def test_input_file_errors_exit_2(tmp_path):
+    # a missing file, a file that is not JSON or not an object, R given as a
+    # bare int or a list of ints, and mistyped numbers each end in a JSON
+    # error, never a traceback
+    good = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1}
+    texts = [
+        "not json",
+        "[1]",
+        json.dumps(dict(good, R=1)),
+        json.dumps(dict(good, R=[1, 0])),
+        json.dumps(dict(good, p="3")),
+        json.dumps(dict(good, flags={"curve": True, "max_k": "2"})),
+    ]
+    cases = [str(tmp_path / "missing.json")]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(text)
+        cases.append(str(path))
+    for path in cases:
+        code, out = cap(["report", "--input", path])
+        assert code == 2, path
+        assert "error" in json.loads(out)
+
+
+def test_swan_rejects_composite_p():
+    code, out = cap(["swan", "-p", "4", "-e", "1", "-dR", "5", "-m", "1"])
+    assert code == 2
+    assert "not prime" in json.loads(out)["error"]
+
+
+def test_package_runs_as_module():
+    # python -m wildinv works from a checkout, without an install
+    import os
+
+    import wildinv
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wildinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-m", "wildinv", "swan", "-p", "5", "-e", "1", "-dR", "6", "-m", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"swan": 1}
+
+
 def test_subprocess_entry():
     r = subprocess.run(
         [sys.executable, "-m", "wildinv.cli", "swan", "-p", "5", "-e", "1", "-dR", "6", "-m", "1"],

@@ -15,7 +15,7 @@ from wildinv.counts import (
     value_distribution,
     zeta_numerator,
 )
-from wildinv.errors import ValidationError
+from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
 
 
@@ -138,6 +138,15 @@ def test_curve_summary_q9():
     assert out["psi_L_degrees"] == [3, 3]
     assert len(out["counts"]) == 6
     assert out["counts"][0] == point_count(R, 1)
+
+
+def test_curve_summary_product_check_raises(monkeypatch):
+    # the L-polynomial product check is a raise, so it survives python -O
+    from wildinv import counts
+
+    monkeypatch.setattr(counts, "psi_l_product_equals_zeta", lambda R, Z: False)
+    with pytest.raises(TheoremViolation):
+        curve_summary(poly(3, 1, [0, 1]))
 
 
 def test_p2_full_path():

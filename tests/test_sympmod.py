@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from wildinv import invariants, sympmod
 from wildinv.addpoly import AdditivePoly, compose
-from wildinv.errors import ValidationError
+from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
-from wildinv.linalg import mat_pow, rank
+from wildinv.linalg import mat_pow, rank, rref
 from wildinv.sympmod import (
     all_stable_submodules,
     anisotropic_of,
@@ -252,3 +255,137 @@ def test_canonical_generator_choice_is_immaterial():
                 return Submodule(self, rows)
 
         assert anisotropic_of(Twin()) == anisotropic_of(M)
+
+
+def _naive_closure(M, v):
+    """Cyclic closure by re-reducing [rows; rows T^t; rows S^t] until it stops growing."""
+    p = M.p
+    rows = rref(np.array([v], dtype=np.int64), p)[0]
+    while True:
+        nxt, _ = rref(np.vstack([rows, rows @ M.T.T % p, rows @ M.S.T % p]), p)
+        if nxt.shape[0] == rows.shape[0]:
+            return nxt
+        rows = nxt
+
+
+def _naive_least_isotropic(M):
+    """Reference scan: every nonzero vector, full flags on every closure.
+
+    Also checks that the incremental closure returns the same canonical rows.
+    """
+    best = None
+    for v in itertools.product(range(M.p), repeat=M.dim):
+        if not any(v):
+            continue
+        sub = M.submodule(_naive_closure(M, v))
+        assert sub.t_stable and sub.s_stable
+        assert cyclic_submodule(M, v).signature() == sub.signature()
+        if sub.isotropic:
+            key = (sub.dim, sub.signature())
+            if best is None or key < best:
+                best = key
+    return best
+
+
+WITNESS_CASES = [
+    (2, 1, [0, 1], 1),
+    (2, 1, [1, 1], 1),
+    (2, 1, [0, 0, 1], 1),
+    (2, 1, [0, 0, 1], 5),
+    (2, 1, [0, 1, 1], 1),
+    (2, 2, [0, 1], 3),
+    (2, 2, [0, 0, 1], 1),
+    (2, 2, [0, 0, 1], 5),
+    (3, 1, [0, 1], 2),
+    (3, 1, [1, 1], 1),
+    (3, 1, [0, 0, 1], 1),
+    (3, 1, [0, 0, 1], 5),
+    (3, 1, [1, 0, 1], 1),
+    (3, 1, [1, 1, 1], 2),
+    (3, 2, [0, 1], 1),
+    (3, 2, [0, 1], 2),
+    (3, 2, [0, 0, 1], 1),
+    (5, 1, [0, 1], 1),
+    (5, 1, [0, 1], 3),
+    (5, 1, [1, 1], 1),
+    (5, 1, [0, 0, 1], 2),
+    (5, 1, [0, 0, 1], 13),
+    (5, 2, [0, 1], 3),
+]
+
+
+@pytest.mark.parametrize("p,f,ints,m", WITNESS_CASES)
+def test_scan_matches_naive_reference(p, f, ints, m):
+    # projective points, incremental closures and the early exit leave the
+    # verdict and the least (dim, signature) witness unchanged
+    M = build(AdditivePoly.from_ints(field_create(p, f), ints), m)
+    best = _naive_least_isotropic(M)
+    anis, wit = completely_anisotropic(M)
+    assert anis == (best is None)
+    if wit is not None:
+        assert (wit.dim, wit.signature()) == best
+
+
+def test_scan_matches_naive_reference_on_sums_and_restrictions():
+    F3 = field_create(3, 1)
+    A, B = build_pair(AdditivePoly.from_ints(F3, [0, 1]), 1, AdditivePoly.from_ints(F3, [0, 1]), 5)
+    R = build(AdditivePoly.from_ints(F3, [0, 1]), 2)
+    for N in (direct_sum(A, B), restrict_frobenius(R, 2)):
+        best = _naive_least_isotropic(N)
+        wit = sympmod._least_isotropic_cyclic(N)
+        assert (wit is None) == (best is None)
+        if wit is not None:
+            assert (wit.dim, wit.signature()) == best
+
+
+def test_primitivity_scans_once(monkeypatch):
+    calls = []
+    scan = sympmod._least_isotropic_cyclic
+
+    def counting(M):
+        calls.append(M)
+        return scan(M)
+
+    monkeypatch.setattr(sympmod, "_least_isotropic_cyclic", counting)
+    F9 = field_create(3, 2)
+    x3 = AdditivePoly(F9, [F9.zero(), F9.one()])
+    for m, kind in ((2, "imprimitive"), (1, "primitive")):
+        calls.clear()
+        res = invariants.primitivity(x3, m)
+        assert res.kind == kind
+        assert len(calls) == 1
+
+
+def test_stability_flags_are_computed_on_read(m_q9):
+    # no line of the q = 9 module is stable under the scaling action
+    line = m_q9.submodule([[1, 0]])
+    assert not line.t_stable and line.s_stable
+    # x^9 over F_3 with m = 5: T = -1 fixes every line, Frobenius moves e_1
+    M = build(AdditivePoly.from_ints(field_create(3, 1), [0, 0, 1]), 5)
+    sub = M.submodule([[1, 0, 0, 0]])
+    assert sub.t_stable and not sub.s_stable
+
+
+def test_decomposition_check_raises(monkeypatch):
+    # the composition check is a raise, so it survives python -O
+    F9 = field_create(3, 2)
+    M = build(AdditivePoly(F9, [F9.zero(), F9.one()]), 2)
+    _, wit = completely_anisotropic(M)
+    divmod_ = sympmod.addpoly.right_divmod
+
+    def wrong_quotient(f, g):
+        q, r = divmod_(f, g)
+        return (AdditivePoly.identity(q.base) if f is M.context.E_amb else q), r
+
+    monkeypatch.setattr(sympmod.addpoly, "right_divmod", wrong_quotient)
+    with pytest.raises(TheoremViolation):
+        sympmod._decomposition_from_submodule(M, wit)
+
+
+def test_perp_dimension_check_raises(m_q9, monkeypatch):
+    line = m_q9.submodule([[1, 0]])
+    monkeypatch.setattr(
+        sympmod.linalg, "nullspace", lambda A, p: np.zeros((0, m_q9.dim), dtype=np.int64)
+    )
+    with pytest.raises(TheoremViolation):
+        perp(m_q9, line)
