@@ -10,7 +10,7 @@ force enumeration loop is kept as the independent oracle for small fields.
 
 Character sums then live in the p-th cyclotomic integers, represented as
 coefficient vectors modulo 1 + x + ... + x^{p-1}; the zeta numerator must
-come out with integer coefficients, which is asserted, not assumed.
+come out with integer coefficients, which is checked, not assumed.
 """
 
 from fractions import Fraction
@@ -32,7 +32,8 @@ def genus(R: addpoly.AdditivePoly) -> int:
     if p == 2 and e == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
     two_g = (p - 1) * p ** e
-    assert two_g % 2 == 0
+    if two_g % 2:
+        raise TheoremViolation("2g = (p-1) p^e must be even")
     return two_g // 2
 
 
@@ -53,7 +54,8 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     Rcols = Rk.operator_matrix(F) % p
     # absolute trace functional: first coordinate row of sum of Frobenius powers
     total = sum(F.frobenius_matrix(j) for j in range(n)) % p
-    assert not total[1:, :].any(), "absolute trace must be scalar-valued"
+    if total[1:, :].any():
+        raise TheoremViolation("absolute trace must be scalar-valued")
     tr = total[0, :]
     B = np.zeros((n, n), dtype=np.int64)
     qvec = np.zeros(n, dtype=np.int64)
@@ -181,8 +183,8 @@ def _symplectic_pairs(comp, B, p):
         u = vecs.pop(0)
         j = next(i for i, w in enumerate(vecs) if int(u @ B @ w) % p)
         w = vecs.pop(j)
-        c = int(u @ B @ w) % p
-        assert c == 1
+        if int(u @ B @ w) % p != 1:
+            raise TheoremViolation("hyperbolic pair must pair to 1")
         rest = []
         for v in vecs:
             a = int(v @ B @ w) % p
@@ -193,28 +195,37 @@ def _symplectic_pairs(comp, B, p):
     return pairs
 
 
+_DISTRIBUTION_CACHE = {}
+
+
 def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
-    """Exact counts {t: #{x in F_{q^k} : Tr(x R(x)) = t}} for t in F_p."""
+    """Exact counts {t: #{x in F_{q^k} : Tr(x R(x)) = t}} for t in F_p.
+
+    Memoized per (R, k): one curve report asks for the same k from the
+    counts, the zeta numerator and every character sum. Each call returns a
+    fresh dict, so a caller may change it without touching the memo.
+    """
     if R.is_zero():
         raise ValidationError("R must be nonzero")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    p, n, B, qvec = _form_data(R, k)
-    if p == 2:
-        out = _distribution_char2(n, B, qvec)
-    else:
-        out = _distribution_odd(p, n, B, qvec)
-    out = {t: int(out.get(t, 0)) for t in range(p)}
-    assert sum(out.values()) == p ** n, "value counts must exhaust the space"
-    return out
+    key = (R, k)
+    if key not in _DISTRIBUTION_CACHE:
+        p, n, B, qvec = _form_data(R, k)
+        if p == 2:
+            out = _distribution_char2(n, B, qvec)
+        else:
+            out = _distribution_odd(p, n, B, qvec)
+        out = {t: int(out.get(t, 0)) for t in range(p)}
+        if sum(out.values()) != p ** n:
+            raise TheoremViolation("value counts must exhaust the space")
+        _DISTRIBUTION_CACHE[key] = out
+    return dict(_DISTRIBUTION_CACHE[key])
 
 
 def point_count(R: addpoly.AdditivePoly, k: int) -> int:
     """Affine points of y^p - y = x R(x) over F_{q^k}: p per trace-zero x."""
-    dist = value_distribution(R, k)
-    N = R.p * dist[0]
-    assert N % R.p == 0
-    return N
+    return R.p * value_distribution(R, k)[0]
 
 
 def point_counts(R: addpoly.AdditivePoly, kmax: int) -> list:
@@ -332,7 +343,8 @@ def _frac_poly_div(a, b):
         for i in range(len(b)):
             a[i] -= c * b[i]
         a.pop(0)
-    assert all(c == 0 for c in a), "division must be exact"
+    if any(c != 0 for c in a):
+        raise TheoremViolation("square-free division must be exact")
     return out
 
 
@@ -369,69 +381,64 @@ def zeta_numerator(R: addpoly.AdditivePoly) -> ZetaNumerator:
 
 
 class Cyc:
-    """Element of Q(zeta_p) as a Fraction vector in the basis 1..zeta^{p-2}."""
+    """Element of Q(zeta_p) as a coordinate vector in the basis 1..zeta^{p-2}.
+
+    Coordinates are Python ints; only `divide` can leave a Fraction, and only
+    when the quotient is not an algebraic integer.
+    """
 
     __slots__ = ("p", "vec")
 
     def __init__(self, p, vec=None):
         self.p = p
-        v = [Fraction(0)] * (p - 1)
+        v = [0] * (p - 1)
         if vec is not None:
             for i, c in enumerate(vec):
-                v[i] = Fraction(c)
+                v[i] = c
         self.vec = v
 
     @classmethod
     def root_power(cls, p, j):
         """zeta^j reduced into the basis."""
         j %= p
-        out = cls(p)
         if j <= p - 2:
-            out.vec[j] = Fraction(1)
-        else:
-            # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-            out.vec = [Fraction(-1)] * (p - 1)
-        return out
+            out = cls(p)
+            out.vec[j] = 1
+            return out
+        # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+        return cls(p, [-1] * (p - 1))
 
     @classmethod
     def integer(cls, p, n):
-        out = cls(p)
-        out.vec[0] = Fraction(n)
-        return out
+        return cls(p, [n])
 
     def __add__(self, other):
-        out = Cyc(self.p)
-        out.vec = [a + b for a, b in zip(self.vec, other.vec)]
-        return out
+        return Cyc(self.p, [a + b for a, b in zip(self.vec, other.vec)])
 
     def __sub__(self, other):
-        out = Cyc(self.p)
-        out.vec = [a - b for a, b in zip(self.vec, other.vec)]
-        return out
+        return Cyc(self.p, [a - b for a, b in zip(self.vec, other.vec)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = Cyc(self.p)
-            out.vec = [a * other for a in self.vec]
-            return out
+        if isinstance(other, int):
+            return Cyc(self.p, [a * other for a in self.vec])
         p = self.p
-        conv = [Fraction(0)] * (2 * p - 3)
+        conv = [0] * (2 * p - 2)  # degrees up to 2p - 4, and p - 1 when p = 2
+        b_terms = [(j, b) for j, b in enumerate(other.vec) if b]
         for i, a in enumerate(self.vec):
             if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        conv[i + j] += a * b
-        out = Cyc(p)
-        out.vec = conv[: p - 1]
-        for k in range(p - 1, 2 * p - 3):
-            c = conv[k]
-            if c:
-                # zeta^k = zeta^{k mod p} with zeta^{p-1} expanded
-                red = Cyc.root_power(p, k)
-                out.vec = [x + c * y for x, y in zip(out.vec, red.vec)]
-        return out
+                for j, b in b_terms:
+                    conv[i + j] += a * b
+        # zeta^k = zeta^{k-p} for k >= p, then zeta^{p-1} = -(1 + ... + zeta^{p-2})
+        for k in range(p, 2 * p - 3):
+            conv[k - p] += conv[k]
+        top = conv[p - 1]
+        return Cyc(p, [c - top for c in conv[: p - 1]])
 
     __rmul__ = __mul__
+
+    def divide(self, n):
+        """self / n; a coordinate stays an int whenever n divides it."""
+        return Cyc(self.p, [a // n if a % n == 0 else Fraction(a, n) for a in self.vec])
 
     def __eq__(self, other):
         return isinstance(other, Cyc) and self.p == other.p and self.vec == other.vec
@@ -450,8 +457,7 @@ class Cyc:
         out = Cyc(self.p)
         for i, a in enumerate(self.vec):
             if a:
-                term = Cyc.root_power(self.p, i * c)
-                out.vec = [x + a * y for x, y in zip(out.vec, term.vec)]
+                out = out + Cyc.root_power(self.p, i * c) * a
         return out
 
 
@@ -498,7 +504,7 @@ def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = 2) -> PsiLPol
         acc = Cyc(p)
         for i in range(1, nn + 1):
             acc = acc + S[i - 1] * coeffs[nn - i]
-        coeffs.append(acc * Fraction(1, nn))
+        coeffs.append(acc.divide(nn))
     for j in range(deg + 1, upto + 1):
         if not coeffs[j].is_zero():
             raise ValidationError("L-series does not terminate at degree p^e")
@@ -558,13 +564,15 @@ def _int_poly_exact_div(a, b):
             a.pop()
             continue
         q, r = divmod(a[-1], b[-1])
-        assert r == 0
+        if r:
+            raise TheoremViolation("integer polynomial division must be exact")
         d = len(a) - len(b)
         out[d] = q
         for i, bi in enumerate(b):
             a[d + i] -= q * bi
         a.pop()
-    assert not any(a)
+    if any(a):
+        raise TheoremViolation("integer polynomial division must be exact")
     return out
 
 
@@ -580,7 +588,8 @@ def check_supersingular(Z: ZetaNumerator) -> bool:
     for i, a in enumerate(A):
         for j, b in enumerate(Aneg):
             prod[i + j] += a * b
-    assert all(c == 0 for i, c in enumerate(prod) if i % 2 == 1)
+    if any(c for c in prod[1::2]):
+        raise TheoremViolation("A(x) A(-x) must be even")
     C = prod[::2]
     # D(z) with roots lambda^2 / q: D(z) = C(q z) / q^{2g}
     D = []
@@ -589,7 +598,8 @@ def check_supersingular(Z: ZetaNumerator) -> bool:
         if num % q ** (2 * g) != 0:
             return False
         D.append(num // q ** (2 * g))
-    assert D[-1] == 1
+    if D[-1] != 1:
+        raise TheoremViolation("the squared eigenvalue polynomial must be monic")
     # strip cyclotomic factors until nothing is left
     deg = len(D) - 1
     n = 1
@@ -612,7 +622,8 @@ def _divides_int_poly(a, b):
         d = len(a) - len(b)
         for i, bi in enumerate(b):
             a[d + i] -= q * bi
-        assert a[-1] == 0
+        if a[-1] != 0:
+            raise TheoremViolation("leading term must cancel")
         a.pop()
     return not any(a)
 

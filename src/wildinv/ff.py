@@ -3,9 +3,13 @@
 Every field is a quotient F_p[x]/(modulus) where the modulus is the
 lexicographically least monic irreducible of its degree (coefficient tuple
 ordered constant-first), so all descriptions are reproducible across runs
-with no stored tables. Elements are coordinate vectors in the power basis.
-Subfield embeddings map the source generator to the lexicographically least
-root of the source modulus in the target, which makes them canonical too.
+with no stored tables. The search tries candidates in that order with
+Ben-Or's irreducibility test (Ben-Or 1981; von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14), which rejects most reducible candidates after
+one or two Frobenius steps. Elements are coordinate vectors in the power
+basis. Subfield embeddings map the source generator to the lexicographically
+least root of the source modulus in the target, which makes them canonical
+too.
 
 Nothing in this module rounds: coordinates are Python ints mod p.
 """
@@ -38,72 +42,87 @@ def _fp_mul(a, b, p):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
+            for j, bj in b_terms:
+                out[i + j] += ai * bj
+    return _fp_trim([c % p for c in out])
 
 
 def _fp_divmod(a, m, p):
+    """Quotient and remainder of a by a nonzero trimmed m; coefficients are
+    reduced mod p only where they are read, so the inner loop does no
+    division."""
+    dm = len(m) - 1
+    if len(a) <= dm:
+        return [], _fp_trim([c % p for c in a])
     a = list(a)
-    inv = pow(m[-1], p - 2, p)
-    q = [0] * max(len(a) - len(m) + 1, 0)
-    while len(a) >= len(m):
-        c = a[-1] * inv % p
-        off = len(a) - len(m)
+    inv = pow(m[-1], -1, p)
+    low = m[:-1]
+    q = [0] * (len(a) - dm)
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] * inv % p
         if c:
+            off = top - dm
             q[off] = c
-            for i, mi in enumerate(m):
-                a[off + i] = (a[off + i] - c * mi) % p
-        a.pop()
-        _fp_trim(a)
-    return _fp_trim(q), _fp_trim(a)
+            for i, mi in enumerate(low):
+                a[off + i] -= c * mi
+    return _fp_trim(q), _fp_trim([c % p for c in a[:dm]])
 
 
 def _fp_mod(a, m, p):
     return _fp_divmod(a, m, p)[1]
 
 
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
+def _fp_gcd_is_one(a, b, p):
+    """Whether gcd(a, b) = 1 in F_p[x]."""
     while b:
         a, b = b, _fp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+    return len(a) == 1
 
 
 def _fp_powmod_x(e, m, p):
-    """x^e mod m over F_p by square and multiply."""
+    """x^e mod m over F_p by square and multiply (multiplying by x is a shift)."""
     result = [1]
-    base = _fp_mod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _fp_mod(_fp_mul(result, result, p), m, p)
+        if bit == "1":
+            result = _fp_mod([0] + result, m, p)
     return result
 
 
 def _fp_is_irreducible(m, p):
-    """Monic m irreducible over F_p: x^{p^n} = x mod m and the proper
-    Frobenius gcd conditions."""
+    """Ben-Or's test for a monic m of degree n over F_p.
+
+    m is irreducible iff gcd(x^{p^i} - x, m) = 1 for every i <= n/2, since a
+    factor of degree d divides x^{p^d} - x. Each x^{p^i} is the p-th power of
+    the previous one, and h^p = h(x^p) over F_p, so after x^p itself every
+    step is one product with the rows x^{jp} mod m (built only when i = 2 is
+    reached: most candidates already have a root and fail at i = 1). Most
+    reducible m stop at a small i, where the Rabin test would always raise x
+    to the p^n-th power.
+    """
     n = len(m) - 1
     if n < 1:
         return False
-    xq = _fp_powmod_x(p ** n, m, p)
-    if _fp_trim(list(xq)) != [0, 1]:
-        return False
-    for ell in prime_factors(n):
-        h = _fp_powmod_x(p ** (n // ell), m, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
+    xp = _fp_powmod_x(p, m, p)
+    h, rows = xp, None
+    for i in range(1, n // 2 + 1):
+        if i > 1:
+            if rows is None:
+                rows = [[1]]
+                for _ in range(n - 1):
+                    rows.append(_fp_mod(_fp_mul(rows[-1], xp, p), m, p))
+            acc = [0] * n
+            for hj, row in zip(h, rows):
+                if hj:
+                    for t, r in enumerate(row):
+                        acc[t] += hj * r
+            h = _fp_trim([c % p for c in acc])
+        diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(m, _fp_trim(diff), p)
-        if len(g) != 1:
+        if not _fp_gcd_is_one(m, _fp_trim(diff), p):
             return False
     return True
 
@@ -117,11 +136,23 @@ def _least_irreducible(p, n):
     if n == 1:
         return (0, 1)
     for c0 in range(1, p):
-        for tail in itertools.product(range(p), repeat=n - 1):
+        for tail in _coordinate_tuples(p, n - 1):
             m = [c0] + list(tail) + [1]
             if _fp_is_irreducible(m, p):
                 return tuple(m)
     raise AssertionError("no irreducible found (impossible)")
+
+
+def _coordinate_tuples(p, n):
+    """All n-tuples over 0..p-1 in lexicographic order, lazily: unlike
+    itertools.product it never builds range(p), so stopping early costs
+    nothing whatever the size of p."""
+    if n == 0:
+        yield ()
+        return
+    for head in _coordinate_tuples(p, n - 1):
+        for c in range(p):
+            yield head + (c,)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +226,8 @@ class Field:
         return FieldElement(self, tuple([0, 1] + [0] * (self.n - 2)))
 
     def elements(self):
-        """All elements in canonical (coordinate-lex) order."""
-        for coords in itertools.product(range(self.p), repeat=self.n):
+        """All elements in canonical (coordinate-lex) order, made one at a time."""
+        for coords in _coordinate_tuples(self.p, self.n):
             yield FieldElement(self, coords)
 
     # -- raw coordinate arithmetic ------------------------------------------
@@ -257,23 +288,27 @@ class Field:
                     cur = cur * gp
                 M1 = np.array(cols, dtype=np.int64).T % p
                 self._frob[1] = M1
-            M = M1
-            for _ in range(k - 1):
+            # continue from the highest cached power up to k
+            j = max(i for i in self._frob if 0 < i <= k)
+            M = self._frob[j]
+            for _ in range(k - j):
                 M = M @ M1 % p
         self._frob[k] = M
         return M
 
     def mult_matrix(self, a: "FieldElement"):
         """Matrix (columns) of multiplication by a."""
-        n = self.n
-        cols = []
+        p, n = self.p, self.n
+        cols = [a.coords]
         cur = a.coords
-        cols.append(cur)
-        basis_shift = self.gen().coords
         for _ in range(1, n):
-            cur = self._mul(cur, basis_shift)
+            # times x: shift up, fold the x^n term back with x^n mod modulus
+            top = cur[-1]
+            cur = (0,) + cur[:-1]
+            if top:
+                cur = tuple((c + top * r) % p for c, r in zip(cur, self._red[0]))
             cols.append(cur)
-        return np.array(cols, dtype=np.int64).T % self.p
+        return np.array(cols, dtype=np.int64).T % p
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"

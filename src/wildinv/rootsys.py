@@ -189,12 +189,9 @@ def matches_module(M, W: RootSystem) -> bool:
     Some orbit translate (alpha_t, beta_t) of W must satisfy, over the
     module's ambient: the scaling action is literal multiplication by
     alpha_t, every nonzero kernel element is a beta_t-eigenvector of the a-th
-    Frobenius power, and the dimension is a*b.
+    Frobenius power, and the dimension is a*b. Both conditions are F_p-linear
+    in the kernel element, so they are checked on the kernel basis.
     """
-    import itertools
-
-    import numpy as np
-
     ctx = M.context
     if any(not c.is_zero() for c in ctx.R.coeffs[:-1]):
         raise ValidationError("module comparison applies to monomial R only")
@@ -209,19 +206,11 @@ def matches_module(M, W: RootSystem) -> bool:
             if ff.embed(t.alpha, amb) != ctx.alpha:
                 continue
             beta_amb = ff.embed(t.beta, amb)
-            ok = True
-            for coords in itertools.product(range(M.p), repeat=M.dim):
-                if not any(coords):
-                    continue
-                eta = M.element(coords)
-                if eta.frobenius(ctx.base.n * inv.a) != beta_amb * eta:
-                    ok = False
-                    break
-                tv = M.element((M.T @ np.array(coords)) % M.p)
-                if tv != ctx.alpha * eta:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                eta.frobenius(ctx.base.n * inv.a) == beta_amb * eta
+                and M.element(M.T[:, col] % M.p) == ctx.alpha * eta
+                for col, eta in enumerate(M.basis)
+            ):
                 return True
     return False
 

@@ -230,34 +230,28 @@ def all_stable_submodules(M):
     """Exhaustive oracle: every nonzero proper T,S-stable subspace.
 
     Walks the full subspace lattice, so only usable for small coordinate
-    spaces; kept as an independent check on the cyclic scan.
+    spaces; kept as an independent check on the cyclic scan. Each subspace is
+    visited once, as its reduced row echelon matrix: a set of pivot columns,
+    then every value of the entries right of a pivot outside pivot columns.
     """
     p, dim = M.p, M.dim
     if p ** dim > 4000:
         raise ValidationError("subspace lattice too large for the exhaustive oracle")
-    vectors = [v for v in itertools.product(range(p), repeat=dim) if any(v)]
-    spans = {}
-
-    def rec(start, rows):
-        R, _ = linalg.rref(np.array(rows, dtype=np.int64), p)
-        sig = tuple(map(tuple, R.tolist()))
-        if sig in spans:
-            return
-        spans[sig] = R
-        if R.shape[0] >= dim:
-            return
-        for k in range(start, len(vectors)):
-            rec(k + 1, rows + [vectors[k]])
-
-    for k in range(len(vectors)):
-        rec(k + 1, [vectors[k]])
     out = []
-    for sig, R in sorted(spans.items()):
-        if 0 < R.shape[0] < dim:
-            sub = Submodule(M, R)
-            if sub.t_stable and sub.s_stable:
-                out.append(sub)
-    return out
+    for rank in range(1, dim):
+        for pivots in itertools.combinations(range(dim), rank):
+            free = [
+                (i, j) for i, c in enumerate(pivots) for j in range(c + 1, dim) if j not in pivots
+            ]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = np.zeros((rank, dim), dtype=np.int64)
+                rows[range(rank), pivots] = 1
+                for (i, j), v in zip(free, values):
+                    rows[i, j] = v
+                sub = Submodule(M, rows)
+                if sub.t_stable and sub.s_stable:
+                    out.append(sub)
+    return sorted(out, key=Submodule.signature)
 
 
 def decomposition_witness(R: addpoly.AdditivePoly, m: int, module: SymplecticModule = None):

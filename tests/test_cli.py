@@ -229,3 +229,68 @@ def test_count_max_k_and_oracle_flags():
     )
     assert code == 0
     assert json.loads(out)["verdict"]["kind"] == "primitive_unramified_unstable"
+
+
+def _module_env():
+    import os
+
+    import wildinv
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wildinv.__file__)))
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+
+def test_report_under_python_O_matches_golden():
+    # python -O strips assert statements; the report, and every check behind
+    # it, must not depend on them
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden" / "g4_p5_f1_x5_m1_curve.json"
+    argv = ["report", "-p", "5", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"]
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "wildinv", *argv], capture_output=True, env=_module_env()
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == golden.read_bytes()
+
+
+def test_count_check_raises_under_python_O():
+    # a broken value distribution is caught by a raise, not an assert
+    code = (
+        "from wildinv import counts\n"
+        "from wildinv.addpoly import AdditivePoly\n"
+        "from wildinv.errors import TheoremViolation\n"
+        "from wildinv.ff import field_create\n"
+        "counts._distribution_odd = lambda p, n, B, q: {0: 1}\n"
+        "try:\n"
+        "    counts.value_distribution(AdditivePoly.from_ints(field_create(3, 1), [0, 1]), 2)\n"
+        "except TheoremViolation:\n"
+        "    print('raised')\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=_module_env()
+    )
+    assert r.stdout == "raised\n", r.stderr
+
+
+def test_prime_above_2_32_allocates_nothing_large():
+    # F_p is enumerated lazily, so this report fits in a 1 GiB address space;
+    # building range(p) up front needs over 30 GiB and used to die with a
+    # MemoryError traceback (exit 1)
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["report", "-p", "4294967311", "-f", "1", "-e", "0", "-R", "1", "-m", "1"]
+    r = subprocess.run(
+        [sys.executable, "-m", "wildinv", *argv],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        preexec_fn=cap_memory,
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["verdict"]["kind"] == "primitive"
+    assert doc["swan"] == {"num": 1, "den": 1}

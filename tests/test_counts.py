@@ -155,3 +155,46 @@ def test_p2_full_path():
     assert out["genus"] == 4
     assert out["supersingular"]
     assert out["psi_L_degrees"] == [8]
+
+
+def test_value_distribution_memo_returns_fresh_dicts():
+    from wildinv import counts
+
+    R = poly(3, 1, [0, 1])
+    first = value_distribution(R, 3)
+    want = dict(first)
+    first[0] = -1
+    first.clear()
+    assert value_distribution(R, 3) == want
+    assert value_distribution(R, 3) is not value_distribution(R, 3)
+    assert counts._DISTRIBUTION_CACHE[(R, 3)] == want
+
+
+def test_value_distribution_is_computed_once_per_r_and_k(monkeypatch):
+    from wildinv import counts
+
+    R = poly(5, 1, [2, 1])
+    calls = []
+    real = counts._form_data
+    monkeypatch.setattr(counts, "_form_data", lambda R, k: calls.append(k) or real(R, k))
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    curve_summary(R)
+    assert sorted(calls) == list(range(1, 2 * genus(R) + 1))
+
+
+def test_exhaust_check_runs_before_the_memo_stores(monkeypatch):
+    from wildinv import counts
+
+    R = poly(3, 1, [0, 1])
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    monkeypatch.setattr(counts, "_distribution_odd", lambda p, n, B, q: {0: 1})
+    with pytest.raises(TheoremViolation):
+        value_distribution(R, 2)
+    assert counts._DISTRIBUTION_CACHE == {}
+
+
+def test_psi_l_coefficients_are_ints():
+    # Z[zeta_p] coordinates stay Python ints through the Newton recursion
+    R = poly(5, 1, [0, 1])
+    L = psi_l_polynomial(R, 2)
+    assert all(type(c) is int for cf in L.coeffs for c in cf.vec)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from wildinv.ff import (
     project_to_subfield,
     roots_of_unity,
 )
+from wildinv.numth import prime_factors
 
 
 def test_prime_field_modulus_convention():
@@ -38,6 +40,132 @@ def test_modulus_is_irreducible(p, n):
 
     F = field_create(p, n)
     assert _fp_is_irreducible(list(F.modulus), p)
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducible_count_is_gauss_formula(p, max_n):
+    # the number of monic irreducibles of degree n is (1/n) sum_{d|n} mu(d) p^(n/d)
+    from wildinv.ff import _fp_is_irreducible
+
+    for n in range(1, max_n + 1):
+        got = sum(
+            _fp_is_irreducible([*tail, 1], p) for tail in itertools.product(range(p), repeat=n)
+        )
+        want = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert got == want, (p, n)
+
+
+# Reference test for the least-modulus check: Rabin's criterion, x^(p^n) = x
+# mod m and gcd(x^(p^(n/l)) - x, m) = 1 for every prime l | n, computed by
+# square and multiply with its own polynomial helpers. A candidate of degree
+# >= 2 with a root in F_p is reducible, so only root-free ones reach it.
+
+
+def _rabin_mulmod(a, b, m, p):
+    n = len(m) - 1
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    for top in range(2 * n - 2, n - 1, -1):
+        c = out[top] % p
+        if c:
+            for i in range(n):
+                out[top - n + i] -= c * m[i]
+    return [c % p for c in out[:n]]
+
+
+def _rabin_x_power(e, m, p):
+    n = len(m) - 1
+    result, base = [1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)
+    while e:
+        if e & 1:
+            result = _rabin_mulmod(result, base, m, p)
+        base = _rabin_mulmod(base, base, m, p)
+        e >>= 1
+    return result
+
+
+def _rabin_gcd_degree(a, b, p):
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[off + i] = (a[off + i] - c * bi) % p
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _rabin_is_irreducible(m, p):
+    n = len(m) - 1
+    if any(sum(c * pow(a, i, p) for i, c in enumerate(m)) % p == 0 for a in range(p)):
+        return False
+    x = [0, 1] + [0] * (n - 2)
+    if _rabin_x_power(p ** n, m, p) != x:
+        return False
+    for ell in prime_factors(n):
+        h = _rabin_x_power(p ** (n // ell), m, p)
+        h[1] = (h[1] - 1) % p
+        if _rabin_gcd_degree(m, h, p) != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_n", [(23, 22), (7, 24)])
+def test_least_irreducible_matches_rabin_reference(p, max_n):
+    # same enumeration order (constant term from 1, then the tail in lex
+    # order), so the same least modulus as before the switch to Ben-Or
+    from wildinv.ff import _least_irreducible
+
+    for n in range(2, max_n + 1):
+        want = next(
+            m
+            for c0 in range(1, p)
+            for tail in itertools.product(range(p), repeat=n - 1)
+            for m in [(c0, *tail, 1)]
+            if _rabin_is_irreducible(m, p)
+        )
+        assert _least_irreducible(p, n) == want, (p, n)
+
+
+def test_elements_are_lazy():
+    # enumerating F_p must not build range(p) up front: for p above 2^32 that
+    # is a MemoryError (tests/test_cli.py runs that case under a memory cap)
+    import tracemalloc
+
+    F = field_create(1000003, 1)
+    tracemalloc.start()
+    it = F.elements()
+    first = [next(it).coords for _ in range(3)]
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert first == [(0,), (1,), (2,)]
+    assert peak < 1 << 20
+    # and the order is still the coordinate-lex order of itertools.product
+    F9 = field_create(3, 2)
+    assert [x.coords for x in F9.elements()] == list(itertools.product(range(3), repeat=2))
 
 
 def test_field_create_validation():

@@ -146,3 +146,71 @@ def test_nu_labels_and_doubled_detection():
     W1, _ = monomial_root_system(p, 1, 1, 1, 1)
     W2, _ = monomial_root_system(p, 1, 1, 1, 5)
     assert detect_doubled_type_a(W1, W2, True) == "(M(W),2)"
+
+
+def _matches_on_every_vector(M, W):
+    # the definition, on all p^dim - 1 nonzero kernel vectors
+    import itertools
+    from math import lcm
+
+    import numpy as np
+
+    from wildinv.ff import embed
+    from wildinv.numth import multiplicative_order
+
+    ctx = M.context
+    inv = invariants(W)
+    if M.dim != inv.a * inv.b:
+        return False
+    for i in range(multiplicative_order(W.p, lcm(W.e_prime, W.f_prime))):
+        for j in range(inv.a):
+            t = W.translate(i, j)
+            if embed(t.alpha, M.ambient) != ctx.alpha:
+                continue
+            beta = embed(t.beta, M.ambient)
+            if all(
+                M.element(v).frobenius(ctx.base.n * inv.a) == beta * M.element(v)
+                and M.element((M.T @ np.array(v)) % M.p) == ctx.alpha * M.element(v)
+                for v in itertools.product(range(M.p), repeat=M.dim)
+                if any(v)
+            ):
+                return True
+    return False
+
+
+class _AlteredModule:
+    """A module's data with its kernel basis or scaling matrix replaced."""
+
+    def __init__(self, M, basis=None, T=None):
+        self.context, self.dim, self.ambient, self.p = M.context, M.dim, M.ambient, M.p
+        self.basis = list(M.basis) if basis is None else basis
+        self.T = M.T if T is None else T
+
+    def element(self, coords):
+        out = self.ambient.zero()
+        for c, b in zip(coords, self.basis):
+            out = out + b * int(c)
+        return out
+
+
+def test_matches_module_basis_check_agrees_with_every_vector():
+    # modules over F_9 for several leading coefficients against the root
+    # systems of other coefficients, plus modules whose last basis vector or
+    # scaling matrix is broken: both answers occur, and always agree
+    F9 = field_create(3, 2)
+    coeffs = [F9.one(), F9.gen(), F9.gen() + 1]
+    answers = []
+    for a in coeffs:
+        M = build(AdditivePoly(F9, [F9.zero(), a]), 1)
+        broken_basis = list(M.basis[:-1]) + [M.basis[-1] + M.ambient.one()]
+        broken_T = M.T.copy()
+        broken_T[:, -1] = (broken_T[:, -1] + 1) % M.p
+        variants = [M, _AlteredModule(M, basis=broken_basis), _AlteredModule(M, T=broken_T)]
+        for b in coeffs:
+            W, _ = monomial_root_system(3, 2, 1, b, 1)
+            for V in variants:
+                got = matches_module(V, W)
+                assert got == _matches_on_every_vector(V, W), (a, b)
+                answers.append(got)
+            assert not matches_module(variants[1], W) and not matches_module(variants[2], W)
+    assert True in answers and False in answers

@@ -98,17 +98,60 @@ def test_decomposition_route(m_q9):
 
 
 def test_route_equivalence_small_sweep():
-    # executable decomposition criterion: both routes agree for all nonzero R
-    # over F_3 with e = 1 and several m
+    # for all nonzero R over F_3 with e = 1 and several m: the scan verdict
+    # matches the exhaustive lattice oracle, and a decomposition exists
+    # exactly when the module is imprimitive, with the scan witness as kernel
     F3 = field_create(3, 1)
     for a0 in range(3):
         for a1 in range(1, 3):
             R = AdditivePoly.from_ints(F3, [a0, a1])
             for m in (1, 2, 4):
                 M = build(R, m)
-                anis, _ = completely_anisotropic(M)
+                anis, wit = completely_anisotropic(M)
+                assert anis == (not any(s.isotropic for s in all_stable_submodules(M)))
                 dec = decomposition_witness(R, m, module=M)
-                assert anis == (dec is None)
+                if anis:
+                    assert dec is None
+                else:
+                    f1, f2, sub = dec
+                    assert compose(f1, f2) == M.context.E_amb
+                    assert sub.signature() == wit.signature()
+
+
+def _lattice_walk_stable_submodules(M):
+    # reference for all_stable_submodules: span every set of nonzero vectors
+    # (deduplicated by rref signature) and keep the stable proper ones
+    p, dim = M.p, M.dim
+    vectors = [v for v in itertools.product(range(p), repeat=dim) if any(v)]
+    spans = {}
+
+    def rec(start, rows):
+        R, _ = rref(np.array(rows, dtype=np.int64), p)
+        sig = tuple(map(tuple, R.tolist()))
+        if sig in spans:
+            return
+        spans[sig] = R
+        if R.shape[0] < dim:
+            for k in range(start, len(vectors)):
+                rec(k + 1, rows + [vectors[k]])
+
+    for k in range(len(vectors)):
+        rec(k + 1, [vectors[k]])
+    subs = [M.submodule(R) for sig, R in sorted(spans.items()) if 0 < R.shape[0] < dim]
+    return [s for s in subs if s.t_stable and s.s_stable]
+
+
+def test_stable_submodule_oracle_matches_lattice_walk():
+    # the oracle visits each subspace once as an rref matrix; the walk
+    # reaches each one from spanning sets
+    F3 = field_create(3, 1)
+    mods = [build(AdditivePoly.from_ints(F3, [a0, 1]), m) for a0 in range(3) for m in (1, 2, 4)]
+    mods.append(build(AdditivePoly.from_ints(F3, [0, 1, 1]), 1))
+    mods.append(build(AdditivePoly.from_ints(field_create(2, 1), [0, 1, 1]), 1))
+    assert {M.dim for M in mods} == {2, 4}
+    for M in mods:
+        got = [s.signature() for s in all_stable_submodules(M)]
+        assert got == [s.signature() for s in _lattice_walk_stable_submodules(M)]
 
 
 def test_exhaustive_oracle_agreement():
