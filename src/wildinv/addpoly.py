@@ -124,9 +124,6 @@ class AdditivePoly:
             return self
         return AdditivePoly(field, [ff.embed(c, field) for c in self.coeffs])
 
-    def map_coeffs(self, fn):
-        return AdditivePoly(self.base, [fn(c) for c in self.coeffs])
-
     def operator_matrix(self, field=None):
         """Matrix of f as an F_p-linear operator on the given field."""
         F = field or self.base

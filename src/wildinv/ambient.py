@@ -12,7 +12,7 @@ from math import lcm
 import numpy as np
 
 from . import addpoly, ff
-from .errors import AmbientGuardError, ValidationError
+from .errors import AmbientGuardError, TheoremViolation, ValidationError
 from .numth import multiplicative_order
 
 SIZE_GUARD_BITS = 40
@@ -66,7 +66,8 @@ class Context:
     def omega(self, x, y) -> int:
         """Antisymmetrized pairing, a prime-field scalar."""
         v = self.pairing.eval(x, y) - self.pairing.eval(y, x)
-        assert all(c == 0 for c in v.coords[1:]), "pairing values must be scalars"
+        if any(v.coords[1:]):
+            raise TheoremViolation("pairing values must be scalars")
         return v.coords[0]
 
 

@@ -486,15 +486,29 @@ def character_sum(R: addpoly.AdditivePoly, c: int, k: int) -> Cyc:
     return out
 
 
+_PSI_L_CACHE = {}
+
+
 def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = 2) -> PsiLPolynomial:
     """L(psi_c, T) = exp(sum_k S_k T^k / k), which must terminate at degree p^e.
 
     Computed through degree p^e + slack; the extra coefficients must vanish
-    and every kept coefficient must be an algebraic integer.
+    and every kept coefficient must be an algebraic integer. Memoized per
+    (R, c, slack): `curve_summary` reads the degrees and the product check
+    multiplies the same polynomials. Each call returns a fresh coefficient
+    list.
     """
     p = R.p
     if not (1 <= c <= p - 1):
         raise ValidationError("character index must be a unit mod p")
+    key = (R, c, slack)
+    if key not in _PSI_L_CACHE:
+        _PSI_L_CACHE[key] = _psi_l_coefficients(R, c, slack)
+    return PsiLPolynomial(p, c, list(_PSI_L_CACHE[key]))
+
+
+def _psi_l_coefficients(R, c, slack):
+    p = R.p
     e = R.p_degree
     deg = p ** e
     upto = deg + slack
@@ -514,7 +528,7 @@ def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = 2) -> PsiLPol
             raise ValidationError("L-polynomial coefficient is not an algebraic integer")
     if kept[-1].is_zero():
         raise ValidationError("L-polynomial has degree below p^e")
-    return PsiLPolynomial(p, c, kept)
+    return kept
 
 
 def psi_l_product_equals_zeta(R: addpoly.AdditivePoly, Z: ZetaNumerator = None) -> bool:

@@ -94,9 +94,6 @@ class GroupElement:
     def in_h(self):
         return self.alpha == self.ctx.ambient.one()
 
-    def in_q_m(self):
-        return self.alpha ** self.ctx.d_Rm == self.ctx.ambient.one()
-
     def tuple(self):
         return (self.alpha, self.beta, self.gamma)
 

@@ -20,7 +20,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TheoremViolation, ValidationError
+from .linalg import nullspace
 from .linalg import solve as _solve_mod
 from .numth import is_prime, multiplicative_order, prime_factors
 
@@ -179,7 +180,10 @@ def field_create(p: int, n: int) -> "Field":
 class Field:
     """Immutable description of F_{p^n} plus cached arithmetic tables."""
 
-    __slots__ = ("p", "n", "modulus", "_red", "_frob", "_zero", "_one", "_embed_cache")
+    __slots__ = (
+        "p", "n", "modulus", "_red", "_frob", "_zero", "_one", "_embed_cache", "_mu",
+        "_order_primes",
+    )
 
     def __init__(self, p, n, modulus):
         self.p = p
@@ -200,6 +204,8 @@ class Field:
         self._zero = FieldElement(self, (0,) * n)
         self._one = FieldElement(self, tuple([1] + [0] * (n - 1)))
         self._embed_cache = {}
+        self._mu = {}  # d -> (sorted mu_d, canonical root of order d)
+        self._order_primes = None  # prime factors of p^n - 1, on first use
 
     @property
     def order(self):
@@ -476,64 +482,141 @@ def project_to_subfield(x: FieldElement, sub: Field) -> FieldElement:
         raise ValidationError("element is not in the requested subfield")
     M = _embedding_matrix(sub, F)
     c = _solve_mod(M, x.as_vector(), F.p)
-    assert c is not None, "subfield projection must be solvable"
+    if c is None:
+        raise TheoremViolation("subfield projection must be solvable")
     return sub.el(c)
 
 
 def _embedding_matrix(S: Field, T: Field):
+    """Columns rho^j (j < S.n) for the least root rho of S.modulus in T."""
     key = (S.p, S.n)
     if key in T._embed_cache:
         return T._embed_cache[key]
     if S.n == 1:
         M = np.zeros((T.n, 1), dtype=np.int64)
         M[0, 0] = 1
-        T._embed_cache[key] = M
-        return M
-    # least root of the source modulus inside the target
-    mod = [T.constant(c) for c in S.modulus]
-    roots = poly_roots(mod, T)
-    assert len(roots) == S.n, "irreducible modulus must split in the target"
-    rho = min(roots, key=lambda r: r.coords)
-    cols = []
-    cur = T.one()
-    for _ in range(S.n):
-        cols.append(cur.coords)
-        cur = cur * rho
-    M = np.array(cols, dtype=np.int64).T % T.p
+    else:
+        rho = _least_root(S, T)
+        cols = []
+        cur = T.one()
+        for _ in range(S.n):
+            cols.append(cur.coords)
+            cur = cur * rho
+        M = np.array(cols, dtype=np.int64).T % T.p
     T._embed_cache[key] = M
     return M
 
 
+# A proper factor turns up with probability about 1/2 per draw, so a
+# correct split never comes near this cap; it only stops a broken one.
+_SPLIT_ATTEMPTS = 128
+
+
+def _least_root(S: Field, T: Field) -> FieldElement:
+    """Least root (by coords) in T of g = S.modulus, of degree s = S.n.
+
+    The roots of g are one Frobenius orbit rho0^{p^i} (i < s) inside the
+    degree-s subfield K = ker(Frob^s - 1) of T, so one root gives them all.
+    That root comes from equal-degree splitting with parameters a, d in K:
+    for a root r of g, d r + a lies in K, so (d r + a)^((p^s - 1)/2) is 0 or
+    +-1 (p odd) and sum_{i<s} (d r + a)^{2^i} is 0 or 1 (p = 2), and a gcd
+    with g splits the roots by that value. g splits completely in T, so there
+    is no strip to linear factors, and only the smaller factor is followed.
+    """
+    p, s = T.p, S.n
+    g = [T.constant(c) for c in S.modulus]
+    K = nullspace((T.frobenius_matrix(s) - np.eye(T.n, dtype=np.int64)) % p, p)
+    if K.shape[0] != s:
+        raise TheoremViolation("the fixed field of Frob^s must have degree s")
+    rho0 = _one_root(g, K.tolist(), T)
+    value = T.zero()
+    for c in reversed(g):
+        value = value * rho0 + c
+    if not value.is_zero():
+        raise TheoremViolation("splitting must end at a root of the modulus")
+    orbit = {rho0}
+    cur = rho0
+    for _ in range(s - 1):
+        cur = cur.frobenius(1)
+        orbit.add(cur)
+    if len(orbit) != s:
+        raise TheoremViolation("irreducible modulus must have s distinct roots in the target")
+    return min(orbit, key=lambda r: r.coords)
+
+
+def _one_root(g, K_rows, T: Field) -> FieldElement:
+    """One root in T of the monic g, whose roots all lie in the subfield
+    spanned by K_rows; the parameters come from that span under the fixed
+    seed of poly_roots."""
+    p, s = T.p, len(K_rows)
+    rng = random.Random(0x5EED ^ (p * 1000003 + T.n))
+
+    def draw():
+        cs = [rng.randrange(p) for _ in K_rows]
+        return T.el([sum(c * row[j] for c, row in zip(cs, K_rows)) for j in range(T.n)])
+
+    while len(g) > 2:
+        for _ in range(_SPLIT_ATTEMPTS):
+            a, d = draw(), draw()
+            if d.is_zero():
+                continue
+            if p == 2:
+                acc = _f_mod([a, d], g, T)
+                w = list(acc)
+                for _ in range(s - 1):
+                    acc = _f_mod(_f_mul(acc, acc, T), g, T)
+                    w = _f_add(w, acc, T)
+            else:
+                w = _f_sub(_f_powmod([a, d], (p ** s - 1) // 2, g, T), [T.one()], T)
+            h = _f_gcd(g, w, T)
+            if 0 < len(h) - 1 < len(g) - 1:
+                break
+        else:
+            raise TheoremViolation("equal-degree splitting found no proper factor")
+        other = _f_quo(g, h, T)
+        g = h if len(h) <= len(other) else other
+    return -g[0] / g[1]
+
+
 def roots_of_unity(F: Field, d: int):
-    """All of mu_d in F, sorted canonically. d must divide p^n - 1."""
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    if gcd(d, F.p) != 1 or (F.order - 1) % d != 0:
-        raise ValidationError(f"{d} does not divide {F.p}^{F.n} - 1")
-    if d == 1:
-        return [F.one()]
-    zeta = _root_of_unity_generator(F, d)
-    out = set()
-    cur = F.one()
-    for _ in range(d):
-        out.add(cur)
-        cur = cur * zeta
-    assert len(out) == d
-    return sorted(out, key=lambda x: x.coords)
+    """All of mu_d in F, sorted canonically (a fresh list). d must divide p^n - 1."""
+    return list(_mu_data(F, d)[0])
 
 
 def canonical_root_of_unity(F: Field, d: int) -> FieldElement:
     """First element of mu_d (canonical order) whose order is exactly d."""
-    mu = roots_of_unity(F, d)
-    for z in mu:
-        if element_order(z) == d:
-            return z
-    raise AssertionError("mu_d contains no element of order d (impossible)")
+    return _mu_data(F, d)[1]
+
+
+def _mu_data(F: Field, d: int):
+    """(sorted mu_d, its canonical root of order d), computed once per (F, d).
+
+    The elements of order d are the powers zeta^k with gcd(k, d) = 1 of any
+    generator zeta, so the canonical root is the least of those and needs no
+    order computation.
+    """
+    if d in F._mu:
+        return F._mu[d]
+    if d < 1:
+        raise ValidationError("d must be >= 1")
+    if gcd(d, F.p) != 1 or (F.order - 1) % d != 0:
+        raise ValidationError(f"{d} does not divide {F.p}^{F.n} - 1")
+    zeta = F.one() if d == 1 else _root_of_unity_generator(F, d)
+    powers = []
+    cur = F.one()
+    for _ in range(d):
+        powers.append(cur)
+        cur = cur * zeta
+    if cur != F.one() or len(set(powers)) != d:
+        raise TheoremViolation("a generator of mu_d must have order exactly d")
+    canonical = min((z for k, z in enumerate(powers) if gcd(k, d) == 1), key=lambda z: z.coords)
+    F._mu[d] = (tuple(sorted(powers, key=lambda z: z.coords)), canonical)
+    return F._mu[d]
 
 
 def _root_of_unity_generator(F: Field, d: int):
     cof = (F.order - 1) // d
-    ells = prime_factors(d)
+    ells = [ell for ell in _group_order_primes(F) if d % ell == 0]
     for y in F.elements():
         if y.is_zero():
             continue
@@ -542,7 +625,14 @@ def _root_of_unity_generator(F: Field, d: int):
             continue
         if all(z ** (d // ell) != F.one() for ell in ells):
             return z
-    raise AssertionError("no generator of mu_d found (impossible)")
+    raise TheoremViolation("no generator of mu_d found (impossible)")
+
+
+def _group_order_primes(F: Field):
+    """Prime factors of p^n - 1, factored once per field."""
+    if F._order_primes is None:
+        F._order_primes = prime_factors(F.order - 1)
+    return F._order_primes
 
 
 def element_order(x: FieldElement) -> int:
@@ -551,7 +641,7 @@ def element_order(x: FieldElement) -> int:
         raise ValidationError("zero has no multiplicative order")
     N = x.field.order - 1
     o = N
-    for q in prime_factors(N):
+    for q in _group_order_primes(x.field):
         while o % q == 0 and x ** (o // q) == x.field.one():
             o //= q
     return o
@@ -571,7 +661,9 @@ def artin_schreier_root(t: FieldElement):
 
 
 # ---------------------------------------------------------------------------
-# Root finding for moduli (used only to pin canonical embeddings)
+# Root finding by Cantor-Zassenhaus over the whole field. No report path
+# uses it any more (embeddings split inside the subfield, _least_root); it
+# stays public as the independent reference for the least embedding root.
 
 
 def poly_roots(coeffs, F: Field):

@@ -25,7 +25,8 @@ def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
     if d_R < 1 or (p ** e + 1) % d_R != 0:
         raise ValidationError("d_R must divide p^e + 1")
     out = Fraction(m * (p ** e + 1), d_R)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise TheoremViolation("the Swan conductor must be an integer")
     return out
 
 
@@ -70,7 +71,8 @@ def ramification_profile(p: int, e: int, d_R: int, m: int) -> RamificationProfil
     ]
     # adjacent pieces agree exactly at each breakpoint
     for i, bp in enumerate((Fraction(0), j1, j2)):
-        assert pieces[i](bp) == pieces[i + 1](bp), "profile must be continuous"
+        if pieces[i](bp) != pieces[i + 1](bp):
+            raise TheoremViolation("profile must be continuous")
     return RamificationProfile(
         jumps=[Fraction(-1), Fraction(0), j1, j2],
         subgroups=["full", "inertia", "wild_inertia", "wild_center", "trivial"],
@@ -189,7 +191,8 @@ def _project_poly(f: addpoly.AdditivePoly, base) -> addpoly.AdditivePoly:
     """Rewrite a provably base-rational polynomial over the base field itself."""
     if f.base is base:
         return f
-    assert addpoly.is_rational_over(f, base.n), "descent data must be base-rational"
+    if not addpoly.is_rational_over(f, base.n):
+        raise TheoremViolation("descent data must be base-rational")
     return addpoly.AdditivePoly(base, [ff.project_to_subfield(c, base) for c in f.coeffs])
 
 
@@ -262,7 +265,8 @@ def full_report(
     d_Rm = addpoly.twisted_scaling_order(R, m)
     sw = swan_conductor(p, e, d_R, m)
     prof = ramification_profile(p, e, d_R, m)
-    assert p ** e * prof.jumps[-1] == sw, "conductor must match the extreme jump"
+    if p ** e * prof.jumps[-1] != sw:
+        raise TheoremViolation("conductor must match the extreme jump")
     verdict = primitivity(R, m)
     M = verdict.module
 

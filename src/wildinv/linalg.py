@@ -7,13 +7,6 @@ unique reduced row echelon form, so it doubles as a canonical signature.
 import numpy as np
 
 
-def asmat(rows, width=None):
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, width or 0)
-    return a
-
-
 def rref(A, p):
     """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
     A = np.array(A, dtype=np.int64) % p
@@ -108,12 +101,6 @@ def mat_order(A, p, cap=10 ** 6):
             return k
         M = M @ B % p
     raise AssertionError("matrix order exceeds cap")
-
-
-def row_span_signature(B, p):
-    """Hashable canonical identifier of the row span."""
-    R, _ = rref(B, p)
-    return tuple(map(tuple, R.tolist()))
 
 
 def in_row_span(B, v, p):

@@ -44,14 +44,17 @@ def factorize(n: int) -> dict:
             out[q] = out.get(q, 0) + 1
             n //= q
     f = 7
-    # trial division; the Miller-Rabin shortcut keeps this fast for the
-    # semiprime-with-large-factor cases
+    # trial division; a Miller-Rabin test of each new cofactor (run only when
+    # a division has changed n) stops early at a large prime cofactor
+    changed = True
     while f * f <= n:
-        if is_prime(n):
+        if changed and is_prime(n):
             break
+        changed = False
         if n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
+            changed = True
         else:
             f += 2
     if n > 1:
@@ -78,18 +81,6 @@ def multiplicative_order(a: int, d: int) -> int:
         if k > d:
             raise AssertionError("order search exceeded modulus")
     return k
-
-
-def order_dividing(x_pow, group_order: int) -> int:
-    """Order of an element given a callable x_pow(k) and a multiple of the order.
-
-    x_pow(k) must return the identity-test truth of x^k (a boolean).
-    """
-    o = group_order
-    for q in prime_factors(group_order):
-        while o % q == 0 and x_pow(o // q):
-            o //= q
-    return o
 
 
 def v2(n: int) -> int:

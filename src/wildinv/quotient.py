@@ -101,9 +101,6 @@ class TermPoly:
             out = out + vv * x ** k
         return out
 
-    def coeffs_list(self):
-        return [self.terms[k] for k in sorted(self.terms)]
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -181,12 +178,14 @@ def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum)
     terms = terms + addpoly.AdditivePoly(F, [gamma * binv, gamma * (binv ** p)])
     terms = terms - fxb
     P = terms.scale(binv ** p)
-    assert addpoly.evaluate(P, beta).is_zero(), "datum choice must kill the linear defect"
+    if not addpoly.evaluate(P, beta).is_zero():
+        raise TheoremViolation("datum choice must kill the linear defect")
 
     P1, rem = addpoly.right_divmod(P, u)
     if not rem.is_zero():
         raise TheoremViolation("descent polynomial must be composed through u")
-    assert P1.p_degree == e - 1
+    if P1.p_degree != e - 1:
+        raise TheoremViolation("one descent step must lower the p-degree by one")
 
     # Delta0 = -(x/beta)(gamma (x/beta) - pairing(x, beta))
     d_terms = {2: -(gamma * binv * binv)}
@@ -197,7 +196,8 @@ def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum)
             add = binv * c
             d_terms[k] = add if prev is None else prev + add
     delta0 = TermPoly(F, d_terms)
-    assert delta0.constant_term().is_zero()
+    if not delta0.constant_term().is_zero():
+        raise TheoremViolation("Delta0 must have no constant term")
 
     lhs = x_times(R_amb)
     uP1u = TermPoly.from_additive(u) * TermPoly.from_additive(addpoly.compose(P1, u))
@@ -299,7 +299,8 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
     ok, reasons = verify_morphism(R, out.R1, out.r, out.delta, m)
     if not ok:
         raise TheoremViolation(f"descent datum failed verification: {reasons}")
-    assert out.e_prime == ctx.e - U.dim
+    if out.e_prime != ctx.e - U.dim:
+        raise TheoremViolation("descent must lower the p-degree by dim U")
     _check_kernel_facts(ctx, out, U)
     return out
 

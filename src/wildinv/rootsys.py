@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import addpoly, ff
-from .errors import ValidationError
-from .numth import multiplicative_order, v2
+from .errors import TheoremViolation, ValidationError
+from .numth import multiplicative_order
 
 
 class RootSystem:
@@ -31,10 +31,6 @@ class RootSystem:
     @property
     def q(self):
         return self.p ** self.f
-
-    def orbit_invariant_key(self):
-        """Orders are orbit invariants: both twists permute each mu_d."""
-        return (self.p, self.f, self.e_prime, self.f_prime)
 
     def translate(self, i, j):
         """The orbit element theta^i sigma^j (alpha, beta)."""
@@ -72,14 +68,16 @@ def invariants(W: RootSystem) -> RSInvariants:
         if pow(p, cand, fb) % fb == 1 % fb and pow(p, cand, ea) in qa_residues:
             b = cand
             break
-    assert b is not None, "b-scan bound must contain a solution"
+    if b is None:
+        raise TheoremViolation("b-scan bound must contain a solution")
     target = pow(p, b, ea)
     c = None
     for cand in range(a):
         if pow(q, cand, ea) == target:
             c = cand
             break
-    assert c is not None
+    if c is None:
+        raise TheoremViolation("c-scan must find p^b among the powers of q")
     return RSInvariants(a=a, b=b, c=c, e_prime=ea, f_prime=fb)
 
 
@@ -174,13 +172,6 @@ def monomial_root_system(p: int, f: int, e: int, a_e, m: int):
     if formula != inv:
         raise AssertionError(f"closed-form invariants {formula} disagree with scans {inv}")
     return W, inv
-
-
-def predicted_type(p: int, f: int, e: int) -> str:
-    """Type prediction for the monomial case by 2-adic comparison of e and f."""
-    if v2(e) >= v2(f):
-        return "A"
-    return "B-or-C"
 
 
 def matches_module(M, W: RootSystem) -> bool:

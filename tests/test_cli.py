@@ -240,13 +240,24 @@ def _module_env():
     return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
 
-def test_report_under_python_O_matches_golden():
+GOLDEN_ARGV = {
+    "g1_p3_f1_x3_m1_curve": ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
+    "g2_p3_f2_x3_m2": ["-p", "3", "-f", "2", "-R", "1", "-e", "1", "-m", "2"],
+    "g3_p3_f1_x3_m2": ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "2"],
+    "g4_p5_f1_x5_m1_curve": ["-p", "5", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
+    "g5_p2_f2_x2x8_m1_curve": ["-p", "2", "-f", "2", "-R", "0;1;0;1", "-e", "3", "-m", "1", "--curve"],
+    "g6_p3_f1_x_x3_m1": ["-p", "3", "-f", "1", "-R", "1;1", "-e", "1", "-m", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_report_under_python_O_matches_golden(name):
     # python -O strips assert statements; the report, and every check behind
     # it, must not depend on them
     from pathlib import Path
 
-    golden = Path(__file__).parent / "golden" / "g4_p5_f1_x5_m1_curve.json"
-    argv = ["report", "-p", "5", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"]
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    argv = ["report", *GOLDEN_ARGV[name]]
     r = subprocess.run(
         [sys.executable, "-O", "-m", "wildinv", *argv], capture_output=True, env=_module_env()
     )

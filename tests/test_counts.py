@@ -198,3 +198,27 @@ def test_psi_l_coefficients_are_ints():
     R = poly(5, 1, [0, 1])
     L = psi_l_polynomial(R, 2)
     assert all(type(c) is int for cf in L.coeffs for c in cf.vec)
+
+
+def test_curve_summary_computes_each_psi_l_once(monkeypatch):
+    # the degrees and the product check read the same L(psi_c): one
+    # computation per (R, c), and every call hands out a fresh list
+    from wildinv import counts
+
+    monkeypatch.setattr(counts, "_PSI_L_CACHE", {})
+    computed = []
+    real = counts._psi_l_coefficients
+
+    def counting(R, c, slack):
+        computed.append(c)
+        return real(R, c, slack)
+
+    monkeypatch.setattr(counts, "_psi_l_coefficients", counting)
+    R = poly(5, 1, [0, 1])
+    out = curve_summary(R)
+    assert out["psi_L_degrees"] == [5, 5, 5, 5]
+    assert sorted(computed) == [1, 2, 3, 4]
+    L = psi_l_polynomial(R, 1)
+    L.coeffs.clear()
+    assert psi_l_polynomial(R, 1).degree == 5
+    assert sorted(computed) == [1, 2, 3, 4]

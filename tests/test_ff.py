@@ -314,3 +314,121 @@ def test_text_form_roundtrip():
     assert parse_element(s) == x
     with pytest.raises(ValidationError):
         parse_element("3^2:9,9,9:1,1")
+
+
+# ---------------------------------------------------------------------------
+# Canonical field data: roots of unity, element orders, embedding roots
+
+
+def _small_fields(bound):
+    for p in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while p ** n <= bound:
+            yield field_create(p, n)
+            n += 1
+
+
+def test_canonical_root_is_first_element_of_order_d():
+    # mu_d by enumeration (elements() is already in canonical order), and the
+    # canonical root by its definition: the first element of mu_d whose order
+    # is exactly d
+    for F in _small_fields(3 ** 6):
+        N = F.order - 1
+        divisors = [k for k in range(1, N + 1) if N % k == 0]
+        # least divisor k of N with x^k = 1, trying the divisors in turn
+        order = {x: next(k for k in divisors if x ** k == F.one()) for x in F.elements() if x}
+        for d in divisors:
+            mu = [x for x, o in order.items() if d % o == 0]
+            assert roots_of_unity(F, d) == mu, (F, d)
+            want = next(x for x in mu if order[x] == d)
+            assert canonical_root_of_unity(F, d) == want, (F, d)
+
+
+def test_roots_of_unity_are_searched_once_per_field_and_d(monkeypatch):
+    from wildinv import ff
+
+    F = field_create(3, 4)
+    monkeypatch.setattr(F, "_mu", {})
+    searches = []
+    real = ff._root_of_unity_generator
+
+    def counting(G, d):
+        searches.append((G, d))
+        return real(G, d)
+
+    def no_order(x):
+        raise AssertionError("canonical_root_of_unity must not compute orders")
+
+    monkeypatch.setattr(ff, "_root_of_unity_generator", counting)
+    monkeypatch.setattr(ff, "element_order", no_order)
+    first = roots_of_unity(F, 16)
+    want = list(first)
+    first.clear()
+    assert roots_of_unity(F, 16) == want and len(want) == 16
+    assert roots_of_unity(F, 16) is not roots_of_unity(F, 16)
+    z = canonical_root_of_unity(F, 16)
+    assert canonical_root_of_unity(F, 5) == canonical_root_of_unity(F, 5)
+    assert searches == [(F, 16), (F, 5)]
+    assert z in want and z ** 8 != F.one()
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2), (13, 1)])
+def test_element_order_matches_brute_force(p, n):
+    F = field_create(p, n)
+    for x in F.elements():
+        if x.is_zero():
+            continue
+        k, y = 1, x
+        while y != F.one():
+            y, k = y * x, k + 1
+        assert element_order(x) == k, x
+
+
+def _embedding_pairs(bound):
+    for p in (2, 3, 5, 7):
+        n = 2
+        while p ** n <= bound:
+            for s in range(2, n):
+                if n % s == 0:
+                    yield p, s, n
+            n += 1
+
+
+@pytest.mark.parametrize("p,s,n", list(_embedding_pairs(2 ** 16)))
+def test_embedding_root_is_least_root_from_poly_roots(monkeypatch, p, s, n):
+    # the embedding sends the generator of F_{p^s} to the least root of its
+    # modulus in F_{p^n}: Cantor-Zassenhaus over the whole target is the
+    # reference for the split inside the degree-s subfield
+    from wildinv.ff import _embedding_matrix, poly_roots
+
+    S, T = field_create(p, s), field_create(p, n)
+    roots = poly_roots([T.constant(c) for c in S.modulus], T)
+    assert len(roots) == s
+    monkeypatch.setattr(T, "_embed_cache", {})
+    M = _embedding_matrix(S, T)
+    assert tuple(int(c) for c in M[:, 1]) == roots[0].coords
+    assert T._embed_cache[(p, s)] is M
+
+
+def test_ff_checks_raise(monkeypatch):
+    # the checks behind projections, embeddings and roots of unity are raises,
+    # so they survive python -O
+    from wildinv import ff
+    from wildinv.errors import TheoremViolation
+
+    F9, F81 = field_create(3, 2), field_create(3, 4)
+    x = embed(F9.gen(), F81)
+    with monkeypatch.context() as mp:
+        mp.setattr(ff, "_solve_mod", lambda A, b, p: None)
+        with pytest.raises(TheoremViolation, match="projection"):
+            project_to_subfield(x, F9)
+    with monkeypatch.context() as mp:
+        mp.setattr(F81, "_embed_cache", {})
+        mp.setattr(ff, "_one_root", lambda g, K_rows, T: T.one())
+        with pytest.raises(TheoremViolation, match="root of the modulus"):
+            embed(F9.gen(), F81)
+    with monkeypatch.context() as mp:
+        mp.setattr(F81, "_mu", {})
+        mp.setattr(ff, "_root_of_unity_generator", lambda F, d: F.one())
+        with pytest.raises(TheoremViolation, match="order exactly d"):
+            roots_of_unity(F81, 5)

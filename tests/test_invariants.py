@@ -141,3 +141,20 @@ def test_e0_report():
     assert rep.verdict.kind == "primitive"
     assert rep.verdict.unramified_degree is None
     assert rep.module_summary["dim"] == 0
+
+
+def test_conductor_jump_check_raises(monkeypatch):
+    # the conductor / extreme-jump identity is a raise, so it survives python -O
+    from wildinv import invariants
+    from wildinv.errors import TheoremViolation
+
+    real = invariants.ramification_profile
+
+    def shifted(p, e, d_R, m):
+        prof = real(p, e, d_R, m)
+        prof.jumps[-1] += 1
+        return prof
+
+    monkeypatch.setattr(invariants, "ramification_profile", shifted)
+    with pytest.raises(TheoremViolation, match="extreme jump"):
+        full_report(3, 1, [0, 1], 1)

@@ -149,3 +149,22 @@ def test_non_isotropic_input_rejected():
     assert not full.isotropic
     with pytest.raises(ValidationError):
         iterated_quotient(R, 2, full)
+
+
+def test_linear_defect_check_raises(monkeypatch):
+    # the datum check is a raise, so it survives python -O: a gamma that is
+    # off by one leaves P(beta) = 2 beta^{-p} != 0
+    from wildinv import quotient
+    from wildinv.errors import TheoremViolation
+
+    R, M, wit = imprimitive_module()
+    ctx = M.context
+    make = IsotropicDatum.make
+
+    def off_by_one(R_amb, pairing, beta):
+        d = make(R_amb, pairing, beta)
+        return IsotropicDatum(beta=d.beta, gamma=d.gamma + 1)
+
+    monkeypatch.setattr(quotient.IsotropicDatum, "make", off_by_one)
+    with pytest.raises(TheoremViolation, match="linear defect"):
+        iterated_quotient(ctx.R, 2, wit)

@@ -214,3 +214,15 @@ def test_matches_module_basis_check_agrees_with_every_vector():
                 answers.append(got)
             assert not matches_module(variants[1], W) and not matches_module(variants[2], W)
     assert True in answers and False in answers
+
+
+def test_scan_bound_check_raises(monkeypatch):
+    # the b-scan's bound check is a raise, so it survives python -O
+    from wildinv import rootsys
+    from wildinv.errors import TheoremViolation
+
+    F9 = field_create(3, 2)
+    W = RootSystem(canonical_root_of_unity(F9, 4), -F9.one(), 1)
+    monkeypatch.setattr(rootsys, "lcm", lambda *args: 0)
+    with pytest.raises(TheoremViolation, match="b-scan"):
+        invariants(W)

@@ -432,3 +432,19 @@ def test_perp_dimension_check_raises(m_q9, monkeypatch):
     )
     with pytest.raises(TheoremViolation):
         perp(m_q9, line)
+
+
+def test_omega_scalar_check_raises(m_q9, monkeypatch):
+    # Context.omega's check that the pairing is a scalar is a raise, so it
+    # survives python -O
+    ctx = m_q9.context
+    assert ctx.ambient.n > 1
+
+    class NonScalarPairing:
+        def eval(self, x, y):
+            return x * x * y
+
+    monkeypatch.setattr(ctx, "pairing", NonScalarPairing())
+    g = ctx.ambient.gen()
+    with pytest.raises(TheoremViolation, match="scalars"):
+        ctx.omega(g, ctx.ambient.one())
