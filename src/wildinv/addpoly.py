@@ -11,7 +11,7 @@ from math import gcd
 import numpy as np
 
 from . import ff
-from .errors import ValidationError
+from .errors import TheoremViolation, ValidationError
 from .linalg import nullspace, rref
 from .numth import prime_factors
 
@@ -190,7 +190,8 @@ def right_divmod(f: AdditivePoly, g: AdditivePoly):
         for k, b in enumerate(g.coeffs):
             if not b.is_zero():
                 rem[k + i - dg] = rem[k + i - dg] - t * b.frobenius(i - dg)
-        assert rem[i].is_zero()
+        if not rem[i].is_zero():
+            raise TheoremViolation("right division must clear the leading term")
     return AdditivePoly(base, h), AdditivePoly(base, rem[:dg])
 
 
@@ -228,10 +229,12 @@ def e_poly(R: AdditivePoly) -> AdditivePoly:
         out[e - i] = out[e - i] + a.frobenius(e - i)  # from (a_i x)^{p^{e-i}}
     E = AdditivePoly(base, out)
     if e >= 1:
-        assert E.coeff(0) == R.coeffs[e], "x-slot coefficient must equal a_e"
+        if E.coeff(0) != R.coeffs[e]:
+            raise TheoremViolation("x-slot coefficient must equal a_e")
     else:
         # e = 0 collapses both sums onto the x slot: coefficient 2 a_0, p odd
-        assert not E.coeff(0).is_zero()
+        if E.coeff(0).is_zero():
+            raise TheoremViolation("e = 0 needs the x-slot coefficient 2 a_0 nonzero")
     return E
 
 
@@ -243,7 +246,8 @@ def scaling_order(R: AdditivePoly) -> int:
     for i, a in enumerate(R.coeffs):
         if not a.is_zero():
             d = gcd(d, R.p ** i + 1)
-    assert (R.p ** R.p_degree + 1) % d == 0
+    if (R.p ** R.p_degree + 1) % d != 0:
+        raise TheoremViolation("d_R must divide p^e + 1")
     return d
 
 
@@ -401,7 +405,8 @@ def kernel_poly(W) -> AdditivePoly:
     f = AdditivePoly.identity(F)
     for b in basis_elems:
         v = evaluate(f, b)
-        assert not v.is_zero()
+        if v.is_zero():
+            raise TheoremViolation("a basis element must survive the earlier factors")
         step = AdditivePoly(F, [-(v ** (p - 1)), F.one()])
         f = compose(step, f)
     return f
@@ -484,7 +489,8 @@ def is_prime(f: AdditivePoly) -> bool:
     s = splitting_degree(f)
     ambient = ff.field_create(p, base.n * s)
     basis = kernel_basis(f, ambient)
-    assert len(basis) == n
+    if len(basis) != n:
+        raise TheoremViolation("the splitting field must hold the whole kernel")
     B = np.array([b.as_vector() for b in basis], dtype=np.int64)
     # base-field Frobenius action in kernel coordinates
     S = _action_matrix_on_rows(B, lambda x: x.frobenius(base.n), ambient)
@@ -496,8 +502,10 @@ def is_prime(f: AdditivePoly) -> bool:
             W = _span_elements(rows, B, ambient)
             f2 = kernel_poly(W)
             h, r = right_divmod(f_amb, f2)
-            assert r.is_zero(), "kernel-subspace factor must divide exactly"
-            assert is_rational_over(f2, base.n), "stable subspace must give a rational factor"
+            if not r.is_zero():
+                raise TheoremViolation("kernel-subspace factor must divide exactly")
+            if not is_rational_over(f2, base.n):
+                raise TheoremViolation("stable subspace must give a rational factor")
             return False
     return True
 
@@ -512,7 +520,8 @@ def _action_matrix_on_rows(B, fn, field):
         x = field.el(row)
         y = fn(x)
         c = coords_in_rows(B, y.as_vector(), p)
-        assert c is not None, "space not stable under the action"
+        if c is None:
+            raise TheoremViolation("space not stable under the action")
         cols.append(c)
     return np.array(cols, dtype=np.int64).T % p
 
@@ -639,10 +648,12 @@ def parse_additive_poly_text(s: str) -> AdditivePoly:
     s = s.strip()
     try:
         head, body = s.split(";", 1)
-        assert head.startswith("q=")
+        if not head.startswith("q="):
+            raise ValidationError("missing q=")
         p, n = (int(t) for t in head[2:].split("^"))
         body = body.strip()
-        assert body.startswith("coeffs=[") and body.endswith("]")
+        if not (body.startswith("coeffs=[") and body.endswith("]")):
+            raise ValidationError("missing coeffs=[...]")
         inner = body[len("coeffs=") + 1 : -1]
     except Exception as exc:
         raise ValidationError(f"malformed additive polynomial {s!r}") from exc

@@ -263,8 +263,8 @@ def run(argv) -> int:
                     }
                     # reducible transport always certifies a decomposition;
                     # the converse only binds within the p^t-power subring
-                    if not doc["transport"]["irreducible"]:
-                        assert not doc["e_poly_prime"]
+                    if not doc["transport"]["irreducible"] and doc["e_poly_prime"]:
+                        raise TheoremViolation("a reducible transport must make E composite")
             _emit(doc)
             return 0
 

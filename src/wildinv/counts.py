@@ -9,8 +9,11 @@ p = 2), so counts over F_{q^k} cost O((fk)^3) instead of O(q^k); a brute
 force enumeration loop is kept as the independent oracle for small fields.
 
 Character sums then live in the p-th cyclotomic integers, represented as
-coefficient vectors modulo 1 + x + ... + x^{p-1}; the zeta numerator must
-come out with integer coefficients, which is checked, not assumed.
+coefficient vectors modulo 1 + x + ... + x^{p-1}. The zeta numerator is the
+product of the p - 1 Galois conjugates of L(psi_1), which has degree p^e, so
+only the fields F_{q^k} with k <= p^e + PSI_SLACK are needed; it must come out
+with integer coefficients, which is checked, not assumed. Small curves are
+cross-checked against Newton's identities on all 2g direct counts.
 """
 
 from fractions import Fraction
@@ -18,9 +21,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import addpoly, ff, linalg
-from .errors import TheoremViolation, ValidationError
+from .errors import AmbientGuardError, TheoremViolation, ValidationError
 
 BRUTE_FORCE_GUARD = 2 ** 20
+PSI_SLACK = 2  # L(psi_c) is expanded this far past its degree p^e
+# Z is cross-checked against Newton's identities on all 2g direct counts
+# while q^{2g} stays within this bound
+NEWTON_CHECK_BOUND = 3 ** 40
+# pre-flight bounds of a curve summary, see `check_curve_work`
+CURVE_FIELD_BITS_BOUND = 256
+CYC_PRODUCT_BOUND = 10 ** 8
 
 
 def genus(R: addpoly.AdditivePoly) -> int:
@@ -75,7 +85,8 @@ def _legendre(a, p):
 
 
 def _distribution_odd(p, n, B, qvec):
-    """Value counts of the form with symmetric matrix A = B/2 (p odd)."""
+    """Value counts of the form with symmetric matrix A = B/2 (p odd), and
+    the dimension n - r of its radical, r the rank of the diagonalization."""
     inv2 = pow(2, -1, p)
     A = (B * inv2 % p).copy()
     # symmetric congruence diagonalization
@@ -116,8 +127,7 @@ def _distribution_odd(p, n, B, qvec):
         det = det * d % p
     counts = {}
     if r == 0:
-        counts = {0: p ** n}
-        return counts
+        return {0: p ** n}, rad
     if r % 2 == 0:
         eps = _legendre(pow(-1, r // 2, p) * det, p)
         n0 = p ** (r - 1) + (p - 1) * eps * p ** (r // 2 - 1)
@@ -130,11 +140,12 @@ def _distribution_odd(p, n, B, qvec):
                 counts[t] = p ** (r - 1)
             else:
                 counts[t] = p ** (r - 1) + chi * _legendre(t, p) * p ** ((r - 1) // 2)
-    return {t: c * p ** rad for t, c in counts.items()}
+    return {t: c * p ** rad for t, c in counts.items()}, rad
 
 
 def _distribution_char2(n, B, qvec):
-    """Value counts over F_2 via the radical and the Arf invariant."""
+    """Value counts over F_2 via the radical and the Arf invariant, and the
+    dimension of the radical."""
     p = 2
     rad = linalg.nullspace(B, p)
 
@@ -148,7 +159,7 @@ def _distribution_char2(n, B, qvec):
         return v % 2
 
     if any(qval(row) for row in rad):
-        return {0: 2 ** (n - 1), 1: 2 ** (n - 1)}
+        return {0: 2 ** (n - 1), 1: 2 ** (n - 1)}, len(rad)
     # complement of the radical: complete B-nondegenerate part
     comp = _complement_rows(rad, n, p)
     pairs = _symplectic_pairs(comp, B, p)
@@ -160,7 +171,7 @@ def _distribution_char2(n, B, qvec):
     n0 = 2 ** (2 * h - 1) + sign * 2 ** (h - 1) if h else 1
     n1 = 2 ** (2 * h) - n0
     radsize = 2 ** (n - 2 * h)
-    return {0: n0 * radsize, 1: n1 * radsize}
+    return {0: n0 * radsize, 1: n1 * radsize}, len(rad)
 
 
 def _complement_rows(rad, n, p):
@@ -196,6 +207,7 @@ def _symplectic_pairs(comp, B, p):
 
 
 _DISTRIBUTION_CACHE = {}
+_RADICAL_CACHE = {}
 
 
 def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
@@ -203,7 +215,9 @@ def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
 
     Memoized per (R, k): one curve report asks for the same k from the
     counts, the zeta numerator and every character sum. Each call returns a
-    fresh dict, so a caller may change it without touching the memo.
+    fresh dict, so a caller may change it without touching the memo. The
+    dimension of the polar form's radical is kept beside it in
+    `_RADICAL_CACHE`.
     """
     if R.is_zero():
         raise ValidationError("R must be nonzero")
@@ -213,14 +227,21 @@ def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
     if key not in _DISTRIBUTION_CACHE:
         p, n, B, qvec = _form_data(R, k)
         if p == 2:
-            out = _distribution_char2(n, B, qvec)
+            out, rad = _distribution_char2(n, B, qvec)
         else:
-            out = _distribution_odd(p, n, B, qvec)
+            out, rad = _distribution_odd(p, n, B, qvec)
         out = {t: int(out.get(t, 0)) for t in range(p)}
         if sum(out.values()) != p ** n:
             raise TheoremViolation("value counts must exhaust the space")
         _DISTRIBUTION_CACHE[key] = out
+        _RADICAL_CACHE[key] = rad
     return dict(_DISTRIBUTION_CACHE[key])
+
+
+def radical_dimension(R: addpoly.AdditivePoly, k: int) -> int:
+    """F_p-dimension of the radical of B(x, y) = Tr(x R(y) + y R(x)) on F_{q^k}."""
+    value_distribution(R, k)
+    return _RADICAL_CACHE[(R, k)]
 
 
 def point_count(R: addpoly.AdditivePoly, k: int) -> int:
@@ -391,11 +412,10 @@ class Cyc:
 
     def __init__(self, p, vec=None):
         self.p = p
-        v = [0] * (p - 1)
-        if vec is not None:
-            for i, c in enumerate(vec):
-                v[i] = c
-        self.vec = v
+        v = [] if vec is None else list(vec)
+        if len(v) > p - 1:
+            raise ValidationError("too many coordinates for Q(zeta_p)")
+        self.vec = v + [0] * (p - 1 - len(v))
 
     @classmethod
     def root_power(cls, p, j):
@@ -453,12 +473,13 @@ class Cyc:
         return all(c == 0 for c in self.vec[1:]) and self.vec[0].denominator == 1
 
     def galois(self, c):
-        """zeta -> zeta^c."""
-        out = Cyc(self.p)
+        """zeta -> zeta^c: permute the powers, then fold zeta^{p-1} back."""
+        p = self.p
+        full = [0] * p
         for i, a in enumerate(self.vec):
-            if a:
-                out = out + Cyc.root_power(self.p, i * c) * a
-        return out
+            full[i * c % p] += a
+        top = full[p - 1]
+        return Cyc(p, [a - top for a in full[: p - 1]])
 
 
 class PsiLPolynomial:
@@ -475,6 +496,10 @@ class PsiLPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
+    def conjugate(self, c):
+        """sigma_c: zeta -> zeta^c on every coefficient, which is L(psi_{c c0})."""
+        return PsiLPolynomial(self.p, self.c * c % self.p, [cf.galois(c) for cf in self.coeffs])
+
 
 def character_sum(R: addpoly.AdditivePoly, c: int, k: int) -> Cyc:
     """S_k = sum over x in F_{q^k} of zeta_p^{c Tr(x R(x))}, exactly."""
@@ -489,7 +514,7 @@ def character_sum(R: addpoly.AdditivePoly, c: int, k: int) -> Cyc:
 _PSI_L_CACHE = {}
 
 
-def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = 2) -> PsiLPolynomial:
+def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = PSI_SLACK) -> PsiLPolynomial:
     """L(psi_c, T) = exp(sum_k S_k T^k / k), which must terminate at degree p^e.
 
     Computed through degree p^e + slack; the extra coefficients must vanish
@@ -531,18 +556,26 @@ def _psi_l_coefficients(R, c, slack):
     return kept
 
 
-def psi_l_product_equals_zeta(R: addpoly.AdditivePoly, Z: ZetaNumerator = None) -> bool:
-    """Product over nontrivial characters of L(psi_c) equals the zeta numerator."""
-    p = R.p
-    Z = Z or zeta_numerator(R)
+def _psi_l_product(p, polys):
+    """Coefficients in Z[zeta_p] of the product of the given L-polynomials."""
     prod = [Cyc.integer(p, 1)]
-    for c in range(1, p):
-        L = psi_l_polynomial(R, c)
+    for L in polys:
         new = [Cyc(p) for _ in range(len(prod) + L.degree)]
         for i, a in enumerate(prod):
             for j, b in enumerate(L.coeffs):
                 new[i + j] = new[i + j] + a * b
         prod = new
+    return prod
+
+
+def psi_l_product_equals_zeta(R: addpoly.AdditivePoly, Z: ZetaNumerator = None) -> bool:
+    """Product over nontrivial characters of L(psi_c) equals the zeta numerator.
+
+    Every L(psi_c) here comes from its own character sums.
+    """
+    p = R.p
+    Z = Z or zeta_numerator(R)
+    prod = _psi_l_product(p, [psi_l_polynomial(R, c) for c in range(1, p)])
     if len(prod) != len(Z.coeffs):
         return False
     for got, want in zip(prod, Z.coeffs):
@@ -642,23 +675,131 @@ def _divides_int_poly(a, b):
     return not any(a)
 
 
-def curve_summary(R: addpoly.AdditivePoly, max_k: int = None) -> dict:
-    """Counts, genus, zeta numerator, supersingularity and character degrees."""
+def _newton_check_runs(R: addpoly.AdditivePoly) -> bool:
+    """Whether q^{2g} <= NEWTON_CHECK_BOUND, tested on the exponent first:
+    q^{2g} >= 2^{2gf} > NEWTON_CHECK_BOUND once 2gf > 64, so q^{2g} is formed
+    only when it has at most 64 log2(p) bits."""
+    two_g = 2 * genus(R)
+    return two_g * R.base.n <= 64 and R.base.order ** two_g <= NEWTON_CHECK_BOUND
+
+
+def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
+    """Pre-flight guard of a curve summary, before any field is built.
+
+    Returns top, the largest k whose form the summary builds: p^e + PSI_SLACK
+    for L(psi_1), 2g when the Newton cross-check runs, and direct_k, the
+    largest k counted directly. Raises AmbientGuardError when F_{q^top} has
+    more than 2^CURVE_FIELD_BITS_BOUND elements, or when the product of
+    the p - 1 conjugates of L(psi_1), each of degree p^e with p - 1
+    coordinates per coefficient, needs more than CYC_PRODUCT_BOUND coordinate
+    products, estimated as (2g (p - 1))^2 / 2.
+    """
+    g = genus(R)
+    p = R.p
+    top = max(p ** R.p_degree + PSI_SLACK, direct_k)
+    if _newton_check_runs(R):
+        top = max(top, 2 * g)
+    q = R.base.order
+    # the exponent test refuses before q^top is formed; past it, q^top has
+    # at most 2 CURVE_FIELD_BITS_BOUND bits
+    if top * (q.bit_length() - 1) > CURVE_FIELD_BITS_BOUND or q ** top > 2 ** CURVE_FIELD_BITS_BOUND:
+        raise AmbientGuardError(
+            f"the curve section needs F_{p}^{R.base.n * top}, beyond the "
+            f"2^{CURVE_FIELD_BITS_BOUND}-element curve field guard"
+        )
+    products = (2 * g * (p - 1)) ** 2 // 2
+    if products > CYC_PRODUCT_BOUND:
+        raise AmbientGuardError(
+            f"the product of the {p - 1} conjugates of L(psi_1) needs about "
+            f"{products:.2e} coordinate products, beyond the "
+            f"{CYC_PRODUCT_BOUND:.0e} curve product guard"
+        )
+    return top
+
+
+def _zeta_from_conjugates(R: addpoly.AdditivePoly):
+    """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), and the p - 1 factors."""
+    p = R.p
+    L1 = psi_l_polynomial(R, 1)
+    Ls = [L1] + [L1.conjugate(c) for c in range(2, p)]
+    coeffs = []
+    for cf in _psi_l_product(p, Ls):
+        if not cf.is_rational_integer():
+            raise TheoremViolation("the product of the conjugates of L(psi_1) must have integer coefficients")
+        coeffs.append(cf.vec[0])
+    return ZetaNumerator(R.base.order, genus(R), coeffs), Ls
+
+
+def counts_from_zeta(Z: ZetaNumerator, kmax: int) -> list:
+    """Affine counts N_k = q^k - s_k for k <= kmax, s_k the power sums of the
+    reciprocal roots of Z (Newton's identities read forwards)."""
+    c = Z.coeffs
+    s = []
+    for k in range(1, kmax + 1):
+        acc = k * c[k] if k < len(c) else 0
+        for i in range(1, min(k, len(c))):
+            acc += c[i] * s[k - i - 1]
+        s.append(-acc)
+    return [Z.q ** k - s[k - 1] for k in range(1, kmax + 1)]
+
+
+def _check_radicals(R, S, top):
+    """Radical of the polar form on F_{q^k} = ker E cap F_{q^k} = ker(S^k - 1),
+    S the q-Frobenius on the module ker E, for every k <= top."""
+    p = R.p
+    dim = S.shape[0]
+    I = np.eye(dim, dtype=np.int64)
+    Sk = I
+    for k in range(1, top + 1):
+        Sk = Sk @ S % p
+        fixed = dim - linalg.rank((Sk - I) % p, p) if dim else 0
+        if radical_dimension(R, k) != fixed:
+            raise TheoremViolation(f"the polar form on F_q^{k} must have ker E cap F_q^{k} as its radical")
+
+
+def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) -> dict:
+    """Counts, genus, zeta numerator, supersingularity and character degrees.
+
+    Z is the product of the p - 1 Galois conjugates of L(psi_1), so only the
+    fields F_{q^k} with k <= p^e + PSI_SLACK are needed. While q^{2g} <=
+    NEWTON_CHECK_BOUND, Z must also equal the numerator Newton's identities
+    give from the direct counts N_1..N_{2g}, and the product of the L(psi_c)
+    from their own character sums. Z must satisfy its functional equation
+    and the Weil bounds, and its power sums must give the direct counts for
+    k <= p^e + PSI_SLACK. Without frobenius the counts are counted directly.
+    Given the matrix S of the q-Frobenius on the module ker E, the counts are
+    read from Z's power sums, and every radical of a polar form built is
+    checked against ker(S^k - 1).
+    """
     g = genus(R)
     kmax = max_k if max_k is not None else 2 * g
-    Z = zeta_numerator(R)
-    psi_degrees = []
-    for c in range(1, R.p):
-        L = psi_l_polynomial(R, c)
-        psi_degrees.append(L.degree)
-    if not psi_l_product_equals_zeta(R, Z):
-        raise TheoremViolation("product of the character L-polynomials differs from the zeta numerator")
+    top = check_curve_work(R, 0 if frobenius is not None else kmax)
+    Z, Ls = _zeta_from_conjugates(R)
+    sign = Z.functional_equation_sign()
+    if sign is None:
+        raise TheoremViolation("zeta numerator fails its functional equation")
+    weil = Z.weil_bounds_ok()
+    if not weil:
+        raise TheoremViolation("zeta numerator fails the Weil bounds")
+    if _newton_check_runs(R):
+        if zeta_numerator(R).coeffs != Z.coeffs:
+            raise TheoremViolation("the conjugates of L(psi_1) and the direct counts give different zeta numerators")
+        if not psi_l_product_equals_zeta(R, Z):
+            raise TheoremViolation("product of the character L-polynomials differs from the zeta numerator")
+    near = R.p ** R.p_degree + PSI_SLACK
+    if counts_from_zeta(Z, near) != point_counts(R, near):
+        raise TheoremViolation("the power sums of Z disagree with the direct counts")
+    if frobenius is None:
+        counts = point_counts(R, kmax)
+    else:
+        _check_radicals(R, frobenius, top)
+        counts = counts_from_zeta(Z, kmax)
     return {
-        "counts": point_counts(R, kmax),
+        "counts": counts,
         "genus": g,
         "zeta_numerator": Z.coeffs,
-        "functional_equation_sign": Z.functional_equation_sign(),
-        "weil_bounds_ok": Z.weil_bounds_ok(),
+        "functional_equation_sign": sign,
+        "weil_bounds_ok": weil,
         "supersingular": check_supersingular(Z),
-        "psi_L_degrees": psi_degrees,
+        "psi_L_degrees": [L.degree for L in Ls],
     }

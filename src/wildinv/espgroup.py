@@ -13,7 +13,7 @@ import numpy as np
 
 from . import addpoly, ff
 from .ambient import build_context
-from .errors import ValidationError
+from .errors import TheoremViolation, ValidationError
 
 
 class GroupContext:
@@ -36,14 +36,17 @@ class GroupContext:
         self.betas = [ctx.kernel_vector_to_element(c) for c in self.beta_coords]
         self.beta_index = {b: i for i, b in enumerate(self.betas)}
         # one gamma per beta (deterministic linear solve); index 0 is beta = 0
-        assert self.betas[0].is_zero()
+        if not self.betas[0].is_zero():
+            raise TheoremViolation("the first kernel vector must be zero")
         self.gamma0 = []
         for b in self.betas:
             t = b * addpoly.evaluate(ctx.R_amb, b)
             g = ff.artin_schreier_root(t)
-            assert g is not None, "ambient was built to contain gamma coordinates"
+            if g is None:
+                raise TheoremViolation("ambient was built to contain gamma coordinates")
             self.gamma0.append(g)
-        assert self.gamma0[0].is_zero()
+        if not self.gamma0[0].is_zero():
+            raise TheoremViolation("the reference gamma of beta = 0 must be 0")
 
     def pairing_value(self, x, y):
         return self.ctx.pairing.eval(x, y)
@@ -129,7 +132,8 @@ def inverse(g: GroupElement) -> GroupElement:
     b = -(ai * g.beta)
     c = -g.gamma + ctx.pairing_value(g.beta, g.beta)
     out = GroupElement(ctx, ai, b, c, check=False)
-    assert multiply(g, out) == ctx.identity()
+    if multiply(g, out) != ctx.identity():
+        raise TheoremViolation("g times its inverse must be the identity")
     return out
 
 
@@ -137,8 +141,10 @@ def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """g1 g2 g1^{-1} g2^{-1}; for alpha = 1 this is central with scalar gamma."""
     out = multiply(multiply(g1, g2), multiply(inverse(g1), inverse(g2)))
     if g1.in_h() and g2.in_h():
-        assert out.alpha == g1.ctx.ambient.one() and out.beta.is_zero()
-        assert all(c == 0 for c in out.gamma.coords[1:]), "commutator gamma must be scalar"
+        if out.alpha != g1.ctx.ambient.one() or not out.beta.is_zero():
+            raise TheoremViolation("commutator in H must be central")
+        if any(c != 0 for c in out.gamma.coords[1:]):
+            raise TheoremViolation("commutator gamma must be scalar")
     return out
 
 
@@ -177,7 +183,8 @@ def _index_tables(ctx: GroupContext):
 
     G0 = np.array([g.as_vector() for g in ctx.gamma0], dtype=np.int64)  # (nb, M)
     delta_full = (G0[:, None, :] + G0[None, :, :] + fvals - G0[add_idx]) % p
-    assert not delta_full[:, :, 1:].any(), "group law must close over reference gammas"
+    if delta_full[:, :, 1:].any():
+        raise TheoremViolation("group law must close over reference gammas")
     delta = delta_full[:, :, 0]
     return add_idx, delta
 

@@ -260,6 +260,8 @@ def full_report(
     e = R.p_degree
     if p == 2 and e == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
+    if curve:
+        counts.check_curve_work(R)
 
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
@@ -307,7 +309,10 @@ def full_report(
         except ValidationError as exc:
             root_system = {"applicable": False, "reason": str(exc)}
 
-    curve_data = counts.curve_summary(R, max_k=max_k) if curve else None
+    curve_data = None
+    if curve:
+        # counts read from Z; the module's Frobenius checks every polar radical
+        curve_data = counts.curve_summary(R, max_k=max_k, frobenius=M.S)
 
     return Report(
         input={

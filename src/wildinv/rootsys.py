@@ -21,24 +21,33 @@ class RootSystem:
             raise ValidationError("root system entries must be nonzero")
         if alpha.field is not beta.field:
             raise ValidationError("both entries must live in one field")
+        self._set(alpha, beta, f, ff.element_order(alpha), ff.element_order(beta))
+
+    def _set(self, alpha, beta, f, e_prime, f_prime):
         self.alpha = alpha
         self.beta = beta
         self.p = alpha.field.p
         self.f = f
-        self.e_prime = ff.element_order(alpha)
-        self.f_prime = ff.element_order(beta)
+        self.e_prime = e_prime
+        self.f_prime = f_prime
 
     @property
     def q(self):
         return self.p ** self.f
 
     def translate(self, i, j):
-        """The orbit element theta^i sigma^j (alpha, beta)."""
+        """The orbit element theta^i sigma^j (alpha, beta).
+
+        Raising to p^i, or alpha to a unit mod e', keeps both orders, so the
+        translate carries them over instead of recomputing them.
+        """
         a = self.alpha ** (self.p ** i)
         b = self.beta ** (self.p ** i)
         if j:
             a = a ** pow(self.q, -j, self.e_prime)
-        return RootSystem(a, b, self.f)
+        out = RootSystem.__new__(RootSystem)
+        out._set(a, b, self.f, self.e_prime, self.f_prime)
+        return out
 
 
 @dataclass(frozen=True)

@@ -272,10 +272,39 @@ def test_count_check_raises_under_python_O():
         "from wildinv.addpoly import AdditivePoly\n"
         "from wildinv.errors import TheoremViolation\n"
         "from wildinv.ff import field_create\n"
-        "counts._distribution_odd = lambda p, n, B, q: {0: 1}\n"
+        "counts._distribution_odd = lambda p, n, B, q: ({0: 1}, 0)\n"
         "try:\n"
         "    counts.value_distribution(AdditivePoly.from_ints(field_create(3, 1), [0, 1]), 2)\n"
         "except TheoremViolation:\n"
+        "    print('raised')\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=_module_env()
+    )
+    assert r.stdout == "raised\n", r.stderr
+
+
+def test_malformed_text_form_exits_2_under_python_O(tmp_path):
+    # the text-form checks are raises, so python -O cannot turn a malformed
+    # "coeffs=[...]" into a polynomial; p, f and e match what the stripped
+    # check would have parsed, so nothing else catches it
+    spec = {"p": 3, "f": 1, "e": 0, "m": 1, "R": "q=3^1; xxxxxxx[3^1:0,1:1]"}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "wildinv", "report", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "malformed additive polynomial" in json.loads(r.stdout)["error"]
+    code = (
+        "from wildinv.addpoly import parse_additive_poly_text\n"
+        "from wildinv.errors import ValidationError\n"
+        "try:\n"
+        "    parse_additive_poly_text('xx3^1; coeffs=[3^1:0,1:1]')\n"
+        "except ValidationError:\n"
         "    print('raised')\n"
     )
     r = subprocess.run(
@@ -305,3 +334,64 @@ def test_prime_above_2_32_allocates_nothing_large():
     doc = json.loads(r.stdout)
     assert doc["verdict"]["kind"] == "primitive"
     assert doc["swan"] == {"num": 1, "den": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-p", "11", "-f", "1", "-R", "1", "-e", "1", "-m", "1"],
+        ["-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1"],
+    ],
+)
+def test_curve_report_past_the_newton_bound_completes(argv):
+    # q^{2g} = 11^110 and 101^100: Z comes from the conjugates of L(psi_1),
+    # which needs F_q^k for k <= p^e + 2 only
+    code, out = cap(["report", *argv, "--curve"])
+    assert code == 0, out
+    curve = json.loads(out)["curve"]
+    assert curve["functional_equation_sign"] in (1, -1)
+    assert curve["weil_bounds_ok"] is True
+    assert len(curve["counts"]) == 2 * curve["genus"]
+    assert len(curve["zeta_numerator"]) == 2 * curve["genus"] + 1
+
+
+def test_curve_guard_returns_at_once():
+    import time
+
+    t0 = time.perf_counter()
+    code, out = cap(["report", "-p", "10007", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"])
+    assert code == 2
+    assert "guard" in json.loads(out)["error"]
+    code, out = cap(["report", "-p", "3", "-f", "1", "-R", "1", "-e", "5", "-m", "1", "--curve"])
+    assert code == 2
+    assert "guard" in json.loads(out)["error"]
+    code, out = cap(["count", "-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1"])
+    assert code == 2
+    assert "guard" in json.loads(out)["error"]
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("cmd", [["report", "--curve"], ["count"]])
+def test_curve_guard_on_a_prime_above_2_32_returns_at_once(cmd):
+    # 2g is about p here, so q^{2g} must never be formed: it would have about
+    # 2^37 bits; the address space cap turns such an attempt into a failure
+    import time
+
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [cmd[0], "-p", "4294967311", "-f", "1", "-R", "1", "-e", "0", "-m", "1", *cmd[1:]]
+    t0 = time.perf_counter()
+    r = subprocess.run(
+        [sys.executable, "-m", "wildinv", *argv],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+    assert time.perf_counter() - t0 < 2
+    assert r.returncode == 2, r.stderr
+    assert "guard" in json.loads(r.stdout)["error"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wildinv.addpoly import AdditivePoly
 from wildinv.counts import (
@@ -187,7 +189,7 @@ def test_exhaust_check_runs_before_the_memo_stores(monkeypatch):
 
     R = poly(3, 1, [0, 1])
     monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
-    monkeypatch.setattr(counts, "_distribution_odd", lambda p, n, B, q: {0: 1})
+    monkeypatch.setattr(counts, "_distribution_odd", lambda p, n, B, q: ({0: 1}, 0))
     with pytest.raises(TheoremViolation):
         value_distribution(R, 2)
     assert counts._DISTRIBUTION_CACHE == {}
@@ -222,3 +224,205 @@ def test_curve_summary_computes_each_psi_l_once(monkeypatch):
     L.coeffs.clear()
     assert psi_l_polynomial(R, 1).degree == 5
     assert sorted(computed) == [1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Z from the Galois conjugates of L(psi_1)
+
+
+@st.composite
+def small_curves(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(st.integers(1, 2))
+    e = draw(st.integers(0, 2))
+    assume(not (p == 2 and e == 0))
+    assume((p ** f) ** ((p - 1) * p ** e) <= 3 ** 24)
+    F = field_create(p, f)
+    coord = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    coeffs = [F.el(draw(coord)) for _ in range(e)]
+    lead = draw(coord)
+    assume(any(lead))
+    return AdditivePoly(F, coeffs + [F.el(lead)])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_curves())
+def test_zeta_from_conjugates_matches_newton_and_direct_sums(R):
+    from wildinv import counts
+
+    g = genus(R)
+    Z, Ls = counts._zeta_from_conjugates(R)
+    assert Z.coeffs == zeta_numerator(R).coeffs
+    assert counts.counts_from_zeta(Z, 2 * g) == counts.point_counts(R, 2 * g)
+    assert [L.c for L in Ls] == list(range(1, R.p))
+    for c, L in zip(range(1, R.p), Ls):
+        assert L.coeffs == counts._psi_l_coefficients(R, c, 2)
+
+
+def test_counts_from_zeta_past_2g_match_direct_counts():
+    # past k = 2g the power sums come from the recurrence Z imposes
+    from wildinv import counts
+
+    for R, kmax in [(poly(3, 1, [0, 1]), 10), (poly(5, 1, [1]), 9), (poly(2, 1, [0, 1]), 8)]:
+        Z, _ = counts._zeta_from_conjugates(R)
+        assert counts.counts_from_zeta(Z, kmax) == counts.point_counts(R, kmax)
+        assert counts.counts_from_zeta(Z, 0) == []
+
+
+def _frobenius(R):
+    from wildinv import sympmod
+
+    return sympmod.build(R, 1).S
+
+
+def test_large_q_builds_only_the_fields_of_psi_1(monkeypatch):
+    # p23e0: q^{2g} = 23^22 is past NEWTON_CHECK_BOUND, so no Newton counts;
+    # L(psi_1) has degree 1 and needs F_23, F_23^2 and F_23^3 only
+    from wildinv import counts
+
+    R = poly(23, 1, [1])
+    assert 23 ** 22 > counts.NEWTON_CHECK_BOUND
+    calls = []
+    real = counts._form_data
+    monkeypatch.setattr(counts, "_form_data", lambda R, k: calls.append(k) or real(R, k))
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    monkeypatch.setattr(counts, "_PSI_L_CACHE", {})
+    monkeypatch.setattr(counts, "zeta_numerator", lambda R: pytest.fail("Newton route ran"))
+    out = curve_summary(R, frobenius=_frobenius(R))
+    assert sorted(calls) == [1, 2, 3]
+    assert len(out["counts"]) == 22
+    assert out["counts"][:3] == counts.point_counts(R, 3)
+    assert out["psi_L_degrees"] == [1] * 22
+
+
+def test_report_counts_equal_direct_counts():
+    # the Frobenius changes where the counts come from, never their values
+    for R in [poly(3, 1, [0, 1]), poly(5, 1, [2, 1]), poly(2, 2, [0, 1, 0, 1])]:
+        S = _frobenius(R)
+        assert curve_summary(R, frobenius=S) == curve_summary(R)
+        assert curve_summary(R, max_k=3, frobenius=S) == curve_summary(R, max_k=3)
+
+
+def test_conjugate_product_must_be_rational(monkeypatch):
+    # with sigma_c replaced by the identity the product is L(psi_1)^{p-1},
+    # whose coefficients leave Z: a raise, not a report
+    from wildinv import counts
+
+    monkeypatch.setattr(counts.PsiLPolynomial, "conjugate", lambda self, c: self)
+    with pytest.raises(TheoremViolation):
+        curve_summary(poly(3, 1, [0, 1]))
+
+
+def test_zeta_mismatch_with_newton_raises(monkeypatch):
+    from wildinv import counts
+
+    R = poly(3, 1, [0, 1])
+    Z = zeta_numerator(R)
+    wrong = ZetaNumerator(Z.q, Z.g, [1] + [-c for c in Z.coeffs[1:-1]] + [Z.coeffs[-1]])
+    monkeypatch.setattr(counts, "zeta_numerator", lambda R: wrong)
+    with pytest.raises(TheoremViolation):
+        curve_summary(R)
+
+
+def test_galois_matches_the_power_by_power_definition():
+    from wildinv.counts import Cyc
+
+    for p in (2, 3, 5, 7, 11):
+        x = Cyc(p, [(3 * i * i + 1) % 7 - 3 for i in range(p - 1)])
+        for c in range(1, p):
+            want = Cyc(p)
+            for i, a in enumerate(x.vec):
+                want = want + Cyc.root_power(p, i * c) * a
+            assert x.galois(c) == want
+
+
+# ---------------------------------------------------------------------------
+# radical of the polar form against the module's Frobenius
+
+
+@pytest.mark.parametrize(
+    "p,f,ints",
+    [(3, 1, [0, 1]), (3, 2, [0, 1]), (5, 1, [2, 1]), (3, 1, [1, 0, 1]), (2, 2, [0, 1, 0, 1]), (7, 1, [1]), (2, 1, [1, 1])],
+)
+def test_radical_is_the_rational_part_of_ker_e(p, f, ints):
+    import numpy as np
+
+    from wildinv import counts, linalg
+
+    R = poly(p, f, ints)
+    S = _frobenius(R)
+    curve_summary(R, frobenius=S)  # checks every built k
+    dim = S.shape[0]
+    for k in range(1, 2 * genus(R) + 1):
+        Sk = linalg.mat_pow(S, k, p) if dim else S
+        fixed = dim - linalg.rank((Sk - np.eye(dim, dtype=np.int64)) % p, p) if dim else 0
+        assert counts.radical_dimension(R, k) == fixed
+        if R.p_degree == 0:
+            assert fixed == 0
+
+
+def test_radical_mismatch_raises(monkeypatch):
+    from wildinv import counts
+
+    R = poly(3, 1, [0, 1])
+    S = _frobenius(R)
+    real = counts.radical_dimension
+    monkeypatch.setattr(counts, "radical_dimension", lambda R, k: real(R, k) + (k == 4))
+    with pytest.raises(TheoremViolation):
+        curve_summary(R, frobenius=S)
+
+
+# ---------------------------------------------------------------------------
+# pre-flight guard
+
+
+def test_curve_guard_refuses_before_any_field(monkeypatch):
+    from wildinv import counts
+    from wildinv.errors import AmbientGuardError
+
+    monkeypatch.setattr(counts, "_form_data", lambda R, k: pytest.fail("a form was built"))
+    with pytest.raises(AmbientGuardError):
+        R = poly(10007, 1, [1])
+        curve_summary(R, frobenius=_frobenius(R))  # the conjugate product
+    with pytest.raises(AmbientGuardError):
+        R = poly(3, 1, [0, 0, 0, 0, 0, 1])
+        curve_summary(R, frobenius=_frobenius(R))  # F_3^245
+    with pytest.raises(AmbientGuardError):
+        curve_summary(poly(101, 1, [1]))  # counted directly: F_101^100
+
+
+def test_newton_check_runs_is_the_exact_comparison():
+    from wildinv import counts
+
+    # the exponent test decides before q^{2g} is formed; where both decide,
+    # they agree with the exact comparison
+    for p, f, ints in [(3, 1, [0, 0, 1]), (3, 2, [0, 1]), (2, 1, [0, 0, 0, 0, 0, 1]), (2, 1, [0, 0, 0, 0, 0, 0, 1]),
+                       (5, 1, [0, 1]), (23, 1, [1]), (3, 1, [0, 0, 0, 1]), (2, 4, [0, 1, 0, 1])]:
+        R = poly(p, f, ints)
+        want = R.base.order ** (2 * genus(R)) <= counts.NEWTON_CHECK_BOUND
+        assert counts._newton_check_runs(R) == want
+
+
+def test_curve_guard_admits_the_benchmark_inputs():
+    import json
+    from pathlib import Path
+
+    from wildinv import counts
+    from wildinv.cli import parse_additive_poly
+
+    doc = json.loads((Path(__file__).parent.parent / "perfbench" / "batch_inputs.json").read_text())
+    specs = [(s["p"], s["f"], s["R"], s["e"]) for s in doc["timed"] + doc["warmup"]]
+    assert len(specs) == 200
+    specs += [
+        (3, 1, "1", 1), (5, 1, "1", 1), (2, 2, "0;1;0;1", 3), (3, 2, "1", 1), (3, 1, "1;1", 1),
+        (3, 1, "1", 2), (3, 1, "1", 3), (2, 1, "1", 4), (2, 1, "1", 5), (5, 1, "1", 2),
+        (3, 1, "1;0;1", 2), (3, 1, "1;1;1", 2), (23, 1, "1", 0),
+        (7, 1, "1", 1), (11, 1, "1", 1), (101, 1, "1", 0),
+        (2, 1, "1", 6), (3, 1, "1", 4), (2, 1, "1", 7),
+    ]
+    for p, f, rspec, e in specs:
+        counts.check_curve_work(parse_additive_poly(rspec, p, f, e))
+    # counted directly: F_5^100 and F_9^54, within a minute each
+    for p, f, e in [(5, 1, 2), (3, 2, 3), (2, 1, 6)]:
+        R = parse_additive_poly("1", p, f, e)
+        counts.check_curve_work(R, 2 * genus(R))

@@ -1,11 +1,11 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from wildinv.addpoly import AdditivePoly
 from wildinv.errors import ValidationError
 from wildinv.ff import canonical_root_of_unity, field_create
-from wildinv.numth import v2
+from wildinv.numth import multiplicative_order, v2
 from wildinv.rootsys import (
     RootSystem,
     belongs,
@@ -47,6 +47,20 @@ def test_invariants_orbit_independent():
         for j in range(2):
             assert invariants(W.translate(i, j)) == base
     assert same_root_system(W, W.translate(3, 1))
+
+
+@pytest.mark.parametrize("p,f,e", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (2, 1, 3)])
+def test_translate_carries_the_orbit_orders(p, f, e):
+    # translates skip element_order; the orders they carry must be the real ones
+    from wildinv.ff import element_order
+
+    W, _ = monomial_root_system(p, f, e, 1, 1)
+    ordp = multiplicative_order(p, lcm(W.e_prime, W.f_prime))
+    for i in range(ordp + 1):
+        for j in range(invariants(W).a + 1):
+            t = W.translate(i, j)
+            assert (t.e_prime, t.f_prime) == (element_order(t.alpha), element_order(t.beta))
+            assert (t.p, t.f, t.q) == (W.p, W.f, W.q)
 
 
 def test_belongs_divisibility():
