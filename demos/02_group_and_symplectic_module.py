@@ -4,6 +4,7 @@
 
 from wildinv import AdditivePoly, analyze, build, commutator, field_create, multiply, omega
 from wildinv.espgroup import GroupContext
+from wildinv.linalg import mat_mul, transpose
 
 F3 = field_create(3, 1)
 R = AdditivePoly.from_ints(F3, [0, 1])  # x^3
@@ -35,7 +36,8 @@ print("\nomega(b0, b1) =", omega(M, b0, b1))
 print("commutator gamma between lifted basis vectors matches:",
       ctx.omega(b0, b1) == omega(M, b0, b1))
 
-# both actions preserve the pairing and twist correctly past each other
+# both actions preserve the pairing: A^t G A = G for A = T, S (matrices are
+# lists of int rows)
 p = M.p
-print("T preserves omega:", bool(((M.T.T @ M.gram @ M.T) % p == M.gram).all()))
-print("S preserves omega:", bool(((M.S.T @ M.gram @ M.S) % p == M.gram).all()))
+print("T preserves omega:", mat_mul(transpose(M.T), mat_mul(M.gram, M.T, p), p) == M.gram)
+print("S preserves omega:", mat_mul(transpose(M.S), mat_mul(M.gram, M.S, p), p) == M.gram)

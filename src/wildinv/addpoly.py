@@ -6,13 +6,12 @@ division with remainder always exists, which is the engine behind every
 decomposition question in this library.
 """
 
+import itertools
 from math import gcd
-
-import numpy as np
 
 from . import ff
 from .errors import TheoremViolation, ValidationError
-from .linalg import nullspace, rref
+from .linalg import coords_in_rows, mat_add, mat_mul, nullspace, rref, transpose
 from .numth import prime_factors
 
 
@@ -129,10 +128,12 @@ class AdditivePoly:
         F = field or self.base
         f = self.embed_to(F)
         n = F.n
-        M = np.zeros((n, n), dtype=np.int64)
+        p = F.p
+        M = [[0] * n for _ in range(n)]
         for i, c in enumerate(f.coeffs):
             if not c.is_zero():
-                M = (M + F.mult_matrix(c) @ F.frobenius_matrix(i)) % F.p
+                P = F.frobenius_matrix(i)
+                M = mat_add(M, P if c == F.one() else mat_mul(F.mult_matrix(c), P, p), p)
         return M
 
 
@@ -390,9 +391,8 @@ def kernel_poly(W) -> AdditivePoly:
         raise ValidationError("W must contain at least 0")
     F = W[0].field
     p = F.p
-    vecs = np.array([w.as_vector() for w in W], dtype=np.int64)
-    basis, _ = rref(vecs, p)
-    dim = basis.shape[0]
+    basis, _ = rref([w.coords for w in W], p)
+    dim = len(basis)
     if len(set(W)) != p ** dim:
         raise ValidationError("W is not an F_p-subspace (wrong cardinality)")
     span = {F.zero()}
@@ -444,7 +444,7 @@ def splitting_degree(f: AdditivePoly) -> int:
         h = skew_right_gcd(AdditivePoly(f.base, frob_poly), g)
         if not h.is_zero() and h.p_degree == target:
             return k
-    raise AssertionError("splitting degree search exceeded cap")
+    raise TheoremViolation("splitting degree search exceeded cap")
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +491,13 @@ def is_prime(f: AdditivePoly) -> bool:
     basis = kernel_basis(f, ambient)
     if len(basis) != n:
         raise TheoremViolation("the splitting field must hold the whole kernel")
-    B = np.array([b.as_vector() for b in basis], dtype=np.int64)
+    B = [b.as_vector() for b in basis]
     # base-field Frobenius action in kernel coordinates
     S = _action_matrix_on_rows(B, lambda x: x.frobenius(base.n), ambient)
     f_amb = f.embed_to(ambient)
-    mats = [S.tolist()]
-    for coords in _nonzero_coord_vectors(p, n):
-        rows = _cyclic_rows(coords, mats, p)
-        if 0 < rows.shape[0] < n:
+    for coords in itertools.product(range(p), repeat=n):
+        rows = _cyclic_rows(coords, [S], p)
+        if 0 < len(rows) < n:
             W = _span_elements(rows, B, ambient)
             f2 = kernel_poly(W)
             h, r = right_divmod(f_amb, f2)
@@ -512,32 +511,19 @@ def is_prime(f: AdditivePoly) -> bool:
 
 def _action_matrix_on_rows(B, fn, field):
     """Matrix (columns) of a linear map in the row-basis coordinates of B."""
-    from .linalg import coords_in_rows
-
-    p = field.p
     cols = []
     for row in B:
-        x = field.el(row)
-        y = fn(x)
-        c = coords_in_rows(B, y.as_vector(), p)
+        c = coords_in_rows(B, fn(field.el(row)).coords, field.p)
         if c is None:
             raise TheoremViolation("space not stable under the action")
         cols.append(c)
-    return np.array(cols, dtype=np.int64).T % p
-
-
-def _nonzero_coord_vectors(p, n):
-    import itertools as it
-
-    for v in it.product(range(p), repeat=n):
-        if any(v):
-            yield np.array(v, dtype=np.int64)
+    return transpose(cols)
 
 
 def _cyclic_rows(v, mats, p, gram=None):
     """RREF basis of the smallest subspace containing v stable under all mats.
 
-    v is a coordinate vector; mats (and gram) are nested int lists acting on
+    v is a coordinate vector; mats (and gram) are int-row matrices acting on
     column vectors. Each new image is reduced against the fully reduced basis
     found so far, so a closure costs one reduction per image. Given the Gram
     matrix of an alternating form, return None as soon as a new basis vector
@@ -545,7 +531,6 @@ def _cyclic_rows(v, mats, p, gram=None):
     As omega(r, r) = 0 and omega(r, b) = -omega(b, r), a closure that
     completes under a Gram matrix is totally isotropic.
     """
-    n = len(v)
     basis = {}  # pivot column -> row with 1 there and 0 at every other pivot
     todo = [[int(x) % p for x in v]]
     while todo:
@@ -570,17 +555,14 @@ def _cyclic_rows(v, mats, p, gram=None):
         basis[c] = r
         for M in mats:
             todo.append([sum(x * y for x, y in zip(row, r)) % p for row in M])
-    return np.array([basis[c] for c in sorted(basis)], dtype=np.int64).reshape(-1, n)
+    return [basis[c] for c in sorted(basis)]
 
 
 def _span_elements(rows, B, field):
     """All field elements of the subspace given by coordinate rows over basis B."""
-    import itertools as it
-
     p = field.p
-    vecs = rows @ B % p
     elems = {field.zero()}
-    for row in vecs:
+    for row in mat_mul(rows, B, p):
         b = field.el(row)
         elems = {e + b * c for e in elems for c in range(p)}
     return sorted(elems, key=lambda x: x.coords)

@@ -9,10 +9,9 @@ far above anything the constructions here need.
 
 from math import lcm
 
-import numpy as np
-
 from . import addpoly, ff
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
+from .linalg import coords_in_rows
 from .numth import multiplicative_order
 
 SIZE_GUARD_BITS = 40
@@ -56,9 +55,7 @@ class Context:
         return out
 
     def element_to_kernel_vector(self, x):
-        from .linalg import coords_in_rows
-
-        c = coords_in_rows(self.kernel_rows, x.as_vector(), self.ambient.p)
+        c = coords_in_rows(self.kernel_rows, x.coords, self.ambient.p)
         if c is None:
             raise ValidationError("element is not in the kernel space")
         return c
@@ -147,11 +144,8 @@ def _kernel_data(E, p, M):
     ambient = ff.field_create(p, M)
     kernel_elems = addpoly.kernel_basis(E, ambient)
     if len(kernel_elems) != E.p_degree:
-        raise AssertionError("ambient does not split the E-polynomial")
-    rows = np.array([b.as_vector() for b in kernel_elems], dtype=np.int64).reshape(
-        len(kernel_elems), M
-    )
-    return ambient, kernel_elems, rows
+        raise TheoremViolation("ambient does not split the E-polynomial")
+    return ambient, kernel_elems, [b.as_vector() for b in kernel_elems]
 
 
 def _needs_artin_schreier_extension(R, ambient, kernel_elems):

@@ -17,8 +17,7 @@ cross-checked against Newton's identities on all 2g direct counts.
 """
 
 from fractions import Fraction
-
-import numpy as np
+from itertools import zip_longest
 
 from . import addpoly, ff, linalg
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
@@ -55,26 +54,18 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     """Gram data of the quadratic form on F_{q^k} as an F_p-space.
 
     Returns (p, n, B, qvec): B the polar (symmetric) matrix B(x,y) =
-    Tr(x R(y) + y R(x)), qvec the diagonal values Q(basis)."""
+    Tr(x R(y) + y R(x)), qvec the diagonal values Q(basis). In the power
+    basis, Tr(x^i R(x^j)) = sum_k R(x^j)_k Tr(x^{i+k}): the Hankel matrix of
+    the power traces of x times the matrix of R."""
     base = R.base
     p = base.p
     n = base.n * k
     F = ff.field_create(p, n)
-    Rk = R.embed_to(F)
-    Rcols = Rk.operator_matrix(F) % p
-    # absolute trace functional: first coordinate row of sum of Frobenius powers
-    total = sum(F.frobenius_matrix(j) for j in range(n)) % p
-    if total[1:, :].any():
-        raise TheoremViolation("absolute trace must be scalar-valued")
-    tr = total[0, :]
-    B = np.zeros((n, n), dtype=np.int64)
-    qvec = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        Mj = F.mult_matrix(F.el(Rcols[:, j]))  # multiplication by R(e_j)
-        B[:, j] = tr @ Mj % p  # entry i: Tr(e_i R(e_j))
-        qvec[j] = int(B[j, j])
-    B = (B + B.T) % p
-    return p, n, B, qvec
+    tau = F.power_traces()
+    hankel = [tau[i:i + n] for i in range(n)]
+    half = linalg.mat_mul(hankel, R.embed_to(F).operator_matrix(F), p)
+    qvec = [half[j][j] for j in range(n)]
+    return p, n, linalg.mat_add(half, linalg.transpose(half), p), qvec
 
 
 def _legendre(a, p):
@@ -88,38 +79,36 @@ def _distribution_odd(p, n, B, qvec):
     """Value counts of the form with symmetric matrix A = B/2 (p odd), and
     the dimension n - r of its radical, r the rank of the diagonalization."""
     inv2 = pow(2, -1, p)
-    A = (B * inv2 % p).copy()
+    M = [[x * inv2 % p for x in row] for row in B]
     # symmetric congruence diagonalization
     diag = []
-    M = A
-    size = A.shape[0]
-    while size > 0:
+    while M:
+        size = len(M)
         # find a nonzero diagonal entry, or make one
-        piv = next((i for i in range(size) if M[i, i] % p), None)
+        piv = next((i for i in range(size) if M[i][i]), None)
         if piv is None:
-            pos = next(
-                ((i, j) for i in range(size) for j in range(size) if M[i, j] % p),
-                None,
-            )
+            pos = next(((i, j) for i in range(size) for j in range(size) if M[i][j]), None)
             if pos is None:
                 break  # zero block: radical
             i, j = pos
-            M[i, :] = (M[i, :] + M[j, :]) % p
-            M[:, i] = (M[:, i] + M[:, j]) % p
+            M[i] = [(x + y) % p for x, y in zip(M[i], M[j])]
+            for row in M:
+                row[i] = (row[i] + row[j]) % p
             piv = i
         if piv != 0:
-            M[[0, piv], :] = M[[piv, 0], :]
-            M[:, [0, piv]] = M[:, [piv, 0]]
-        d = int(M[0, 0]) % p
+            M[0], M[piv] = M[piv], M[0]
+            for row in M:
+                row[0], row[piv] = row[piv], row[0]
+        d = M[0][0]
         diag.append(d)
         dinv = pow(d, -1, p)
         for i in range(1, size):
-            c = M[i, 0] * dinv % p
+            c = M[i][0] * dinv % p
             if c:
-                M[i, :] = (M[i, :] - c * M[0, :]) % p
-                M[:, i] = (M[:, i] - c * M[:, 0]) % p
-        M = M[1:, 1:]
-        size -= 1
+                M[i] = [(x - c * y) % p for x, y in zip(M[i], M[0])]
+                for row in M:
+                    row[i] = (row[i] - c * row[0]) % p
+        M = [row[1:] for row in M[1:]]
     r = len(diag)
     rad = n - r
     det = 1
@@ -152,10 +141,10 @@ def _distribution_char2(n, B, qvec):
     def qval(vec):
         # Q(sum x_i e_i) = sum x_i Q(e_i) + sum_{i<j} x_i x_j B(i,j)
         idxs = [i for i, c in enumerate(vec) if c % 2]
-        v = sum(int(qvec[i]) for i in idxs)
+        v = sum(qvec[i] for i in idxs)
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
-                v += int(B[idxs[a], idxs[b]])
+                v += B[idxs[a]][idxs[b]]
         return v % 2
 
     if any(qval(row) for row in rad):
@@ -175,32 +164,34 @@ def _distribution_char2(n, B, qvec):
 
 
 def _complement_rows(rad, n, p):
-    rows = [r for r in rad]
-    comp = []
-    cur = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    for i in range(n):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        if not linalg.in_row_span(np.vstack([cur, np.array(comp).reshape(-1, n)]) if comp else cur, v, p):
-            comp.append(v)
-    return comp
+    """The unit vectors e_i outside the span of rad and e_0, ..., e_{i-1}:
+    those whose index is no pivot of rad's echelon form read right to left."""
+    _, piv = linalg.rref([row[::-1] for row in rad], p)
+    last = {n - 1 - c for c in piv}
+    return [[int(i == j) for j in range(n)] for i in range(n) if i not in last]
 
 
 def _symplectic_pairs(comp, B, p):
-    """Hyperbolic pairs of the restriction of B to the span of comp (char 2)."""
-    vecs = [np.array(v, dtype=np.int64) for v in comp]
+    """Hyperbolic pairs of the restriction of the symmetric B to the span of
+    comp (char 2)."""
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v)) % p
+
+    vecs = list(comp)
     pairs = []
     while vecs:
         u = vecs.pop(0)
-        j = next(i for i, w in enumerate(vecs) if int(u @ B @ w) % p)
+        Bu = linalg.mat_vec(B, u, p)
+        j = next(i for i, w in enumerate(vecs) if dot(w, Bu))
         w = vecs.pop(j)
-        if int(u @ B @ w) % p != 1:
+        if dot(w, Bu) != 1:
             raise TheoremViolation("hyperbolic pair must pair to 1")
+        Bw = linalg.mat_vec(B, w, p)
         rest = []
         for v in vecs:
-            a = int(v @ B @ w) % p
-            b = int(v @ B @ u) % p
-            rest.append((v + a * u + b * w) % p)
+            a, b = dot(v, Bw), dot(v, Bu)
+            rest.append([(x + a * y + b * z) % p for x, y, z in zip(v, u, w)])
         vecs = rest
         pairs.append((u, w))
     return pairs
@@ -292,16 +283,6 @@ class ZetaNumerator:
         if len(self.coeffs) != 2 * g + 1:
             raise ValidationError("numerator must have degree 2g")
 
-    def reciprocal_roots(self):
-        """Distinct reciprocal roots, to full floating precision.
-
-        sum c_j T^j with c_0 = 1 has lambda-polynomial sum c_j x^{2g-j}, read
-        leading-first as the list stands. Repeated roots wreck the accuracy of
-        numpy's companion-matrix solver, so the exact square-free part is
-        taken first; the Weil bound is about values, not multiplicities.
-        """
-        return np.roots(_squarefree_part(self.coeffs))
-
     def functional_equation_sign(self):
         """epsilon with c_{2g-j} = epsilon q^{g-j} c_j, or None."""
         g, q = self.g, self.q
@@ -313,60 +294,97 @@ class ZetaNumerator:
                 return eps
         return None
 
-    def weil_bounds_ok(self, rel_tol=1e-9):
-        lams = self.reciprocal_roots()
-        return bool(np.all(np.abs(np.abs(lams) ** 2 - self.q) < rel_tol * self.q))
+    def weil_bounds_ok(self):
+        """Whether every reciprocal root lambda has |lambda|^2 = q, decided exactly.
+
+        The lambda-polynomial P(x) = sum c_j x^{2g-j} is the list read
+        leading-first. Under the Weil bounds its roots pair off as lambda and
+        q/lambda, so P satisfies the functional equation, and a sign -1 forces
+        the factor x^2 - q, whose quotient has sign +1. With sign +1, P(x) =
+        x^h H(x + q/x) for H in Z[y] of degree h, and both roots of
+        x^2 - y x + q have |x|^2 = q exactly when y is real with y^2 <= 4q:
+        when y^2 is a real number in [0, 4q]. The values y^2 are the roots of
+        K(y^2) = H(y) H(-y), so one Sturm count over the rationals decides.
+        """
+        sign = self.functional_equation_sign()
+        if sign is None:
+            return False
+        q, P = self.q, self.coeffs
+        if sign == -1:
+            P = _frac_poly_div(P, [1, 0, -q])
+        h = (len(P) - 1) // 2
+        # constant-first: x^-h P(x) = b_0 + sum_k b_k (x^k + (q/x)^k) with
+        # b_k = P[h - k], and x^k + (q/x)^k = D_k(y), D_{k+1} = y D_k - q D_{k-1}
+        H, D0, D1 = [P[h]] + [0] * h, [2], [0, 1]
+        for k in range(1, h + 1):
+            for i, c in enumerate(D1):
+                H[i] += P[h - k] * c
+            D0, D1 = D1, [a - q * b for a, b in zip_longest([0] + D1, D0, fillvalue=0)]
+        HH = [0] * (2 * h + 1)
+        for i, a in enumerate(H):
+            for j, b in enumerate(H):
+                HH[i + j] += a * b * (-1) ** j
+        K = _squarefree(HH[::-2])
+        for r in (0, 4 * q):
+            if _horner(K, r) == 0:
+                K = _frac_poly_div(K, [1, -r])
+        return _sturm_count(K, 0, 4 * q) == len(K) - 1
 
 
-def _squarefree_part(coeffs_leading_first):
-    """Exact square-free part of an integer polynomial (rational Euclid gcd)."""
-    a = [Fraction(c) for c in coeffs_leading_first]
-    da = [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
-    g = _frac_poly_gcd(a, da)
-    q = _frac_poly_div(a, g)
-    lead = q[0]
-    return [float(c / lead) for c in q]
+# Polynomials below are leading-first coefficient lists.
 
 
-def _frac_poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b and any(b):
-        a, b = b, _frac_poly_mod(a, b)
-    return a
+def _horner(f, x):
+    v = 0
+    for c in f:
+        v = v * x + c
+    return v
 
 
-def _frac_poly_mod(a, b):
-    a = list(a)
-    while a and a[0] == 0:
-        a.pop(0)
-    b = list(b)
-    while b and b[0] == 0:
-        b.pop(0)
+def _derivative(f):
+    return [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
+
+
+def _squarefree(f):
+    """Exact square-free part of a polynomial (rational Euclid gcd)."""
+    g, r = f, _derivative(f)
+    while r:
+        g, r = r, _frac_poly_divmod(g, r)[1]
+    return _frac_poly_div(f, g)
+
+
+def _sturm_count(f, a, b):
+    """Distinct roots in (a, b) of a square-free f with f(a) f(b) != 0
+    (Sturm's theorem)."""
+    seq, r = [f], _derivative(f)
+    while r:
+        seq.append(r)
+        r = [-c for c in _frac_poly_divmod(seq[-2], seq[-1])[1]]
+
+    def changes(x):
+        signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    return changes(a) - changes(b)
+
+
+def _frac_poly_divmod(a, b):
+    """Quotient and remainder over the rationals; b[0] != 0."""
+    a, q = [Fraction(c) for c in a], []
     while len(a) >= len(b):
         c = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= c * b[i]
+        q.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
         a.pop(0)
-        while a and a[0] == 0:
-            a.pop(0)
-    return a
+    return q, a
 
 
 def _frac_poly_div(a, b):
-    a = [Fraction(c) for c in a]
-    b = list(b)
-    while b and b[0] == 0:
-        b.pop(0)
-    out = []
-    while len(a) >= len(b):
-        c = a[0] / b[0]
-        out.append(c)
-        for i in range(len(b)):
-            a[i] -= c * b[i]
-        a.pop(0)
-    if any(c != 0 for c in a):
-        raise TheoremViolation("square-free division must be exact")
-    return out
+    q, r = _frac_poly_divmod(a, b)
+    if r:
+        raise TheoremViolation("polynomial division must be exact")
+    return q
 
 
 def zeta_numerator(R: addpoly.AdditivePoly) -> ZetaNumerator:
@@ -746,14 +764,10 @@ def counts_from_zeta(Z: ZetaNumerator, kmax: int) -> list:
 def _check_radicals(R, S, top):
     """Radical of the polar form on F_{q^k} = ker E cap F_{q^k} = ker(S^k - 1),
     S the q-Frobenius on the module ker E, for every k <= top."""
-    p = R.p
-    dim = S.shape[0]
-    I = np.eye(dim, dtype=np.int64)
-    Sk = I
+    Sk = linalg.identity(len(S))
     for k in range(1, top + 1):
-        Sk = Sk @ S % p
-        fixed = dim - linalg.rank((Sk - I) % p, p) if dim else 0
-        if radical_dimension(R, k) != fixed:
+        Sk = linalg.mat_mul(Sk, S, R.p)
+        if radical_dimension(R, k) != len(linalg.fixed_space(Sk, R.p)):
             raise TheoremViolation(f"the polar form on F_q^{k} must have ker E cap F_q^{k} as its radical")
 
 

@@ -9,9 +9,7 @@ commutators realize the symplectic form.
 
 import itertools
 
-import numpy as np
-
-from . import addpoly, ff
+from . import addpoly, ff, linalg
 from .ambient import build_context
 from .errors import TheoremViolation, ValidationError
 
@@ -161,31 +159,33 @@ ENUMERATION_GUARD = 10 ** 6
 def _index_tables(ctx: GroupContext):
     """Integer encoding of the alpha = 1 subgroup: (beta index, gamma offset).
 
-    add_idx is the beta index addition; delta[i, j] in F_p is what the gamma
+    add_idx is the beta index addition; delta[i][j] in F_p is what the gamma
     coordinate of a product exceeds the reference gamma of its beta by. Both
     tables are filled from exact field arithmetic, then everything downstream
     is plain integer work.
     """
-    p, e, M = ctx.p, ctx.e, ctx.ambient.n
-    dim = 2 * e
-    nb = len(ctx.betas)
-    U = np.array(ctx.beta_coords, dtype=np.int64)  # (nb, dim)
+    p, dim = ctx.p, 2 * ctx.e
+    U = ctx.beta_coords
     # mixed radix index of coordinatewise sums
-    weights = np.array([p ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    add_idx = ((U[:, None, :] + U[None, :, :]) % p) @ weights  # (nb, nb)
+    weights = [p ** (dim - 1 - k) for k in range(dim)]
+    add_idx = [[sum((a + b) % p * w for a, b, w in zip(u, v, weights)) for v in U] for u in U]
 
     basis = ctx.ctx.kernel_elems
-    P = np.zeros((dim, dim, M), dtype=np.int64)
-    for k in range(dim):
-        for l in range(dim):
-            P[k, l] = ctx.pairing_value(basis[k], basis[l]).as_vector()
-    fvals = np.einsum("ik,jl,klm->ijm", U, U, P) % p  # (nb, nb, M)
-
-    G0 = np.array([g.as_vector() for g in ctx.gamma0], dtype=np.int64)  # (nb, M)
-    delta_full = (G0[:, None, :] + G0[None, :, :] + fvals - G0[add_idx]) % p
-    if delta_full[:, :, 1:].any():
-        raise TheoremViolation("group law must close over reference gammas")
-    delta = delta_full[:, :, 0]
+    # A[l] has column k = pairing(b_k, b_l)
+    A = [linalg.transpose([ctx.pairing_value(b, c).coords for b in basis]) for c in basis]
+    G0 = [g.coords for g in ctx.gamma0]
+    delta = []
+    for i, u in enumerate(U):
+        # column l of W is pairing(beta_i, b_l), so W U[j] = pairing(beta_i, beta_j)
+        W = linalg.transpose([linalg.mat_vec(Al, u, p) for Al in A])
+        row = []
+        for j, v in enumerate(U):
+            f = linalg.mat_vec(W, v, p)
+            full = [(a + b + c - d) % p for a, b, c, d in zip(G0[i], G0[j], f, G0[add_idx[i][j]])]
+            if any(full[1:]):
+                raise TheoremViolation("group law must close over reference gammas")
+            row.append(full[0])
+        delta.append(row)
     return add_idx, delta
 
 
@@ -207,15 +207,14 @@ def analyze(ctx: GroupContext) -> dict:
     add_idx, delta = _index_tables(ctx)
 
     def mul(x, y):
-        return (int(add_idx[x[0], y[0]]), (x[1] + y[1] + int(delta[x[0], y[0]])) % p)
+        return (add_idx[x[0]][y[0]], (x[1] + y[1] + delta[x[0]][y[0]]) % p)
 
-    central_betas = [i for i in range(nb) if np.array_equal(delta[i], delta[:, i])]
+    central_betas = [i for i in range(nb) if delta[i] == [row[i] for row in delta]]
     center = [(i, c) for i in central_betas for c in range(p)]
 
     # every commutator, from all pairs: beta part cancels, gamma is the
     # antisymmetrized delta; the set is central so closure is cheap
-    comm_scalars = np.unique((delta - delta.T) % p)
-    comms = {(0, int(c)) for c in comm_scalars}
+    comms = {(0, (a - b) % p) for row, col in zip(delta, zip(*delta)) for a, b in zip(row, col)}
     commutator_subgroup = _close_under(comms, mul, (0, 0))
 
     center_is_scalars = sorted(center) == [(0, c) for c in range(p)]

@@ -18,10 +18,8 @@ import itertools
 import random
 from math import gcd
 
-import numpy as np
-
 from .errors import TheoremViolation, ValidationError
-from .linalg import nullspace
+from .linalg import fixed_space, identity, mat_mul, mat_vec, transpose
 from .linalg import solve as _solve_mod
 from .numth import is_prime, multiplicative_order, prime_factors
 
@@ -141,7 +139,7 @@ def _least_irreducible(p, n):
             m = [c0] + list(tail) + [1]
             if _fp_is_irreducible(m, p):
                 return tuple(m)
-    raise AssertionError("no irreducible found (impossible)")
+    raise TheoremViolation("no irreducible found (impossible)")
 
 
 def _coordinate_tuples(p, n):
@@ -275,32 +273,43 @@ class Field:
         return tuple(inv[: self.n])
 
     def frobenius_matrix(self, k: int):
-        """Matrix (columns) of x -> x^{p^k} as an F_p-linear map."""
+        """Matrix (columns) of x -> x^{p^k} as an F_p-linear map. A power not
+        cached yet is the product of its two halves, which are cached too."""
         k %= self.n
-        if k in self._frob:
-            return self._frob[k]
-        p, n = self.p, self.n
-        if k == 0:
-            M = np.eye(n, dtype=np.int64)
-        else:
-            M1 = self._frob.get(1)
-            if M1 is None:
+        if k not in self._frob:
+            if k == 0:
+                M = identity(self.n)
+            elif k == 1:
                 # columns are images of the basis: (x^i)^p = (x^p)^i
-                gp = self.gen() ** p
+                gp = self.gen() ** self.p
                 cols = [self._one.coords]
                 cur = gp
-                for _ in range(1, n):
+                for _ in range(1, self.n):
                     cols.append(cur.coords)
                     cur = cur * gp
-                M1 = np.array(cols, dtype=np.int64).T % p
-                self._frob[1] = M1
-            # continue from the highest cached power up to k
-            j = max(i for i in self._frob if 0 < i <= k)
-            M = self._frob[j]
-            for _ in range(k - j):
-                M = M @ M1 % p
-        self._frob[k] = M
-        return M
+                M = transpose(cols)
+            else:
+                h = k // 2
+                M = mat_mul(self.frobenius_matrix(h), self.frobenius_matrix(k - h), self.p)
+            self._frob[k] = M
+        return self._frob[k]
+
+    def power_traces(self):
+        """Absolute traces Tr(x^m), m <= 2n - 2, of the powers of the generator.
+
+        For m < n they are the power sums of the roots of the modulus, by
+        Newton's identities, and must equal the traces of the multiplication
+        matrices of x^m, read off the reduction table; x^{n+j} mod modulus
+        then gives the rest by linearity.
+        """
+        p, n, c = self.p, self.n, self.modulus
+        s = [n % p]
+        for i in range(1, n):
+            s.append(-(i * c[n - i] + sum(c[n - k] * s[i - k] for k in range(1, i))) % p)
+        diag = [sum(self._red[i + k - n][k] for k in range(n - i, n)) % p for i in range(1, n)]
+        if s[1:] != diag:
+            raise TheoremViolation("Newton's identities and the multiplication matrices disagree on a trace")
+        return s + [sum(a * b for a, b in zip(row, s)) % p for row in self._red]
 
     def mult_matrix(self, a: "FieldElement"):
         """Matrix (columns) of multiplication by a."""
@@ -314,7 +323,7 @@ class Field:
             if top:
                 cur = tuple((c + top * r) % p for c, r in zip(cur, self._red[0]))
             cols.append(cur)
-        return np.array(cols, dtype=np.int64).T % p
+        return transpose(cols)
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
@@ -354,7 +363,7 @@ class FieldElement:
         return format_element(self)
 
     def as_vector(self):
-        return np.array(self.coords, dtype=np.int64)
+        return list(self.coords)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -428,9 +437,7 @@ class FieldElement:
         k %= F.n
         if k == 0:
             return self
-        M = F.frobenius_matrix(k)
-        v = (M @ self.as_vector()) % F.p
-        return FieldElement(F, tuple(int(c) for c in v))
+        return FieldElement(F, tuple(mat_vec(F.frobenius_matrix(k), self.coords, F.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +475,7 @@ def embed(x: FieldElement, target: Field) -> FieldElement:
         return x
     if S.p != T.p or T.n % S.n != 0:
         raise ValidationError(f"no embedding F_{S.p}^{S.n} -> F_{T.p}^{T.n}")
-    M = _embedding_matrix(S, T)
-    v = (M @ x.as_vector()) % T.p
-    return FieldElement(T, tuple(int(c) for c in v))
+    return FieldElement(T, tuple(mat_vec(_embedding_matrix(S, T), x.coords, T.p)))
 
 
 def project_to_subfield(x: FieldElement, sub: Field) -> FieldElement:
@@ -481,7 +486,7 @@ def project_to_subfield(x: FieldElement, sub: Field) -> FieldElement:
     if x.frobenius(sub.n) != x:
         raise ValidationError("element is not in the requested subfield")
     M = _embedding_matrix(sub, F)
-    c = _solve_mod(M, x.as_vector(), F.p)
+    c = _solve_mod(M, x.coords, F.p)
     if c is None:
         raise TheoremViolation("subfield projection must be solvable")
     return sub.el(c)
@@ -493,8 +498,7 @@ def _embedding_matrix(S: Field, T: Field):
     if key in T._embed_cache:
         return T._embed_cache[key]
     if S.n == 1:
-        M = np.zeros((T.n, 1), dtype=np.int64)
-        M[0, 0] = 1
+        M = [[int(i == 0)] for i in range(T.n)]
     else:
         rho = _least_root(S, T)
         cols = []
@@ -502,7 +506,7 @@ def _embedding_matrix(S: Field, T: Field):
         for _ in range(S.n):
             cols.append(cur.coords)
             cur = cur * rho
-        M = np.array(cols, dtype=np.int64).T % T.p
+        M = transpose(cols)
     T._embed_cache[key] = M
     return M
 
@@ -525,10 +529,10 @@ def _least_root(S: Field, T: Field) -> FieldElement:
     """
     p, s = T.p, S.n
     g = [T.constant(c) for c in S.modulus]
-    K = nullspace((T.frobenius_matrix(s) - np.eye(T.n, dtype=np.int64)) % p, p)
-    if K.shape[0] != s:
+    K = fixed_space(T.frobenius_matrix(s), p)
+    if len(K) != s:
         raise TheoremViolation("the fixed field of Frob^s must have degree s")
-    rho0 = _one_root(g, K.tolist(), T)
+    rho0 = _one_root(g, K, T)
     value = T.zero()
     for c in reversed(g):
         value = value * rho0 + c
@@ -653,8 +657,8 @@ def artin_schreier_root(t: FieldElement):
     Deterministic: the particular solution from the canonical linear solve.
     """
     F = t.field
-    A = (F.frobenius_matrix(1) - np.eye(F.n, dtype=np.int64)) % F.p
-    y = _solve_mod(A, t.as_vector(), F.p)
+    A = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(F.frobenius_matrix(1))]
+    y = _solve_mod(A, t.coords, F.p)
     if y is None:
         return None
     return F.el(y)

@@ -282,7 +282,7 @@ def full_report(
         "dim": M.dim,
         "d": M.d,
         "sigma_order": M.r,
-        "gram": M.gram.tolist(),
+        "gram": [list(row) for row in M.gram],
         "anisotropic": verdict.kind != "imprimitive",
         "ambient": f"{p}^{M.ambient.n}" if M.dim else None,
     }

@@ -1,116 +1,139 @@
-"""Dense linear algebra mod p on numpy int64 arrays.
+"""Dense linear algebra mod p on rows of Python ints.
 
-Row convention: a subspace is the row span of a matrix; rref output is the
-unique reduced row echelon form, so it doubles as a canonical signature.
+A matrix is a list of rows and a vector a list, both of Python ints, which
+never overflow, so every result is exact whatever the size of p; results are
+reduced into range(p). Row convention: a subspace is the row span of a
+matrix; rref output is the unique reduced row echelon form, so it doubles as
+a canonical signature.
 """
 
-import numpy as np
+from operator import mul
+
+from .errors import TheoremViolation
 
 
 def rref(A, p):
     """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
+    rows = [[int(x) % p for x in row] for row in A]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        rows = np.nonzero(A[r:, c])[0]
-        if rows.size == 0:
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
             continue
-        i = r + int(rows[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        pr = rows[r] = [x * inv % p for x in rows[r]]
         for j in range(m):
-            if j != r and A[j, c]:
-                A[j] = (A[j] - A[j, c] * A[r]) % p
+            a = rows[j][c]
+            if a and j != r:
+                rows[j] = [(x - a * y) % p for x, y in zip(rows[j], pr)]
         pivots.append(c)
         r += 1
-    return A[:r], pivots
+    return rows[:r], pivots
 
 
 def rank(A, p):
-    return rref(A, p)[0].shape[0]
+    return len(rref(A, p)[0])
 
 
 def nullspace(A, p):
     """Canonical basis (rows, rref'd) of the right kernel {x : A x = 0}."""
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
+    n = len(A[0]) if len(A) else 0
     R, piv = rref(A, p)
-    free = [c for c in range(n) if c not in piv]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(piv):
-            basis[k, pc] = (-R[i, c]) % p
-    if basis.size:
-        basis, _ = rref(basis, p)
-    return basis
+    basis = []
+    for c in range(n):
+        if c not in piv:
+            x = [0] * n
+            x[c] = 1
+            for row, pc in zip(R, piv):
+                x[pc] = -row[c] % p
+            basis.append(x)
+    return rref(basis, p)[0]
+
+
+def fixed_space(A, p):
+    """Canonical basis of {x : A x = x}, the right kernel of A - 1."""
+    return nullspace([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(A)], p)
 
 
 def solve(A, b, p):
     """One solution of A x = b mod p, or None. Deterministic (free vars = 0)."""
-    A = np.array(A, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    m, n = A.shape
-    aug = np.hstack([A, b.reshape(m, 1)])
-    R, piv = rref(aug, p)
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(piv):
-        if c == n:
-            return None
-        x[c] = R[i, n]
+    n = len(A[0]) if len(A) else 0
+    R, piv = rref([list(row) + [y] for row, y in zip(A, b)], p)
+    if piv and piv[-1] == n:
+        return None
+    x = [0] * n
+    for row, c in zip(R, piv):
+        x[c] = row[n]
     return x
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def mat_add(A, B, p):
+    return [[(x + y) % p for x, y in zip(a, b)] for a, b in zip(A, B)]
+
+
+def mat_mul(A, B, p):
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
+
+
+def mat_vec(A, v, p):
+    """A v for a column vector v."""
+    return [sum(map(mul, row, v)) % p for row in A]
+
+
 def mat_inv(A, p):
-    A = np.array(A, dtype=np.int64) % p
-    n = A.shape[0]
-    aug = np.hstack([A, np.eye(n, dtype=np.int64)])
-    R, piv = rref(aug, p)
+    n = len(A)
+    R, piv = rref([list(row) + e for row, e in zip(A, identity(n))], p)
     if piv != list(range(n)):
         raise ValueError("matrix not invertible mod p")
-    return R[:, n:]
+    return [row[n:] for row in R]
 
 
 def mat_pow(A, k, p):
-    n = A.shape[0]
     if k < 0:
         return mat_pow(mat_inv(A, p), -k, p)
-    out = np.eye(n, dtype=np.int64)
-    B = np.array(A, dtype=np.int64) % p
+    out = identity(len(A))
+    B = [[x % p for x in row] for row in A]
     while k:
         if k & 1:
-            out = out @ B % p
-        B = B @ B % p
+            out = mat_mul(out, B, p)
+        B = mat_mul(B, B, p)
         k >>= 1
     return out
 
 
 def mat_order(A, p, cap=10 ** 6):
     """Multiplicative order of an invertible matrix mod p."""
-    n = A.shape[0]
-    I = np.eye(n, dtype=np.int64)
-    B = np.array(A, dtype=np.int64) % p
-    M = B
+    I = identity(len(A))
+    M = B = [[x % p for x in row] for row in A]
     for k in range(1, cap + 1):
-        if np.array_equal(M, I):
+        if M == I:
             return k
-        M = M @ B % p
-    raise AssertionError("matrix order exceeds cap")
+        M = mat_mul(M, B, p)
+    raise TheoremViolation("matrix order exceeds cap")
 
 
 def in_row_span(B, v, p):
     """Is the vector v in the row span of B?"""
-    if B.shape[0] == 0:
-        return not np.any(np.array(v) % p)
-    M = np.vstack([B, np.array(v, dtype=np.int64) % p])
-    return rank(M, p) == rank(B, p)
+    return rank(list(B) + [v], p) == rank(B, p)
 
 
 def coords_in_rows(B, v, p):
-    """Coefficients c with c @ B = v, or None."""
-    return solve(B.T, v, p)
+    """Coefficients c with c B = v, or None."""
+    if not len(B):
+        return None if any(x % p for x in v) else []
+    return solve(transpose(B), v, p)

@@ -7,6 +7,8 @@ deterministic Miller-Rabin is plenty.
 
 from math import gcd
 
+from .errors import TheoremViolation
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -79,7 +81,7 @@ def multiplicative_order(a: int, d: int) -> int:
         x = x * a % d
         k += 1
         if k > d:
-            raise AssertionError("order search exceeded modulus")
+            raise TheoremViolation("order search exceeded modulus")
     return k
 
 

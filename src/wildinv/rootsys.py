@@ -179,7 +179,7 @@ def monomial_root_system(p: int, f: int, e: int, a_e, m: int):
         a=a_formula, b=b_formula, c=c_formula, e_prime=inv.e_prime, f_prime=inv.f_prime
     )
     if formula != inv:
-        raise AssertionError(f"closed-form invariants {formula} disagree with scans {inv}")
+        raise TheoremViolation(f"closed-form invariants {formula} disagree with scans {inv}")
     return W, inv
 
 
@@ -208,7 +208,7 @@ def matches_module(M, W: RootSystem) -> bool:
             beta_amb = ff.embed(t.beta, amb)
             if all(
                 eta.frobenius(ctx.base.n * inv.a) == beta_amb * eta
-                and M.element(M.T[:, col] % M.p) == ctx.alpha * eta
+                and M.element([row[col] for row in M.T]) == ctx.alpha * eta
                 for col, eta in enumerate(M.basis)
             ):
                 return True

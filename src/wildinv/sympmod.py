@@ -12,8 +12,6 @@ equivariance; a failed check is raised, never papered over.
 import itertools
 from math import gcd, lcm
 
-import numpy as np
-
 from . import addpoly, ff, linalg
 from .ambient import Context, _guard, _kernel_data, build_context
 from .errors import TheoremViolation, ValidationError
@@ -72,12 +70,11 @@ class Submodule:
 
     def __init__(self, module, rows):
         p = module.p
-        rows = np.array(rows, dtype=np.int64).reshape(-1, module.dim) % p
         rows, _ = linalg.rref(rows, p)
         self.module = module
         self.rows = rows
-        G = module.gram
-        self.isotropic = not (rows @ G @ rows.T % p).any() if rows.size else True
+        G = linalg.mat_mul(rows, module.gram, p)
+        self.isotropic = not any(any(linalg.mat_vec(G, r, p)) for r in rows)
 
     @property
     def t_stable(self):
@@ -89,14 +86,14 @@ class Submodule:
 
     @property
     def dim(self):
-        return self.rows.shape[0]
+        return len(self.rows)
 
     def field_elements(self):
         """Basis of the subspace as actual field elements."""
         return [self.module.element(r) for r in self.rows]
 
     def signature(self):
-        return tuple(map(tuple, self.rows.tolist()))
+        return tuple(map(tuple, self.rows))
 
     def __eq__(self, other):
         return (
@@ -110,10 +107,8 @@ class Submodule:
 
 
 def _stable_under(rows, M, p):
-    if rows.size == 0:
-        return True
-    img = rows @ M.T % p
-    return linalg.rank(np.vstack([rows, img]), p) == linalg.rank(rows, p)
+    """Is the span of the rref rows stable under the column action of M?"""
+    return linalg.rank(rows + [linalg.mat_vec(M, r, p) for r in rows], p) == len(rows)
 
 
 def build(R: addpoly.AdditivePoly, m: int) -> SymplecticModule:
@@ -126,15 +121,14 @@ def _module_from_context(context) -> SymplecticModule:
     p = context.ambient.p
     dim = context.dim
     if dim == 0:
-        Z = np.zeros((0, 0), dtype=np.int64)
-        return SymplecticModule(context, Z, Z, Z, context.d_Rm, 1)
+        return SymplecticModule(context, [], [], [], context.d_Rm, 1)
     basis = context.kernel_elems
-    gram = np.zeros((dim, dim), dtype=np.int64)
+    gram = [[0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             w = context.omega(basis[i], basis[j])
-            gram[i, j] = w
-            gram[j, i] = (-w) % p
+            gram[i][j] = w
+            gram[j][i] = (-w) % p
     T = _action_matrix(context, lambda x: context.alpha * x)
     S = _action_matrix(context, lambda x: x.frobenius(context.base.n))
     _check_module_axioms(gram, T, S, context)
@@ -144,20 +138,19 @@ def _module_from_context(context) -> SymplecticModule:
 
 def _action_matrix(context, fn):
     p = context.ambient.p
-    cols = [context.element_to_kernel_vector(fn(b)) for b in context.kernel_elems]
-    return np.array(cols, dtype=np.int64).T % p
+    return linalg.transpose([context.element_to_kernel_vector(fn(b)) for b in context.kernel_elems])
 
 
 def _check_module_axioms(gram, T, S, context):
     p = context.ambient.p
-    dim = gram.shape[0]
-    if linalg.rank(gram, p) != dim:
+    if linalg.rank(gram, p) != len(gram):
         raise TheoremViolation("pairing must be nondegenerate on the kernel space")
-    if (T.T @ gram @ T % p != gram).any() or (S.T @ gram @ S % p != gram).any():
-        raise TheoremViolation("actions must preserve the pairing")
+    for A in (T, S):
+        if linalg.mat_mul(linalg.transpose(A), linalg.mat_mul(gram, A, p), p) != gram:
+            raise TheoremViolation("actions must preserve the pairing")
     q = context.base.order
-    lhs = S @ T @ linalg.mat_inv(S, p) % p
-    if (lhs != linalg.mat_pow(T, q, p)).any():
+    lhs = linalg.mat_mul(linalg.mat_mul(S, T, p), linalg.mat_inv(S, p), p)
+    if lhs != linalg.mat_pow(T, q, p):
         raise TheoremViolation("twisting relation S T S^-1 = T^q fails")
 
 
@@ -171,8 +164,7 @@ def omega(M: SymplecticModule, v, w) -> int:
 
 
 def cyclic_submodule(M, coords) -> Submodule:
-    rows = addpoly._cyclic_rows(coords, [M.T.tolist(), M.S.tolist()], M.p)
-    return Submodule(M, rows)
+    return Submodule(M, addpoly._cyclic_rows(coords, [M.T, M.S], M.p))
 
 
 def _projective_points(p, dim):
@@ -192,15 +184,14 @@ def _least_isotropic_cyclic(M):
     if M.zero_module():
         return None
     p = M.p
-    mats = [M.T.tolist(), M.S.tolist()]
-    gram = M.gram.tolist()
+    mats = [M.T, M.S]
     best = None
     for coords in _projective_points(p, M.dim):
-        rows = addpoly._cyclic_rows(coords, mats, p, gram=gram)
+        rows = addpoly._cyclic_rows(coords, mats, p, gram=M.gram)
         if rows is not None:
-            key = (rows.shape[0], rows.tolist())
-            if best is None or key < best[0]:
-                best = (key, rows)
+            key = (len(rows), rows)
+            if best is None or key < best:
+                best = key
     if best is None:
         return None
     sub = Submodule(M, best[1])
@@ -244,10 +235,9 @@ def all_stable_submodules(M):
                 (i, j) for i, c in enumerate(pivots) for j in range(c + 1, dim) if j not in pivots
             ]
             for values in itertools.product(range(p), repeat=len(free)):
-                rows = np.zeros((rank, dim), dtype=np.int64)
-                rows[range(rank), pivots] = 1
+                rows = [[int(j == c) for j in range(dim)] for c in pivots]
                 for (i, j), v in zip(free, values):
-                    rows[i, j] = v
+                    rows[i][j] = v
                 sub = Submodule(M, rows)
                 if sub.t_stable and sub.s_stable:
                     out.append(sub)
@@ -296,10 +286,10 @@ def _span_of_rows(M, rows):
 def perp(M, sub: Submodule) -> Submodule:
     """Orthogonal complement; dimensions add up by nondegeneracy."""
     if M.zero_module():
-        return M.submodule(np.zeros((0, 0), dtype=np.int64))
+        return M.submodule([])
     if sub.dim == 0:
-        return M.submodule(np.eye(M.dim, dtype=np.int64))
-    rows = linalg.nullspace(sub.rows @ M.gram % M.p, M.p)
+        return M.submodule(linalg.identity(M.dim))
+    rows = linalg.nullspace(linalg.mat_mul(sub.rows, M.gram, M.p), M.p)
     out = M.submodule(rows)
     if out.dim + sub.dim != M.dim:
         raise TheoremViolation("orthogonal complement dimensions must add up to the module's")
@@ -385,11 +375,8 @@ class DirectSumModule:
 
 
 def _block_diag(A, B):
-    n, m = A.shape[0], B.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.int64)
-    out[:n, :n] = A
-    out[n:, n:] = B
-    return out
+    n, m = len(A), len(B)
+    return [list(row) + [0] * m for row in A] + [[0] * n + list(row) for row in B]
 
 
 def direct_sum(M1: SymplecticModule, M2: SymplecticModule) -> DirectSumModule:
@@ -430,24 +417,17 @@ def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
 
     Only meaningful for twisted scaling order 1 or 2, where prime-field lines
     are scaling-stable; finite because the line through any kernel vector is
-    Frobenius-stable over the field that vector generates.
+    Frobenius-stable over the field that vector generates. The least such
+    field, the least orbit length of a nonzero vector under S, is the least
+    t with ker(S^t - 1) != 0, and it bounds the search.
     """
     if M.d > 2:
         raise ValidationError("criterion applies only when the scaling order is 1 or 2")
     if M.zero_module():
         raise ValidationError("the zero module has no nonzero vector to restrict to")
-    q_deg = M.context.base.n
-    bound = None
-    for coords in itertools.product(range(M.p), repeat=M.dim):
-        if not any(coords):
-            continue
-        x = M.element(coords)
-        t = 1
-        y = x.frobenius(q_deg)
-        while y != x:
-            y = y.frobenius(q_deg)
-            t += 1
-        bound = t if bound is None else min(bound, t)
+    bound, St = 1, M.S
+    while not linalg.fixed_space(St, M.p):
+        bound, St = bound + 1, linalg.mat_mul(St, M.S, M.p)
     for t in range(1, bound + 1):
         if not anisotropic_of(restrict_frobenius(M, t)):
             return t

@@ -270,7 +270,7 @@ def test_criterion_8_root_systems():
 
 
 def test_criterion_9_curve_verification():
-    """Zeta degree, integrality, Weil bound at 1e-9, Kronecker supersingularity
+    """Zeta degree, integrality, exact Weil bound, Kronecker supersingularity
     and character L-degrees for three curves, < 3 min."""
     t0 = time.time()
     cases = [
@@ -285,7 +285,7 @@ def test_criterion_9_curve_verification():
         Z = counts.zeta_numerator(R)
         assert len(Z.coeffs) - 1 == (p - 1) * p ** e
         assert all(isinstance(c, int) for c in Z.coeffs)
-        assert Z.weil_bounds_ok(rel_tol=1e-9), (p, f)
+        assert Z.weil_bounds_ok(), (p, f)
         assert counts.check_supersingular(Z), (p, f)
         for c in range(1, p):
             L = counts.psi_l_polynomial(R, c)

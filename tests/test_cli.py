@@ -265,6 +265,33 @@ def test_report_under_python_O_matches_golden(name):
     assert r.stdout == golden.read_bytes()
 
 
+def test_curve_report_never_imports_numpy():
+    # a fresh interpreter: the import and a whole curve report leave numpy out
+    code = (
+        "import contextlib, io, sys\n"
+        "import wildinv, wildinv.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = wildinv.cli.run(['report', *sys.argv[1:]])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    argv = GOLDEN_ARGV["g4_p5_f1_x5_m1_curve"]
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_module_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "False"]
+
+
+def test_failed_internal_check_exits_3_with_a_json_error(monkeypatch):
+    # a kernel basis one vector short trips the ambient split check on the
+    # report path: exit 3 and a JSON error, not a traceback
+    from wildinv import addpoly
+
+    real = addpoly.kernel_basis
+    monkeypatch.setattr(addpoly, "kernel_basis", lambda f, field: real(f, field)[:-1])
+    code, out = cap(["report", "-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"])
+    assert code == 3
+    assert "ambient does not split" in json.loads(out)["error"]
+
+
 def test_count_check_raises_under_python_O():
     # a broken value distribution is caught by a raise, not an assert
     code = (

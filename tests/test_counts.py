@@ -352,9 +352,9 @@ def test_radical_is_the_rational_part_of_ker_e(p, f, ints):
     R = poly(p, f, ints)
     S = _frobenius(R)
     curve_summary(R, frobenius=S)  # checks every built k
-    dim = S.shape[0]
+    dim = np.array(S).shape[0]
     for k in range(1, 2 * genus(R) + 1):
-        Sk = linalg.mat_pow(S, k, p) if dim else S
+        Sk = np.array(linalg.mat_pow(S, k, p)) if dim else S
         fixed = dim - linalg.rank((Sk - np.eye(dim, dtype=np.int64)) % p, p) if dim else 0
         assert counts.radical_dimension(R, k) == fixed
         if R.p_degree == 0:
@@ -426,3 +426,113 @@ def test_curve_guard_admits_the_benchmark_inputs():
     for p, f, e in [(5, 1, 2), (3, 2, 3), (2, 1, 6)]:
         R = parse_additive_poly("1", p, f, e)
         counts.check_curve_work(R, 2 * genus(R))
+
+
+# ---------------------------------------------------------------------------
+# exact Weil check against a floating-point reference
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_squarefree(f):
+    """Square-free part of a leading-first integer polynomial, by Euclid over
+    the rationals, with its leading coefficient made 1."""
+    from fractions import Fraction
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            c = a[0] / b[0]
+            a = [x - c * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+            while a and a[0] == 0:
+                a.pop(0)
+        return a
+
+    a = [Fraction(c) for c in f]
+    g, b = a, [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
+    while b:
+        g, b = b, rem(g, b)
+    quo, r = [], list(a)
+    while len(r) >= len(g):
+        c = r[0] / g[0]
+        quo.append(c)
+        r = [x - c * y for x, y in zip(r, g + [0] * (len(r) - len(g)))][1:]
+    return [float(c / quo[0]) for c in quo]
+
+
+def _weil_reference(coeffs, q):
+    """numpy's roots of the square-free part, |lambda|^2 = q to 1e-9 relative."""
+    import numpy as np
+
+    lams = np.roots(_fraction_squarefree(coeffs))
+    return bool(np.all(np.abs(np.abs(lams) ** 2 - q) < 1e-9 * q))
+
+
+def _random_weil_case(rng):
+    """(q, lambda-polynomial leading-first, kind): x^h H(x + q/x) for H a
+    product of real-rooted factors y - a (a^2 <= 4q) and y^2 - b (0 <= b <=
+    4q), some repeated, times x^2 - q at times; 'bad' swaps in a factor with
+    a root off the bound, 'perturbed' moves one symmetric coefficient pair."""
+    q = rng.choice((2, 3, 4, 5, 7, 8, 9, 25))
+    kind = rng.choice(("weil", "repeated", "bad", "perturbed"))
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            a = rng.randint(-int((4 * q) ** 0.5), int((4 * q) ** 0.5))
+            factors.append([1, -a, q])
+        else:
+            b = rng.randint(0, 4 * q)
+            factors.append([1, 0, 2 * q - b, 0, q * q])
+    if kind == "repeated":
+        factors += [rng.choice(factors)] * rng.randint(1, 2)
+    if kind == "bad":
+        a = rng.choice((-1, 1)) * (int((4 * q) ** 0.5) + rng.randint(1, 3))
+        b = rng.choice((-rng.randint(1, 9), 4 * q + rng.randint(1, 9)))
+        factors.append(rng.choice(([1, -a, q], [1, 0, 2 * q - b, 0, q * q])))
+    if rng.random() < 0.3:
+        factors.append([1, 0, -q])
+    P = [1]
+    for f in factors:
+        P = _poly_mul(P, f)
+    if kind == "perturbed":
+        g = (len(P) - 1) // 2
+        j = rng.randint(1, g)
+        d = rng.choice((-2, -1, 1, 2))
+        sign = 1 if P[2 * g - j] == q ** (g - j) * P[j] else -1
+        P[j] += d
+        if j != g:
+            P[2 * g - j] += sign * q ** (g - j) * d
+    return q, P, kind
+
+
+def test_weil_check_matches_numpy_roots_reference():
+    import random
+
+    rng = random.Random(20231)
+    seen = {}
+    for _ in range(400):
+        q, P, kind = _random_weil_case(rng)
+        Z = ZetaNumerator(q, (len(P) - 1) // 2, P)
+        got = Z.weil_bounds_ok()
+        assert got == _weil_reference(P, q), (q, P, kind)
+        seen.setdefault(kind, set()).add(got)
+    assert seen["weil"] == seen["repeated"] == {True}
+    assert seen["bad"] == {False}
+    assert seen["perturbed"] == {True, False}
+
+
+def test_weil_check_edges():
+    # roots +-sqrt(q) and +-i sqrt(q), at the endpoints y^2 = 4q and y^2 = 0,
+    # and one root just past the bound
+    assert ZetaNumerator(3, 1, [1, 0, -3]).weil_bounds_ok()
+    assert ZetaNumerator(3, 1, [1, 0, 3]).weil_bounds_ok()
+    assert ZetaNumerator(4, 1, [1, 4, 4]).weil_bounds_ok()
+    assert ZetaNumerator(4, 2, [1, 8, 24, 32, 16]).weil_bounds_ok()
+    assert not ZetaNumerator(4, 1, [1, 5, 4]).weil_bounds_ok()
+    assert not ZetaNumerator(3, 1, [1, 1, -3]).weil_bounds_ok()

@@ -137,7 +137,7 @@ def test_group_cocycle_full_enumeration_32():
 
     F3 = field_create(3, 1)
     ctx = GroupContext(AdditivePoly.from_ints(F3, [0, 0, 1]), 1)
-    add_idx, delta = _index_tables(ctx)
+    add_idx, delta = map(np.array, _index_tables(ctx))
     nb = add_idx.shape[0]
     a = np.arange(nb)
     lhs = delta[a[:, None, None], a[None, :, None]] + delta[

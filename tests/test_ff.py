@@ -406,7 +406,7 @@ def test_embedding_root_is_least_root_from_poly_roots(monkeypatch, p, s, n):
     assert len(roots) == s
     monkeypatch.setattr(T, "_embed_cache", {})
     M = _embedding_matrix(S, T)
-    assert tuple(int(c) for c in M[:, 1]) == roots[0].coords
+    assert tuple(int(row[1]) for row in M) == roots[0].coords
     assert T._embed_cache[(p, s)] is M
 
 

@@ -113,7 +113,7 @@ def test_kernel_containments():
             inside.append(coords)
     pp = perp(M, wit)
     for coords in inside:
-        stacked = np.vstack([pp.rows, np.array(coords, dtype=np.int64)])
+        stacked = np.vstack([np.array(pp.rows), np.array(coords, dtype=np.int64)])
         from wildinv.linalg import rank
 
         assert rank(stacked, 3) == pp.dim  # coords already in the perp

@@ -184,7 +184,7 @@ def _matches_on_every_vector(M, W):
             beta = embed(t.beta, M.ambient)
             if all(
                 M.element(v).frobenius(ctx.base.n * inv.a) == beta * M.element(v)
-                and M.element((M.T @ np.array(v)) % M.p) == ctx.alpha * M.element(v)
+                and M.element((np.array(M.T) @ np.array(v)) % M.p) == ctx.alpha * M.element(v)
                 for v in itertools.product(range(M.p), repeat=M.dim)
                 if any(v)
             ):
@@ -211,14 +211,17 @@ def test_matches_module_basis_check_agrees_with_every_vector():
     # modules over F_9 for several leading coefficients against the root
     # systems of other coefficients, plus modules whose last basis vector or
     # scaling matrix is broken: both answers occur, and always agree
+    import numpy as np
+
     F9 = field_create(3, 2)
     coeffs = [F9.one(), F9.gen(), F9.gen() + 1]
     answers = []
     for a in coeffs:
         M = build(AdditivePoly(F9, [F9.zero(), a]), 1)
         broken_basis = list(M.basis[:-1]) + [M.basis[-1] + M.ambient.one()]
-        broken_T = M.T.copy()
+        broken_T = np.array(M.T)
         broken_T[:, -1] = (broken_T[:, -1] + 1) % M.p
+        broken_T = broken_T.tolist()
         variants = [M, _AlteredModule(M, basis=broken_basis), _AlteredModule(M, T=broken_T)]
         for b in coeffs:
             W, _ = monomial_root_system(3, 2, 1, b, 1)

@@ -46,7 +46,7 @@ def test_build_q9(m_q9):
     # gram consistent with pointwise pairing on all basis pairs
     for i, bi in enumerate(M.basis):
         for j, bj in enumerate(M.basis):
-            assert omega(M, bi, bj) == M.gram[i, j]
+            assert omega(M, bi, bj) == np.array(M.gram)[i, j]
             assert omega(M, bi, bj) == (-omega(M, bj, bi)) % 3
         assert omega(M, bi, bi) == 0
 
@@ -56,10 +56,11 @@ def test_actions_preserve_gram(m_q9):
 
     M = m_q9
     p = M.p
-    assert ((M.T.T @ M.gram @ M.T) % p == M.gram).all()
-    assert ((M.S.T @ M.gram @ M.S) % p == M.gram).all()
+    T, S, gram = np.array(M.T), np.array(M.S), np.array(M.gram)
+    assert ((T.T @ gram @ T) % p == gram).all()
+    assert ((S.T @ gram @ S) % p == gram).all()
     q = M.context.base.order
-    assert ((M.S @ M.T @ mat_inv(M.S, p)) % p == mat_pow(M.T, q, p)).all()
+    assert ((S @ T @ np.array(mat_inv(M.S, p))) % p == np.array(mat_pow(M.T, q, p))).all()
 
 
 def test_splitting_found_automatically_for_q3():
@@ -127,6 +128,7 @@ def _lattice_walk_stable_submodules(M):
 
     def rec(start, rows):
         R, _ = rref(np.array(rows, dtype=np.int64), p)
+        R = np.array(R, dtype=np.int64).reshape(-1, dim)
         sig = tuple(map(tuple, R.tolist()))
         if sig in spans:
             return
@@ -220,7 +222,7 @@ def test_legendre_configuration():
 
 def test_restrict_frobenius_identity(m_q9):
     M1 = restrict_frobenius(m_q9, 1)
-    assert (M1.S == m_q9.S).all() and anisotropic_of(M1) == anisotropic_of(m_q9)
+    assert (np.array(M1.S) == np.array(m_q9.S)).all() and anisotropic_of(M1) == anisotropic_of(m_q9)
 
 
 def test_minimal_unramified_degree():
@@ -303,9 +305,10 @@ def test_canonical_generator_choice_is_immaterial():
 def _naive_closure(M, v):
     """Cyclic closure by re-reducing [rows; rows T^t; rows S^t] until it stops growing."""
     p = M.p
-    rows = rref(np.array([v], dtype=np.int64), p)[0]
+    T, S = np.array(M.T), np.array(M.S)
+    rows = np.array(rref(np.array([v], dtype=np.int64), p)[0])
     while True:
-        nxt, _ = rref(np.vstack([rows, rows @ M.T.T % p, rows @ M.S.T % p]), p)
+        nxt = np.array(rref(np.vstack([rows, rows @ T.T % p, rows @ S.T % p]), p)[0])
         if nxt.shape[0] == rows.shape[0]:
             return nxt
         rows = nxt
@@ -448,3 +451,48 @@ def test_omega_scalar_check_raises(m_q9, monkeypatch):
     g = ctx.ambient.gen()
     with pytest.raises(TheoremViolation, match="scalars"):
         ctx.omega(g, ctx.ambient.one())
+
+
+def _orbit_walk_bound(M):
+    # the former bound: walk every nonzero kernel element through the base
+    # field Frobenius until it comes back, and keep the least orbit length
+    q_deg = M.context.base.n
+    bound = None
+    for coords in itertools.product(range(M.p), repeat=M.dim):
+        if not any(coords):
+            continue
+        x = M.element(coords)
+        t, y = 1, x.frobenius(q_deg)
+        while y != x:
+            t, y = t + 1, y.frobenius(q_deg)
+        bound = t if bound is None else min(bound, t)
+    return bound
+
+
+def test_minimal_unramified_degree_matches_the_orbit_walk():
+    # every module of scaling order <= 2 in a small sweep: the bound from
+    # ker(S^t - 1) is the least orbit length, and the degree it bounds is the
+    # least t whose restriction has an isotropic stable line
+    from wildinv.errors import AmbientGuardError
+    from wildinv.linalg import fixed_space, mat_pow
+
+    mods = []
+    for p, f in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)):
+        F = field_create(p, f)
+        for ints in ([0, 1], [1, 1], [0, 0, 1], [1, 0, 1], [0, 1, 1]):
+            if p ** (2 * (len(ints) - 1)) > 625:
+                continue
+            R = AdditivePoly.from_ints(F, ints)
+            for m in range(1, 9):
+                if m % p and sympmod.addpoly.twisted_scaling_order(R, m) <= 2:
+                    try:
+                        mods.append(build(R, m))
+                    except AmbientGuardError:
+                        continue
+    assert len(mods) >= 20 and {M.d for M in mods} == {1, 2}
+    for M in mods:
+        bound = _orbit_walk_bound(M)
+        t = next(t for t in range(1, bound + 1) if fixed_space(mat_pow(M.S, t, M.p), M.p))
+        assert t == bound
+        want = next(t for t in range(1, bound + 1) if not anisotropic_of(restrict_frobenius(M, t)))
+        assert minimal_imprimitive_unramified_degree(M) == want
