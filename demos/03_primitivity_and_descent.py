@@ -13,6 +13,7 @@ from wildinv import (
     primitivity,
     verify_morphism,
 )
+from wildinv.quotient import nonzero_terms
 
 F9 = field_create(3, 2)
 R = AdditivePoly(F9, [F9.zero(), F9.one()])  # x^3 over F_9
@@ -36,7 +37,7 @@ print("skew factorization of E: outer", f1, " inner", f2)
 ind = iterated_quotient(R, 2, witness)
 print("\ndescent map r:", ind.r)
 print("descended polynomial R1:", ind.R1)
-print("correction Delta terms:", ind.delta.sorted_terms())
+print("correction Delta terms:", nonzero_terms(ind.delta))
 print("index of the induced-from extension:", ind.index)
 ok, reasons = verify_morphism(R, ind.R1, ind.r, ind.delta, 2)
 print("independent re-verification:", ok, reasons)

@@ -4,9 +4,10 @@ polynomials over finite fields.
 The library computes, for a prime power q = p^f, a nonzero additive
 polynomial R over F_q and a positive integer m prime to p: the conductor and
 ramification profile of the attached extension, the symplectic module on the
-kernel of the E-polynomial with a two-route primitivity verdict, explicit
-descent data when the verdict is imprimitive, root-system classification for
-monomials, and exact point counts / zeta data of the curve y^p - y = x R(x).
+kernel of the E-polynomial with a primitivity verdict from one scan of its
+cyclic submodules, explicit descent data when the verdict is imprimitive,
+root-system classification for monomials, and exact point counts / zeta data
+of the curve y^p - y = x R(x).
 """
 
 from .addpoly import (

@@ -9,7 +9,7 @@ decomposition question in this library.
 import itertools
 from math import gcd
 
-from . import ff
+from . import ff, poly
 from .errors import TheoremViolation, ValidationError
 from .linalg import coords_in_rows, mat_add, mat_mul, nullspace, rref, transpose
 from .numth import prime_factors
@@ -611,9 +611,7 @@ def coeff_transport_inverse(coeffs, t: int) -> AdditivePoly:
 
 def is_reciprocal(coeffs) -> bool:
     """c_i == c_{r-i} for a classical coefficient list."""
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
+    cs = poly.trim(list(coeffs))
     return all(cs[i] == cs[len(cs) - 1 - i] for i in range(len(cs)))
 
 
@@ -652,23 +650,16 @@ def parse_additive_poly_text(s: str) -> AdditivePoly:
 
 def classical_is_irreducible(coeffs) -> bool:
     """Irreducibility of a classical polynomial over its coefficient field."""
-    cs = list(coeffs)
+    cs = poly.trim(list(coeffs))
+    if len(cs) < 3:
+        return len(cs) == 2
     F = cs[0].field
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    if len(cs) < 2:
-        return False
-    if len(cs) == 2:
-        return True
-    q = F.order
-    n = len(cs) - 1
-    xq = ff._f_powmod_x(q ** n, cs, F)
-    if ff._f_trim(ff._f_sub(xq, [F.zero(), F.one()], F), F):
+    q, n, x = F.order, len(cs) - 1, [F.zero(), F.one()]
+    if poly.sub(poly.powmod(x, q ** n, cs), x):
         return False
     for ell in prime_factors(n):
-        h = ff._f_powmod_x(q ** (n // ell), cs, F)
-        g = ff._f_gcd(cs, ff._f_sub(h, [F.zero(), F.one()], F), F)
-        if len(g) != 1:
+        h = poly.powmod(x, q ** (n // ell), cs)
+        if len(poly.gcd(cs, poly.sub(h, x))) != 1:
             return False
     return True
 

@@ -34,7 +34,6 @@ class Context:
         "kernel_rows",
         "mu",
         "alpha",
-        "has_gamma",
         "pairing",
     )
 
@@ -79,8 +78,14 @@ def validate_input(R: addpoly.AdditivePoly, m: int):
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
 
 
-def build_context(R: addpoly.AdditivePoly, m: int, need_gamma: bool = False) -> Context:
-    """Assemble the ambient field and canonical data for (R, m)."""
+def build_context(
+    R: addpoly.AdditivePoly, m: int, need_gamma: bool = False, degree: int = None
+) -> Context:
+    """Assemble the ambient field and canonical data for (R, m).
+
+    The ambient is F_{p^degree} when a degree is given (it must split the
+    E-polynomial and hold the scaling roots), else the least such field.
+    """
     validate_input(R, m)
     base = R.base
     p = base.p
@@ -88,8 +93,7 @@ def build_context(R: addpoly.AdditivePoly, m: int, need_gamma: bool = False) -> 
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
     E = addpoly.e_poly(R)
-    s = addpoly.splitting_degree(E)
-    M = lcm(base.n * s, multiplicative_order(p, d_R))
+    M = required_degree(R, m) if degree is None else degree
     _guard(p, M)
     ambient, kernel_elems, kernel_rows = _kernel_data(E, p, M)
 
@@ -118,7 +122,6 @@ def build_context(R: addpoly.AdditivePoly, m: int, need_gamma: bool = False) -> 
         kernel_rows=kernel_rows,
         mu=mu,
         alpha=alpha,
-        has_gamma=need_gamma,
         pairing=pairing,
     )
 

@@ -245,9 +245,10 @@ def run(argv) -> int:
         if cmd == "prime":
             E = addpoly.e_poly(R)
             doc = {"e_poly_prime": addpoly.is_prime(E)}
-            # the transport route applies when d_R = p^t + 1 with f | t
+            # the transport route applies when d_R = p^t + 1 with f | t; d_R = 1
+            # gives x = 0, which no power of p reaches
             k, x = 0, addpoly.scaling_order(R) - 1
-            while x % R.p == 0:
+            while x and x % R.p == 0:
                 x //= R.p
                 k += 1
             if x == 1 and k >= 1 and k % args.f == 0:

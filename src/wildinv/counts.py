@@ -17,9 +17,8 @@ cross-checked against Newton's identities on all 2g direct counts.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
 
-from . import addpoly, ff, linalg
+from . import addpoly, ff, linalg, poly
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
 
 BRUTE_FORCE_GUARD = 2 ** 20
@@ -309,82 +308,53 @@ class ZetaNumerator:
         sign = self.functional_equation_sign()
         if sign is None:
             return False
-        q, P = self.q, self.coeffs
+        q, P = self.q, self.coeffs[::-1]
         if sign == -1:
-            P = _frac_poly_div(P, [1, 0, -q])
+            P = _exact_quotient(P, [-q, 0, 1])
+            if P is None:
+                raise TheoremViolation("a functional equation of sign -1 needs the factor x^2 - q")
         h = (len(P) - 1) // 2
-        # constant-first: x^-h P(x) = b_0 + sum_k b_k (x^k + (q/x)^k) with
-        # b_k = P[h - k], and x^k + (q/x)^k = D_k(y), D_{k+1} = y D_k - q D_{k-1}
-        H, D0, D1 = [P[h]] + [0] * h, [2], [0, 1]
+        # x^-h P(x) = b_0 + sum_k b_k (x^k + (q/x)^k) with b_k = P[h + k],
+        # and x^k + (q/x)^k = D_k(y), D_{k+1} = y D_k - q D_{k-1}
+        H, D0, D1 = [P[h]], [2], [0, 1]
         for k in range(1, h + 1):
-            for i, c in enumerate(D1):
-                H[i] += P[h - k] * c
-            D0, D1 = D1, [a - q * b for a, b in zip_longest([0] + D1, D0, fillvalue=0)]
-        HH = [0] * (2 * h + 1)
-        for i, a in enumerate(H):
-            for j, b in enumerate(H):
-                HH[i + j] += a * b * (-1) ** j
-        K = _squarefree(HH[::-2])
+            H = poly.add(H, [P[h + k] * c for c in D1])
+            D0, D1 = D1, poly.sub([0] + D1, [q * c for c in D0])
+        HH = poly.mul(H, [c * (-1) ** j for j, c in enumerate(H)])
+        K = _squarefree([Fraction(c) for c in HH[::2]])
         for r in (0, 4 * q):
-            if _horner(K, r) == 0:
-                K = _frac_poly_div(K, [1, -r])
+            if poly.horner(K, r) == 0:
+                K = poly.divmod(K, [-r, 1])[0]
         return _sturm_count(K, 0, 4 * q) == len(K) - 1
 
 
-# Polynomials below are leading-first coefficient lists.
-
-
-def _horner(f, x):
-    v = 0
-    for c in f:
-        v = v * x + c
-    return v
-
-
-def _derivative(f):
-    return [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
-
-
 def _squarefree(f):
-    """Exact square-free part of a polynomial (rational Euclid gcd)."""
-    g, r = f, _derivative(f)
-    while r:
-        g, r = r, _frac_poly_divmod(g, r)[1]
-    return _frac_poly_div(f, g)
+    """Exact square-free part of a rational polynomial (Euclid's gcd)."""
+    return poly.divmod(f, poly.gcd(f, poly.derivative(f)))[0]
 
 
 def _sturm_count(f, a, b):
-    """Distinct roots in (a, b) of a square-free f with f(a) f(b) != 0
-    (Sturm's theorem)."""
-    seq, r = [f], _derivative(f)
+    """Distinct roots in (a, b) of a square-free rational f with
+    f(a) f(b) != 0 (Sturm's theorem)."""
+    seq, r = [f], poly.derivative(f)
     while r:
         seq.append(r)
-        r = [-c for c in _frac_poly_divmod(seq[-2], seq[-1])[1]]
+        r = [-c for c in poly.divmod(seq[-2], seq[-1])[1]]
 
     def changes(x):
-        signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
+        signs = [v > 0 for v in (poly.horner(s, x) for s in seq) if v]
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
     return changes(a) - changes(b)
 
 
-def _frac_poly_divmod(a, b):
-    """Quotient and remainder over the rationals; b[0] != 0."""
-    a, q = [Fraction(c) for c in a], []
-    while len(a) >= len(b):
-        c = a[0] / b[0]
-        q.append(c)
-        a = [x - c * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
-
-
-def _frac_poly_div(a, b):
-    q, r = _frac_poly_divmod(a, b)
-    if r:
-        raise TheoremViolation("polynomial division must be exact")
-    return q
+def _exact_quotient(a, b):
+    """a / b for integer polynomials and a monic b, or None when b does not
+    divide a; the quotient by a monic b is integral, and so is every step."""
+    if b[-1] != 1:
+        raise TheoremViolation("integer polynomial division needs a monic divisor")
+    q, r = poly.divmod(a, b)
+    return None if r else q
 
 
 def zeta_numerator(R: addpoly.AdditivePoly) -> ZetaNumerator:
@@ -487,6 +457,9 @@ class Cyc:
     def is_zero(self):
         return all(c == 0 for c in self.vec)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def is_rational_integer(self):
         return all(c == 0 for c in self.vec[1:]) and self.vec[0].denominator == 1
 
@@ -578,11 +551,7 @@ def _psi_l_product(p, polys):
     """Coefficients in Z[zeta_p] of the product of the given L-polynomials."""
     prod = [Cyc.integer(p, 1)]
     for L in polys:
-        new = [Cyc(p) for _ in range(len(prod) + L.degree)]
-        for i, a in enumerate(prod):
-            for j, b in enumerate(L.coeffs):
-                new[i + j] = new[i + j] + a * b
-        prod = new
+        prod = poly.mul(prod, L.coeffs)
     return prod
 
 
@@ -613,32 +582,14 @@ def cyclotomic_polynomial(n: int) -> list:
     """Integer coefficients of the n-th cyclotomic polynomial."""
     if n in _CYCLOTOMIC_CACHE:
         return list(_CYCLOTOMIC_CACHE[n])
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    phi = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_exact_div(poly, cyclotomic_polynomial(d))
-    _CYCLOTOMIC_CACHE[n] = tuple(poly)
-    return poly
-
-
-def _int_poly_exact_div(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q, r = divmod(a[-1], b[-1])
-        if r:
-            raise TheoremViolation("integer polynomial division must be exact")
-        d = len(a) - len(b)
-        out[d] = q
-        for i, bi in enumerate(b):
-            a[d + i] -= q * bi
-        a.pop()
-    if any(a):
-        raise TheoremViolation("integer polynomial division must be exact")
-    return out
+            phi = _exact_quotient(phi, cyclotomic_polynomial(d))
+            if phi is None:
+                raise TheoremViolation("integer polynomial division must be exact")
+    _CYCLOTOMIC_CACHE[n] = tuple(phi)
+    return phi
 
 
 def check_supersingular(Z: ZetaNumerator) -> bool:
@@ -648,11 +599,7 @@ def check_supersingular(Z: ZetaNumerator) -> bool:
     # A(x) = prod (x - lambda): reversed coefficient order
     A = list(reversed(Z.coeffs))
     # C(y) with roots lambda^2: A(x) A(-x) = C(x^2)
-    Aneg = [c if i % 2 == 0 else -c for i, c in enumerate(A)]
-    prod = [0] * (len(A) + len(Aneg) - 1)
-    for i, a in enumerate(A):
-        for j, b in enumerate(Aneg):
-            prod[i + j] += a * b
+    prod = poly.mul(A, [c * (-1) ** i for i, c in enumerate(A)])
     if any(c for c in prod[1::2]):
         raise TheoremViolation("A(x) A(-x) must be even")
     C = prod[::2]
@@ -672,25 +619,13 @@ def check_supersingular(Z: ZetaNumerator) -> bool:
     # phi(n) >= sqrt(n/2), so factors of degree <= deg have n <= 2 deg^2 + 1
     while len(remaining) > 1 and n <= 2 * deg * deg + 2:
         phi = cyclotomic_polynomial(n)
-        while len(phi) <= len(remaining) and _divides_int_poly(remaining, phi):
-            remaining = _int_poly_exact_div(remaining, phi)
+        while len(phi) <= len(remaining):
+            quotient = _exact_quotient(remaining, phi)
+            if quotient is None:
+                break
+            remaining = quotient
         n += 1
     return len(remaining) == 1 and remaining[0] == 1
-
-
-def _divides_int_poly(a, b):
-    a = list(a)
-    while len(a) >= len(b):
-        if a[-1] % b[-1] != 0:
-            return False
-        q = a[-1] // b[-1]
-        d = len(a) - len(b)
-        for i, bi in enumerate(b):
-            a[d + i] -= q * bi
-        if a[-1] != 0:
-            raise TheoremViolation("leading term must cancel")
-        a.pop()
-    return not any(a)
 
 
 def _newton_check_runs(R: addpoly.AdditivePoly) -> bool:

@@ -18,6 +18,7 @@ import itertools
 import random
 from math import gcd
 
+from . import poly
 from .errors import TheoremViolation, ValidationError
 from .linalg import fixed_space, identity, mat_mul, mat_vec, transpose
 from .linalg import solve as _solve_mod
@@ -533,10 +534,7 @@ def _least_root(S: Field, T: Field) -> FieldElement:
     if len(K) != s:
         raise TheoremViolation("the fixed field of Frob^s must have degree s")
     rho0 = _one_root(g, K, T)
-    value = T.zero()
-    for c in reversed(g):
-        value = value * rho0 + c
-    if not value.is_zero():
+    if poly.horner(g, rho0):
         raise TheoremViolation("splitting must end at a root of the modulus")
     orbit = {rho0}
     cur = rho0
@@ -564,20 +562,12 @@ def _one_root(g, K_rows, T: Field) -> FieldElement:
             a, d = draw(), draw()
             if d.is_zero():
                 continue
-            if p == 2:
-                acc = _f_mod([a, d], g, T)
-                w = list(acc)
-                for _ in range(s - 1):
-                    acc = _f_mod(_f_mul(acc, acc, T), g, T)
-                    w = _f_add(w, acc, T)
-            else:
-                w = _f_sub(_f_powmod([a, d], (p ** s - 1) // 2, g, T), [T.one()], T)
-            h = _f_gcd(g, w, T)
+            h = poly.gcd(g, _split_poly([a, d], g, s, T))
             if 0 < len(h) - 1 < len(g) - 1:
                 break
         else:
             raise TheoremViolation("equal-degree splitting found no proper factor")
-        other = _f_quo(g, h, T)
+        other = poly.divmod(g, h)[0]
         g = h if len(h) <= len(other) else other
     return -g[0] / g[1]
 
@@ -677,10 +667,12 @@ def poly_roots(coeffs, F: Field):
     results (and hence embeddings) are reproducible.
     """
     rng = random.Random(0x5EED ^ (F.p * 1000003 + F.n))
+    f = poly.gcd(coeffs, [])  # the monic associate
+    if not f:
+        raise ValidationError("zero polynomial")
     # strip to the product of distinct linear factors: gcd(f, x^order - x)
-    f = _f_monic(coeffs, F)
-    xq = _f_powmod_x(F.order, f, F)
-    lin = _f_gcd(f, _f_sub(xq, [F.zero(), F.one()], F), F)
+    xq = poly.powmod([F.zero(), F.one()], F.order, f)
+    lin = poly.gcd(f, poly.sub(xq, [F.zero(), F.one()]))
     out = []
     _cz_split(lin, F, rng, out)
     return sorted(out, key=lambda r: r.coords)
@@ -696,126 +688,29 @@ def _cz_split(f, F, rng, out):
     p = F.p
     while True:
         a = F.el([rng.randrange(p) for _ in range(F.n)])
-        if p == 2:
-            # trace map sum_{i<k} y^{2^i} of y = d x + a, d random nonzero:
-            # the multiplier is what separates roots with equal absolute trace
-            d = F.zero()
-            while d.is_zero():
-                d = F.el([rng.randrange(p) for _ in range(F.n)])
-            acc = _f_mod([a, d], f, F)
-            tr = list(acc)
-            for _ in range(F.n - 1):
-                acc = _f_mod(_f_mul(acc, acc, F), f, F)
-                tr = _f_add(tr, acc, F)
-            g = _f_gcd(f, tr, F)
-        else:
-            e = (F.order - 1) // 2
-            w = _f_powmod([a, F.one()], e, f, F)
-            w = _f_sub(w, [F.one()], F)
-            g = _f_gcd(f, w, F)
+        # for p = 2, y = d x + a with d random nonzero: the multiplier is
+        # what separates roots with equal absolute trace
+        d = F.zero() if p == 2 else F.one()
+        while d.is_zero():
+            d = F.el([rng.randrange(p) for _ in range(F.n)])
+        g = poly.gcd(f, _split_poly([a, d], f, F.n, F))
         if 0 < len(g) - 1 < deg:
-            h = _f_quo(f, g, F)
             _cz_split(g, F, rng, out)
-            _cz_split(h, F, rng, out)
+            _cz_split(poly.divmod(f, g)[0], F, rng, out)
             return
 
 
-def _f_monic(f, F):
-    f = [c for c in f]
-    while f and f[-1].is_zero():
-        f.pop()
-    if not f:
-        raise ValidationError("zero polynomial")
-    inv = f[-1].inverse()
-    return [c * inv for c in f]
-
-
-def _f_trim(f, F):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _f_sub(a, b, F):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero()
-        y = b[i] if i < len(b) else F.zero()
-        out.append(x - y)
-    return _f_trim(out, F)
-
-
-def _f_mul(a, b, F):
-    if not a or not b:
-        return []
-    out = [F.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _f_trim(out, F)
-
-
-def _f_add(a, b, F):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero()
-        y = b[i] if i < len(b) else F.zero()
-        out.append(x + y)
-    return _f_trim(out, F)
-
-
-def _f_mod(a, m, F):
-    a = list(a)
-    inv = m[-1].inverse()
-    while len(a) >= len(m):
-        c = a[-1] * inv
-        if not c.is_zero():
-            off = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[off + i] = a[off + i] - c * mi
-        a.pop()
-        _f_trim(a, F)
-    return _f_trim(a, F)
-
-
-def _f_quo(a, b, F):
-    a = list(a)
-    inv = b[-1].inverse()
-    q = [F.zero()] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] = a[d + i] - c * bi
-        a.pop()
-        _f_trim(a, F)
-    return _f_trim(q, F)
-
-
-def _f_gcd(a, b, F):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _f_mod(a, b, F)
-    return _f_monic(a, F) if a else a
-
-
-def _f_powmod(base, e, m, F):
-    result = [F.one()]
-    base = _f_mod(list(base), m, F)
-    while e:
-        if e & 1:
-            result = _f_mod(_f_mul(result, base, F), m, F)
-        base = _f_mod(_f_mul(base, base, F), m, F)
-        e >>= 1
-    return result
-
-
-def _f_powmod_x(e, m, F):
-    return _f_powmod([F.zero(), F.one()], e, m, F)
+def _split_poly(y, g, s, T):
+    """The splitting map of y mod g over a degree-s field inside T: the trace
+    sum_{i<s} y^{2^i} for p = 2, else y^((p^s - 1)/2) - 1."""
+    if T.p != 2:
+        return poly.sub(poly.powmod(y, (T.p ** s - 1) // 2, g), [T.one()])
+    acc = poly.divmod(y, g)[1]
+    w = acc
+    for _ in range(s - 1):
+        acc = poly.divmod(poly.mul(acc, acc), g)[1]
+        w = poly.add(w, acc)
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,6 @@ def mat_order(A, p, cap=10 ** 6):
     raise TheoremViolation("matrix order exceeds cap")
 
 
-def in_row_span(B, v, p):
-    """Is the vector v in the row span of B?"""
-    return rank(list(B) + [v], p) == rank(B, p)
-
-
 def coords_in_rows(B, v, p):
     """Coefficients c with c B = v, or None."""
     if not len(B):

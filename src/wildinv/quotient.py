@@ -9,109 +9,51 @@ polynomial identities, never numerically.
 
 from dataclasses import dataclass
 
-from . import addpoly, ff
+from . import addpoly, poly
 from .errors import TheoremViolation, ValidationError
 
 
-class TermPoly:
-    """Sparse classical polynomial {exponent: coefficient} over one field."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    self.terms[int(k)] = v
-
-    @classmethod
-    def from_additive(cls, f: addpoly.AdditivePoly):
-        return cls(f.base, {f.p ** i: c for i, c in enumerate(f.coeffs)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max(self.terms) if self.terms else -1
-
-    def constant_term(self):
-        return self.terms.get(0, self.field.zero())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TermPoly)
-            and self.field is other.field
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-        return TermPoly(self.field, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            out[k] = -v if w is None else w - v
-        return TermPoly(self.field, out)
-
-    def __neg__(self):
-        return TermPoly(self.field, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                w = out.get(k)
-                prod = v1 * v2
-                out[k] = prod if w is None else w + prod
-        return TermPoly(self.field, out)
-
-    def scale(self, c):
-        return TermPoly(self.field, {k: c * v for k, v in self.terms.items()})
-
-    def pth_power(self):
-        p = self.field.p
-        return TermPoly(self.field, {k * p: v.frobenius(1) for k, v in self.terms.items()})
-
-    def power(self, k: int):
-        out = TermPoly(self.field, {0: self.field.one()})
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def compose_additive(self, g: addpoly.AdditivePoly):
-        """Substitute the additive polynomial g for the variable."""
-        gt = TermPoly.from_additive(g.embed_to(self.field))
-        out = TermPoly(self.field)
-        for k, v in self.terms.items():
-            out = out + gt.power(k).scale(v)
-        return out
-
-    def eval(self, x):
-        out = x.field.zero()
-        for k, v in self.terms.items():
-            vv = v if v.field is x.field else ff.embed(v, x.field)
-            out = out + vv * x ** k
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+# Classical polynomials here are the dense constant-first lists of `poly`.
 
 
-def x_times(f: addpoly.AdditivePoly) -> TermPoly:
-    """x * f(x) as a sparse classical polynomial."""
-    return TermPoly(f.base, {f.p ** i + 1: c for i, c in enumerate(f.coeffs)})
+def classical(f: addpoly.AdditivePoly) -> list:
+    """The additive polynomial f as a classical coefficient list."""
+    out = [f.base.zero()] * (f.degree + 1 if f.coeffs else 0)
+    for i, c in enumerate(f.coeffs):
+        out[f.p ** i] = c
+    return out
 
 
-def artin_schreier_coboundary(t: TermPoly) -> TermPoly:
-    return t.pth_power() - t
+def pth_power(t: list) -> list:
+    """t^p: Frobenius on the coefficients, exponents times p."""
+    if not t:
+        return []
+    p = t[0].field.p
+    out = [t[0].field.zero()] * (p * (len(t) - 1) + 1)
+    for k, c in enumerate(t):
+        if c:
+            out[k * p] = c.frobenius(1)
+    return out
+
+
+def compose_additive(t: list, g: addpoly.AdditivePoly) -> list:
+    """t(g(x)) by Horner's rule."""
+    gt, out = classical(g), []
+    for c in reversed(t):
+        out = poly.add(poly.mul(out, gt), [c])
+    return out
+
+
+def nonzero_terms(t: list) -> list:
+    """The nonzero (exponent, coefficient) pairs, by exponent."""
+    return [(k, c) for k, c in enumerate(t) if c]
+
+
+def descent_identity_holds(R, r, R1, delta) -> bool:
+    """x R(x) = r(x) R1(r(x)) + Delta^p - Delta, over the field of r."""
+    lhs = [r.base.zero()] + classical(R)
+    rR1r = poly.mul(classical(r), classical(addpoly.compose(R1, r)))
+    return lhs == poly.add(rR1r, poly.sub(pth_power(delta), delta))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +86,7 @@ class QuotientStep:
     """u of degree p, the coboundary part Delta0, and the descended P1."""
 
     u: addpoly.AdditivePoly
-    delta0: TermPoly
+    delta0: list
     P1: addpoly.AdditivePoly
 
 
@@ -188,21 +130,11 @@ def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum)
         raise TheoremViolation("one descent step must lower the p-degree by one")
 
     # Delta0 = -(x/beta)(gamma (x/beta) - pairing(x, beta))
-    d_terms = {2: -(gamma * binv * binv)}
-    for i, c in enumerate(fxb.coeffs):
-        if not c.is_zero():
-            k = p ** i + 1
-            prev = d_terms.get(k)
-            add = binv * c
-            d_terms[k] = add if prev is None else prev + add
-    delta0 = TermPoly(F, d_terms)
-    if not delta0.constant_term().is_zero():
+    zero = F.zero()
+    delta0 = poly.sub([zero] + classical(fxb.scale(binv)), [zero, zero, gamma * binv * binv])
+    if delta0 and delta0[0]:
         raise TheoremViolation("Delta0 must have no constant term")
-
-    lhs = x_times(R_amb)
-    uP1u = TermPoly.from_additive(u) * TermPoly.from_additive(addpoly.compose(P1, u))
-    rhs = uP1u + artin_schreier_coboundary(delta0)
-    if lhs != rhs:
+    if not descent_identity_holds(R_amb, u, P1, delta0):
         raise TheoremViolation("degree-p descent identity failed symbolically")
     return QuotientStep(u=u, delta0=delta0, P1=P1)
 
@@ -216,7 +148,7 @@ def push_element(step: QuotientStep, pairing_P1, beta2, gamma2):
     F = beta2.field
     p = F.p
     nb = addpoly.evaluate(step.u, beta2)
-    ng = gamma2 - step.delta0.eval(beta2)
+    ng = gamma2 - poly.horner(step.delta0, beta2)
     if not addpoly.evaluate(addpoly.e_poly(step.P1), nb).is_zero():
         raise TheoremViolation("pushed vector must be in the descended kernel space")
     if pairing_P1.eval(nb, nb) != ng + ng:
@@ -232,7 +164,7 @@ class InductionData:
 
     r: addpoly.AdditivePoly
     R1: addpoly.AdditivePoly
-    delta: TermPoly
+    delta: list
     e_prime: int
 
     @property
@@ -271,7 +203,7 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
     R_cur = ctx.R_amb
     pairing_cur = pairing
     r = addpoly.AdditivePoly.identity(F)
-    delta = TermPoly(F)
+    delta = []
     while data:
         datum, rest = data[0], data[1:]
         step = single_quotient(R_cur, pairing_cur, datum)
@@ -289,7 +221,7 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
             if nb.is_zero():
                 raise TheoremViolation("independent basis vector collapsed in descent")
             new_data.append(IsotropicDatum(beta=nb, gamma=ng))
-        delta = delta + step.delta0.compose_additive(r)
+        delta = poly.add(delta, compose_additive(step.delta0, r))
         r = addpoly.compose(step.u, r)
         R_cur = step.P1
         pairing_cur = pairing_next
@@ -332,11 +264,7 @@ def verify_morphism(R: addpoly.AdditivePoly, R1, r, delta, m: int):
     """
     reasons = []
     base = R.base
-    ambient = r.base
-    lhs = x_times(R.embed_to(ambient))
-    rR1r = TermPoly.from_additive(r) * TermPoly.from_additive(addpoly.compose(R1, r))
-    rhs = rR1r + artin_schreier_coboundary(delta)
-    if lhs != rhs:
+    if not descent_identity_holds(R.embed_to(r.base), r, R1, delta):
         reasons.append("defining identity fails")
     if r.p_degree < 1:
         reasons.append("r is trivial")
@@ -346,9 +274,9 @@ def verify_morphism(R: addpoly.AdditivePoly, R1, r, delta, m: int):
         reasons.append("r has coefficients outside the base field")
     if not addpoly.is_rational_over(R1, base.n):
         reasons.append("R1 has coefficients outside the base field")
-    if not addpoly.is_rational_over([v for _, v in delta.sorted_terms()], base.n):
+    if not addpoly.is_rational_over(delta, base.n):
         reasons.append("Delta has coefficients outside the base field")
-    if not delta.constant_term().is_zero():
+    if delta and delta[0]:
         reasons.append("Delta(0) != 0")
     d_Rm = addpoly.twisted_scaling_order(R, m)
     if addpoly.scaling_order(R1) % d_Rm != 0:

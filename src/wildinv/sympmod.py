@@ -12,31 +12,33 @@ equivariance; a failed check is raised, never papered over.
 import itertools
 from math import gcd, lcm
 
-from . import addpoly, ff, linalg
-from .ambient import Context, _guard, _kernel_data, build_context
+from . import addpoly, linalg
+from .ambient import build_context
 from .errors import TheoremViolation, ValidationError
 from .numth import multiplicative_order
 
 
 class SymplecticModule:
-    """Basis of the kernel space, its Gram matrix, and the two action matrices.
+    """The symplectic module (p, dim, gram, T, S, d, r) on column coordinates.
 
     T is multiplication by the canonical primitive scaling root, S the base
-    field Frobenius; both act on column coordinate vectors. The recorded
-    sigma-order r never enters stability tests.
+    field Frobenius; the recorded sigma-order r never enters stability
+    tests. A module built from (R, m) and its unramified restrictions carry
+    the context of its kernel space, so coordinates map to field elements;
+    a direct sum has context None.
     """
 
-    __slots__ = ("context", "dim", "gram", "T", "S", "d", "r", "m")
+    __slots__ = ("p", "dim", "gram", "T", "S", "d", "r", "context")
 
-    def __init__(self, context, gram, T, S, d, r):
-        self.context = context
-        self.dim = len(context.kernel_elems)
+    def __init__(self, p, dim, gram, T, S, d, r, context):
+        self.p = p
+        self.dim = dim
         self.gram = gram
         self.T = T
         self.S = S
         self.d = d
         self.r = r
-        self.m = context.m
+        self.context = context
 
     @property
     def ambient(self):
@@ -45,10 +47,6 @@ class SymplecticModule:
     @property
     def basis(self):
         return self.context.kernel_elems
-
-    @property
-    def p(self):
-        return self.ambient.p
 
     def element(self, coords):
         return self.context.kernel_vector_to_element(coords)
@@ -113,15 +111,14 @@ def _stable_under(rows, M, p):
 
 def build(R: addpoly.AdditivePoly, m: int) -> SymplecticModule:
     """Construct the module for (R, m); the zero module when e = 0."""
-    context = build_context(R, m, need_gamma=False)
-    return _module_from_context(context)
+    return _module_from_context(build_context(R, m))
 
 
 def _module_from_context(context) -> SymplecticModule:
     p = context.ambient.p
     dim = context.dim
     if dim == 0:
-        return SymplecticModule(context, [], [], [], context.d_Rm, 1)
+        return SymplecticModule(p, 0, [], [], [], context.d_Rm, 1, context)
     basis = context.kernel_elems
     gram = [[0] * dim for _ in range(dim)]
     for i in range(dim):
@@ -133,7 +130,7 @@ def _module_from_context(context) -> SymplecticModule:
     S = _action_matrix(context, lambda x: x.frobenius(context.base.n))
     _check_module_axioms(gram, T, S, context)
     r = lcm(linalg.mat_order(S, p), multiplicative_order(context.base.order, context.d_Rm))
-    return SymplecticModule(context, gram, T, S, context.d_Rm, r)
+    return SymplecticModule(p, dim, gram, T, S, context.d_Rm, r, context)
 
 
 def _action_matrix(context, fn):
@@ -310,106 +307,36 @@ def build_pair(R1, m1, R2, m2):
     M2 = build(R2, m2)
     if M1.ambient is not M2.ambient:
         deg = lcm(M1.ambient.n, M2.ambient.n)
-        M1 = _build_in_degree(R1, m1, deg)
-        M2 = _build_in_degree(R2, m2, deg)
+        M1 = _module_from_context(build_context(R1, m1, degree=deg))
+        M2 = _module_from_context(build_context(R2, m2, degree=deg))
     return M1, M2
 
 
-def _build_in_degree(R, m, degree) -> SymplecticModule:
-    """Module built inside the specific field F_{p^degree} (must be large enough)."""
-    base = R.base
-    p = base.p
-    _guard(p, degree)
-    E = addpoly.e_poly(R)
-    ambient, kernel_elems, kernel_rows = _kernel_data(E, p, degree)
-    d_R = addpoly.scaling_order(R)
-    context = Context(
-        R=R,
-        m=m,
-        base=base,
-        ambient=ambient,
-        R_amb=R.embed_to(ambient),
-        E_amb=E.embed_to(ambient),
-        e=R.p_degree,
-        d_R=d_R,
-        d_Rm=addpoly.twisted_scaling_order(R, m),
-        kernel_elems=kernel_elems,
-        kernel_rows=kernel_rows,
-        mu=ff.roots_of_unity(ambient, d_R),
-        alpha=ff.canonical_root_of_unity(ambient, addpoly.twisted_scaling_order(R, m)),
-        has_gamma=False,
-        pairing=addpoly.pairing_poly(R),
-    )
-    return _module_from_context(context)
-
-
-class DirectSumModule:
+def direct_sum(M1: SymplecticModule, M2: SymplecticModule) -> SymplecticModule:
     """Block-diagonal sum of two modules sharing one ambient and one scaling root."""
-
-    __slots__ = ("parts", "gram", "T", "S", "d", "r", "p", "dim")
-
-    def __init__(self, M1: SymplecticModule, M2: SymplecticModule):
-        if M1.p != M2.p:
-            raise ValidationError("direct sum needs a common prime field")
-        if M1.d != M2.d:
-            raise ValidationError("direct sum needs equal twisted scaling orders")
-        if M1.dim and M2.dim:
-            if M1.ambient is not M2.ambient:
-                raise ValidationError("build the summands with build_pair first")
-            if M1.context.alpha != M2.context.alpha:
-                raise ValidationError("summands disagree on the canonical scaling root")
-        self.parts = (M1, M2)
-        self.p = M1.p
-        self.dim = M1.dim + M2.dim
-        self.gram = _block_diag(M1.gram, M2.gram)
-        self.T = _block_diag(M1.T, M2.T)
-        self.S = _block_diag(M1.S, M2.S)
-        self.d = M1.d
-        self.r = lcm(M1.r, M2.r)
-
-    def zero_module(self):
-        return self.dim == 0
-
-    def submodule(self, rows):
-        return Submodule(self, rows)
+    if M1.p != M2.p:
+        raise ValidationError("direct sum needs a common prime field")
+    if M1.d != M2.d:
+        raise ValidationError("direct sum needs equal twisted scaling orders")
+    if M1.dim and M2.dim:
+        if M1.ambient is not M2.ambient:
+            raise ValidationError("build the summands with build_pair first")
+        if M1.context.alpha != M2.context.alpha:
+            raise ValidationError("summands disagree on the canonical scaling root")
+    n1, n2 = M1.dim, M2.dim
+    gram, T, S = (
+        [list(row) + [0] * n2 for row in A] + [[0] * n1 + list(row) for row in B]
+        for A, B in ((M1.gram, M2.gram), (M1.T, M2.T), (M1.S, M2.S))
+    )
+    return SymplecticModule(M1.p, n1 + n2, gram, T, S, M1.d, lcm(M1.r, M2.r), None)
 
 
-def _block_diag(A, B):
-    n, m = len(A), len(B)
-    return [list(row) + [0] * m for row in A] + [[0] * n + list(row) for row in B]
-
-
-def direct_sum(M1: SymplecticModule, M2: SymplecticModule) -> DirectSumModule:
-    return DirectSumModule(M1, M2)
-
-
-class _RestrictedModule:
-    """Same space and pairing, Frobenius power action (unramified restriction)."""
-
-    __slots__ = ("parent", "gram", "T", "S", "d", "r", "p", "dim")
-
-    def __init__(self, M, t):
-        self.parent = M
-        self.p = M.p
-        self.dim = M.dim
-        self.gram = M.gram
-        self.T = M.T
-        self.S = linalg.mat_pow(M.S, t, M.p) if M.dim else M.S
-        self.d = M.d
-        self.r = M.r // gcd(M.r, t)
-
-    def zero_module(self):
-        return self.dim == 0
-
-    def submodule(self, rows):
-        return Submodule(self, rows)
-
-
-def restrict_frobenius(M, t: int):
+def restrict_frobenius(M: SymplecticModule, t: int) -> SymplecticModule:
     """Module seen over the degree-t unramified extension: S becomes S^t."""
     if t < 1:
         raise ValidationError("t must be >= 1")
-    return _RestrictedModule(M, t)
+    S = linalg.mat_pow(M.S, t, M.p) if M.dim else M.S
+    return SymplecticModule(M.p, M.dim, M.gram, M.T, S, M.d, M.r // gcd(M.r, t), M.context)
 
 
 def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:

@@ -422,3 +422,19 @@ def test_curve_guard_on_a_prime_above_2_32_returns_at_once(cmd):
     assert time.perf_counter() - t0 < 2
     assert r.returncode == 2, r.stderr
     assert "guard" in json.loads(r.stdout)["error"]
+
+
+def test_prime_with_scaling_order_one_returns():
+    # x^2 + x over F_2 has d_R = gcd(1 + 1, 2 + 1) = 1: the transport route
+    # needs d_R = p^t + 1 >= 2, and the search for t used to loop forever on 0
+    argv = ["prime", "-p", "2", "-f", "1", "-R", "1;1", "-e", "1", "-m", "3"]
+    r = subprocess.run(
+        [sys.executable, "-m", "wildinv", *argv],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=2,
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert "transport" not in doc

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wildinv import invariants, sympmod
 from wildinv.addpoly import AdditivePoly, compose
@@ -496,3 +498,82 @@ def test_minimal_unramified_degree_matches_the_orbit_walk():
         assert t == bound
         want = next(t for t in range(1, bound + 1) if not anisotropic_of(restrict_frobenius(M, t)))
         assert minimal_imprimitive_unramified_degree(M) == want
+
+
+def _subspace_count(p, n):
+    """Number of subspaces of F_p^n: the sum of the Gaussian binomials."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+# the exhaustive oracle walks every subspace of F_p^dim, so dim is kept to
+# at most this many subspaces (dim 4 for p = 2, 3 and 5, dim 2 for p = 7)
+_ORACLE_SUBSPACES = 1200
+
+
+def _max_e(p, used=0):
+    return max(e for e in range(4) if _subspace_count(p, 2 * (used + e)) <= _ORACLE_SUBSPACES)
+
+
+@st.composite
+def _small_additive(draw, F, emax):
+    p, f = F.p, F.n
+    coord = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    e = draw(st.integers(1, emax))
+    lead = draw(coord)
+    assume(any(lead))
+    return AdditivePoly(F, [F.el(draw(coord)) for _ in range(e)] + [F.el(lead)])
+
+
+@st.composite
+def _small_modules(draw):
+    """A module of a random small (p, f, R, m) with p^dim <= 4000, one of its
+    unramified restrictions, or its direct sum with a second module of the
+    same twisted scaling order."""
+    from wildinv.addpoly import scaling_order, twisted_scaling_order
+    from wildinv.errors import AmbientGuardError
+
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    kind = draw(st.sampled_from(("module", "restriction") + ("sum",) * (_max_e(p) >= 2)))
+    R1 = draw(_small_additive(F, _max_e(p) - (kind == "sum")))
+    units = [m for m in range(1, 9) if m % p]
+    try:
+        if kind == "sum":
+            R2 = draw(_small_additive(F, _max_e(p, R1.p_degree)))
+            d_R2 = scaling_order(R2)
+            # m1 = d_R1 gives twisted order 1, which every d_R2 allows
+            m1 = draw(st.sampled_from(
+                [m for m in units if d_R2 % twisted_scaling_order(R1, m) == 0] + [scaling_order(R1)]
+            ))
+            M = direct_sum(*build_pair(R1, m1, R2, d_R2 // twisted_scaling_order(R1, m1)))
+        else:
+            M = build(R1, draw(st.sampled_from(units)))
+            if kind == "restriction":
+                M = restrict_frobenius(M, draw(st.integers(1, 4)))
+    except AmbientGuardError:
+        assume(False)
+    return M
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_small_modules())
+def test_scan_verdict_and_witness_match_the_exhaustive_oracle(M):
+    # a least-dimension isotropic stable submodule is cyclic, so the scan's
+    # witness is the least (dim, rref rows) isotropic one of the whole lattice
+    iso = [s for s in all_stable_submodules(M) if s.isotropic]
+    anis, wit = completely_anisotropic(M)
+    assert anis == (not iso)
+    if iso:
+        best = min(iso, key=lambda s: (s.dim, s.signature()))
+        assert (wit.dim, wit.signature()) == (best.dim, best.signature())
