@@ -6,12 +6,19 @@ division with remainder always exists, which is the engine behind every
 decomposition question in this library.
 """
 
-import itertools
 from math import gcd
 
 from . import ff, poly
 from .errors import TheoremViolation, ValidationError
-from .linalg import coords_in_rows, mat_add, mat_mul, nullspace, rref, transpose
+from .linalg import (
+    coords_in_rows,
+    cyclic_closure,
+    mat_add,
+    mat_mul,
+    nullspace,
+    projective_points,
+    transpose,
+)
 from .numth import prime_factors
 
 
@@ -380,35 +387,24 @@ def mu_scaling(f: AdditivePoly, d: int) -> bool:
 # Kernels and kernel polynomials
 
 
-def kernel_poly(W) -> AdditivePoly:
-    """Monic additive polynomial vanishing exactly on the F_p-subspace W.
+def kernel_poly(basis) -> AdditivePoly:
+    """Monic additive polynomial vanishing exactly on the F_p-span of basis.
 
-    Built as a tower of degree-p steps x^p - u^{p-1} x, which keeps the result
-    visibly additive; W is validated to really be a subspace.
+    Built as a tower of degree-p steps x^p - v^{p-1} x, v the image of the
+    next basis element under the steps so far, which keeps the result
+    visibly additive. An element the earlier steps kill lies in the span of
+    the earlier ones, so the list is not a basis.
     """
-    W = list(W)
-    if not W:
-        raise ValidationError("W must contain at least 0")
-    F = W[0].field
-    p = F.p
-    basis, _ = rref([w.coords for w in W], p)
-    dim = len(basis)
-    if len(set(W)) != p ** dim:
-        raise ValidationError("W is not an F_p-subspace (wrong cardinality)")
-    span = {F.zero()}
-    basis_elems = [F.el(row) for row in basis]
-    for b in basis_elems:
-        span = {s + b * c for s in span for c in range(p)}
-    if span != set(W):
-        raise ValidationError("W is not an F_p-subspace (not closed)")
-
+    basis = list(basis)
+    if not basis:
+        raise ValidationError("a kernel polynomial needs a nonempty basis")
+    F = basis[0].field
     f = AdditivePoly.identity(F)
-    for b in basis_elems:
+    for b in basis:
         v = evaluate(f, b)
         if v.is_zero():
-            raise TheoremViolation("a basis element must survive the earlier factors")
-        step = AdditivePoly(F, [-(v ** (p - 1)), F.one()])
-        f = compose(step, f)
+            raise ValidationError("the basis elements are not F_p-independent")
+        f = compose(AdditivePoly(F, [-(v ** (F.p - 1)), F.one()]), f)
     return f
 
 
@@ -417,6 +413,16 @@ def kernel_basis(f: AdditivePoly, field) -> list:
     M = f.operator_matrix(field)
     rows = nullspace(M, field.p)
     return [field.el(r) for r in rows]
+
+
+def split_kernel(f: AdditivePoly, degree: int):
+    """F_{p^degree} and the canonical basis of ker(f) in it; the field must
+    hold the whole kernel."""
+    field = ff.field_create(f.p, degree)
+    basis = kernel_basis(f, field)
+    if len(basis) != f.p_degree:
+        raise TheoremViolation("ambient does not split the additive polynomial")
+    return field, basis
 
 
 def splitting_degree(f: AdditivePoly) -> int:
@@ -486,22 +492,16 @@ def is_prime(f: AdditivePoly) -> bool:
     n = f.p_degree
     if n == 1:
         return True
-    s = splitting_degree(f)
-    ambient = ff.field_create(p, base.n * s)
-    basis = kernel_basis(f, ambient)
-    if len(basis) != n:
-        raise TheoremViolation("the splitting field must hold the whole kernel")
+    field, basis = split_kernel(f, base.n * splitting_degree(f))
     B = [b.as_vector() for b in basis]
     # base-field Frobenius action in kernel coordinates
-    S = _action_matrix_on_rows(B, lambda x: x.frobenius(base.n), ambient)
-    f_amb = f.embed_to(ambient)
-    for coords in itertools.product(range(p), repeat=n):
-        rows = _cyclic_rows(coords, [S], p)
-        if 0 < len(rows) < n:
-            W = _span_elements(rows, B, ambient)
-            f2 = kernel_poly(W)
-            h, r = right_divmod(f_amb, f2)
-            if not r.is_zero():
+    S = action_matrix(B, lambda x: x.frobenius(base.n), field)
+    f_amb = f.embed_to(field)
+    for v in projective_points(p, n):
+        rows = cyclic_closure(v, [S], p)
+        if len(rows) < n:
+            f2 = kernel_poly(field.el(r) for r in mat_mul(rows, B, p))
+            if not right_divmod(f_amb, f2)[1].is_zero():
                 raise TheoremViolation("kernel-subspace factor must divide exactly")
             if not is_rational_over(f2, base.n):
                 raise TheoremViolation("stable subspace must give a rational factor")
@@ -509,7 +509,7 @@ def is_prime(f: AdditivePoly) -> bool:
     return True
 
 
-def _action_matrix_on_rows(B, fn, field):
+def action_matrix(B, fn, field):
     """Matrix (columns) of a linear map in the row-basis coordinates of B."""
     cols = []
     for row in B:
@@ -518,54 +518,6 @@ def _action_matrix_on_rows(B, fn, field):
             raise TheoremViolation("space not stable under the action")
         cols.append(c)
     return transpose(cols)
-
-
-def _cyclic_rows(v, mats, p, gram=None):
-    """RREF basis of the smallest subspace containing v stable under all mats.
-
-    v is a coordinate vector; mats (and gram) are int-row matrices acting on
-    column vectors. Each new image is reduced against the fully reduced basis
-    found so far, so a closure costs one reduction per image. Given the Gram
-    matrix of an alternating form, return None as soon as a new basis vector
-    pairs nonzero with an earlier one: such a span is not totally isotropic.
-    As omega(r, r) = 0 and omega(r, b) = -omega(b, r), a closure that
-    completes under a Gram matrix is totally isotropic.
-    """
-    basis = {}  # pivot column -> row with 1 there and 0 at every other pivot
-    todo = [[int(x) % p for x in v]]
-    while todo:
-        r = todo.pop()
-        for c, b in basis.items():
-            a = r[c]
-            if a:
-                r = [(x - a * y) % p for x, y in zip(r, b)]
-        c = next((i for i, x in enumerate(r) if x), None)
-        if c is None:
-            continue
-        inv = pow(r[c], p - 2, p)
-        r = [x * inv % p for x in r]
-        if gram is not None:
-            Gr = [sum(x * y for x, y in zip(row, r)) % p for row in gram]
-            if any(sum(x * y for x, y in zip(b, Gr)) % p for b in basis.values()):
-                return None
-        for k, b in basis.items():
-            a = b[c]
-            if a:
-                basis[k] = [(x - a * y) % p for x, y in zip(b, r)]
-        basis[c] = r
-        for M in mats:
-            todo.append([sum(x * y for x, y in zip(row, r)) % p for row in M])
-    return [basis[c] for c in sorted(basis)]
-
-
-def _span_elements(rows, B, field):
-    """All field elements of the subspace given by coordinate rows over basis B."""
-    p = field.p
-    elems = {field.zero()}
-    for row in mat_mul(rows, B, p):
-        b = field.el(row)
-        elems = {e + b * c for e in elems for c in range(p)}
-    return sorted(elems, key=lambda x: x.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +632,8 @@ __all__ = [
     "mu_scaling",
     "kernel_poly",
     "kernel_basis",
+    "split_kernel",
+    "action_matrix",
     "splitting_degree",
     "is_reduced",
     "is_rational_over",

@@ -95,16 +95,16 @@ def build_context(
     E = addpoly.e_poly(R)
     M = required_degree(R, m) if degree is None else degree
     _guard(p, M)
-    ambient, kernel_elems, kernel_rows = _kernel_data(E, p, M)
+    ambient, kernel_elems = addpoly.split_kernel(E, M)
 
     pairing = addpoly.pairing_poly(R)
     if need_gamma and e >= 1:
         # gamma coordinates solve y^p - y = b R(b); one degree-p extension
         # makes every absolute trace vanish, so at most one enlargement
-        if _needs_artin_schreier_extension(R, ambient, kernel_elems):
+        if _needs_artin_schreier_extension(R, kernel_elems):
             M *= p
             _guard(p, M)
-            ambient, kernel_elems, kernel_rows = _kernel_data(E, p, M)
+            ambient, kernel_elems = addpoly.split_kernel(E, M)
 
     mu = ff.roots_of_unity(ambient, d_R)
     alpha = ff.canonical_root_of_unity(ambient, d_Rm)
@@ -119,7 +119,7 @@ def build_context(
         d_R=d_R,
         d_Rm=d_Rm,
         kernel_elems=kernel_elems,
-        kernel_rows=kernel_rows,
+        kernel_rows=[b.as_vector() for b in kernel_elems],
         mu=mu,
         alpha=alpha,
         pairing=pairing,
@@ -143,21 +143,12 @@ def _guard(p, M):
         )
 
 
-def _kernel_data(E, p, M):
-    ambient = ff.field_create(p, M)
-    kernel_elems = addpoly.kernel_basis(E, ambient)
-    if len(kernel_elems) != E.p_degree:
-        raise TheoremViolation("ambient does not split the E-polynomial")
-    return ambient, kernel_elems, [b.as_vector() for b in kernel_elems]
+def _needs_artin_schreier_extension(R, kernel_elems):
+    """Does y^p - y = x R(x) lack a root for some x in the span of kernel_elems?
 
-
-def _needs_artin_schreier_extension(R, ambient, kernel_elems):
-    p = ambient.p
-    span = {ambient.zero()}
-    for b in kernel_elems:
-        span = {s + b * c for s in span for c in range(p)}
-    for beta in span:
-        t = beta * addpoly.evaluate(R, beta)
-        if ff.artin_schreier_root(t) is None:
-            return True
-    return False
+    It has one iff Q(x) = Tr(x R(x)) vanishes. On ker E the pairing identity
+    x R(y) + y R(x) = f(x, y)^p - f(x, y) makes the polar form of Q trace
+    zero, so Q(sum c_i b_i) = sum c_i^2 Q(b_i): Q vanishes on the span iff
+    it vanishes on the basis.
+    """
+    return any(ff.artin_schreier_root(x * addpoly.evaluate(R, x)) is None for x in kernel_elems)

@@ -152,28 +152,22 @@ def run(argv) -> int:
                         spec["f"],
                         spec["e"],
                     )
-                rep = invariants.full_report(
-                    spec["p"],
-                    spec["f"],
-                    list(R.coeffs),
-                    spec["m"],
-                    curve=bool(flags.get("curve", False)),
-                    max_k=flags.get("max_k"),
-                    oracle=bool(flags.get("oracle", False)),
-                )
+                m, max_k = spec["m"], flags.get("max_k")
+                curve, oracle = flags.get("curve", False), flags.get("oracle", False)
             else:
                 if None in (args.p, args.f, args.R, args.e, args.m):
                     raise ValidationError("report needs -p -f -R -e -m or --input")
                 R = _poly_from_args(args)
-                rep = invariants.full_report(
-                    args.p,
-                    args.f,
-                    list(R.coeffs),
-                    args.m,
-                    curve=args.curve,
-                    max_k=args.max_k,
-                    oracle=args.oracle,
-                )
+                m, max_k, curve, oracle = args.m, args.max_k, args.curve, args.oracle
+            rep = invariants.full_report(
+                R.base.p,
+                R.base.n,
+                list(R.coeffs),
+                m,
+                curve=bool(curve),
+                max_k=max_k,
+                oracle=bool(oracle),
+            )
             _emit(rep.to_json())
             return 0
 

@@ -31,18 +31,24 @@ def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
     return out
 
 
+def _herbrand_pieces(p: int, e: int, d_R: int, m: int):
+    """Breakpoints 0 < j1 < j2 and the four (slope, intercept) affine pieces."""
+    breaks = (Fraction(0), Fraction(m, d_R), Fraction((p ** e + 1) * m, p ** e * d_R))
+    pieces = [
+        (1, 0),
+        (d_R, 0),
+        (p ** (2 * e) * d_R, -(p ** (2 * e) - 1) * m),
+        (p ** (2 * e + 1) * d_R, -(p ** e + 1) * (p ** (e + 1) - 1) * m),
+    ]
+    return breaks, pieces
+
+
 def herbrand_function(p: int, e: int, d_R: int, m: int, t) -> Fraction:
     """The four-piece change-of-numbering function of the attached extension."""
     t = Fraction(t)
-    j1 = Fraction(m, d_R)
-    j2 = Fraction((p ** e + 1) * m, p ** e * d_R)
-    if t <= 0:
-        return t
-    if t <= j1:
-        return d_R * t
-    if t <= j2:
-        return p ** (2 * e) * d_R * t - (p ** (2 * e) - 1) * m
-    return p ** (2 * e + 1) * d_R * t - (p ** e + 1) * (p ** (e + 1) - 1) * m
+    breaks, pieces = _herbrand_pieces(p, e, d_R, m)
+    slope, intercept = pieces[sum(t > b for b in breaks)]
+    return slope * t + intercept
 
 
 @dataclass
@@ -62,27 +68,15 @@ class RamificationProfile:
 
 
 def ramification_profile(p: int, e: int, d_R: int, m: int) -> RamificationProfile:
-    j1 = Fraction(m, d_R)
-    j2 = Fraction((p ** e + 1) * m, p ** e * d_R)
-    pieces = [
-        lambda t: t,
-        lambda t: d_R * t,
-        lambda t: p ** (2 * e) * d_R * t - (p ** (2 * e) - 1) * m,
-        lambda t: p ** (2 * e + 1) * d_R * t - (p ** e + 1) * (p ** (e + 1) - 1) * m,
-    ]
+    breaks, pieces = _herbrand_pieces(p, e, d_R, m)
     # adjacent pieces agree exactly at each breakpoint
-    for i, bp in enumerate((Fraction(0), j1, j2)):
-        if pieces[i](bp) != pieces[i + 1](bp):
+    for bp, (a0, b0), (a1, b1) in zip(breaks, pieces, pieces[1:]):
+        if a0 * bp + b0 != a1 * bp + b1:
             raise TheoremViolation("profile must be continuous")
     return RamificationProfile(
-        jumps=[Fraction(-1), Fraction(0), j1, j2],
+        jumps=[Fraction(-1), *breaks],
         subgroups=["full", "inertia", "wild_inertia", "wild_center", "trivial"],
-        slopes=[
-            Fraction(1),
-            Fraction(d_R),
-            Fraction(p ** (2 * e) * d_R),
-            Fraction(p ** (2 * e + 1) * d_R),
-        ],
+        slopes=[Fraction(a) for a, _ in pieces],
     )
 
 
@@ -118,15 +112,15 @@ def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
     is reported without a descent datum.
     """
     M = sympmod.build(R, m)
-    anis, witness = sympmod.completely_anisotropic(M)
-    if anis:
+    found = sympmod.decomposition_witness(R, m, module=M)
+    if found is None:
         if M.d <= 2 and M.dim > 0:
             t = sympmod.minimal_imprimitive_unramified_degree(M)
             return PrimitivityResult(
                 kind="primitive_unramified_unstable", module=M, unramified_degree=t
             )
         return PrimitivityResult(kind="primitive", module=M)
-    f1, f2 = sympmod._decomposition_from_submodule(M, witness)
+    f1, f2, witness = found
     induction = None
     if R.p != 2:
         induction = quotient.iterated_quotient(R, m, witness)

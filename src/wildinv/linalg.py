@@ -7,6 +7,7 @@ matrix; rref output is the unique reduced row echelon form, so it doubles as
 a canonical signature.
 """
 
+import itertools
 from operator import mul
 
 from .errors import TheoremViolation
@@ -132,3 +133,47 @@ def coords_in_rows(B, v, p):
     if not len(B):
         return None if any(x % p for x in v) else []
     return solve(transpose(B), v, p)
+
+
+def projective_points(p, dim):
+    """Nonzero vectors of F_p^dim whose first nonzero coordinate is 1."""
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def cyclic_closure(v, mats, p, gram=None):
+    """RREF basis of the smallest subspace containing v stable under all mats.
+
+    mats (and gram) act on column vectors. Each new image is reduced against
+    the fully reduced basis found so far, so a closure costs one reduction
+    per image. Given the Gram matrix of an alternating form, return None as
+    soon as a new basis vector pairs nonzero with an earlier one: such a span
+    is not totally isotropic. As omega(r, r) = 0 and omega(r, b) =
+    -omega(b, r), a closure that completes under a Gram matrix is totally
+    isotropic.
+    """
+    basis = {}  # pivot column -> row with 1 there and 0 at every other pivot
+    todo = [[int(x) % p for x in v]]
+    while todo:
+        r = todo.pop()
+        for c, b in basis.items():
+            a = r[c]
+            if a:
+                r = [(x - a * y) % p for x, y in zip(r, b)]
+        c = next((i for i, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        inv = pow(r[c], p - 2, p)
+        r = [x * inv % p for x in r]
+        if gram is not None:
+            Gr = mat_vec(gram, r, p)
+            if any(sum(map(mul, b, Gr)) % p for b in basis.values()):
+                return None
+        for k, b in basis.items():
+            a = b[c]
+            if a:
+                basis[k] = [(x - a * y) % p for x, y in zip(b, r)]
+        basis[c] = r
+        todo.extend(mat_vec(M, r, p) for M in mats)
+    return [basis[c] for c in sorted(basis)]

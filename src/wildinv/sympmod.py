@@ -126,16 +126,12 @@ def _module_from_context(context) -> SymplecticModule:
             w = context.omega(basis[i], basis[j])
             gram[i][j] = w
             gram[j][i] = (-w) % p
-    T = _action_matrix(context, lambda x: context.alpha * x)
-    S = _action_matrix(context, lambda x: x.frobenius(context.base.n))
+    B, F = context.kernel_rows, context.ambient
+    T = addpoly.action_matrix(B, lambda x: context.alpha * x, F)
+    S = addpoly.action_matrix(B, lambda x: x.frobenius(context.base.n), F)
     _check_module_axioms(gram, T, S, context)
     r = lcm(linalg.mat_order(S, p), multiplicative_order(context.base.order, context.d_Rm))
     return SymplecticModule(p, dim, gram, T, S, context.d_Rm, r, context)
-
-
-def _action_matrix(context, fn):
-    p = context.ambient.p
-    return linalg.transpose([context.element_to_kernel_vector(fn(b)) for b in context.kernel_elems])
 
 
 def _check_module_axioms(gram, T, S, context):
@@ -161,14 +157,7 @@ def omega(M: SymplecticModule, v, w) -> int:
 
 
 def cyclic_submodule(M, coords) -> Submodule:
-    return Submodule(M, addpoly._cyclic_rows(coords, [M.T, M.S], M.p))
-
-
-def _projective_points(p, dim):
-    """Nonzero vectors of F_p^dim whose first nonzero coordinate is 1."""
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            yield (0,) * lead + (1,) + tail
+    return Submodule(M, linalg.cyclic_closure(coords, [M.T, M.S], M.p))
 
 
 def _least_isotropic_cyclic(M):
@@ -183,8 +172,8 @@ def _least_isotropic_cyclic(M):
     p = M.p
     mats = [M.T, M.S]
     best = None
-    for coords in _projective_points(p, M.dim):
-        rows = addpoly._cyclic_rows(coords, mats, p, gram=M.gram)
+    for coords in linalg.projective_points(p, M.dim):
+        rows = linalg.cyclic_closure(coords, mats, p, gram=M.gram)
         if rows is not None:
             key = (len(rows), rows)
             if best is None or key < best:
@@ -257,8 +246,7 @@ def decomposition_witness(R: addpoly.AdditivePoly, m: int, module: SymplecticMod
 
 def _decomposition_from_submodule(M: SymplecticModule, sub: Submodule):
     ctx = M.context
-    span = _span_of_rows(M, sub.rows)
-    f2 = addpoly.kernel_poly(span)
+    f2 = addpoly.kernel_poly(sub.field_elements())
     if not addpoly.is_rational_over(f2, ctx.base.n):
         raise TheoremViolation("stable isotropic kernel gave a non-rational factor")
     if not addpoly.mu_scaling(f2, ctx.d_Rm):
@@ -269,15 +257,6 @@ def _decomposition_from_submodule(M: SymplecticModule, sub: Submodule):
     if addpoly.compose(f1, f2) != ctx.E_amb:
         raise TheoremViolation("quotient and kernel polynomial do not compose back to E")
     return f1, f2
-
-
-def _span_of_rows(M, rows):
-    p = M.p
-    elems = {M.element([0] * M.dim)}
-    for r in rows:
-        b = M.element(r)
-        elems = {x + b * c for x in elems for c in range(p)}
-    return sorted(elems, key=lambda x: x.coords)
 
 
 def perp(M, sub: Submodule) -> Submodule:
@@ -313,12 +292,17 @@ def build_pair(R1, m1, R2, m2):
 
 
 def direct_sum(M1: SymplecticModule, M2: SymplecticModule) -> SymplecticModule:
-    """Block-diagonal sum of two modules sharing one ambient and one scaling root."""
+    """Block-diagonal sum of two modules sharing one ambient and one scaling root.
+
+    A sum has no kernel context to compare, so it cannot be a summand again.
+    """
     if M1.p != M2.p:
         raise ValidationError("direct sum needs a common prime field")
     if M1.d != M2.d:
         raise ValidationError("direct sum needs equal twisted scaling orders")
     if M1.dim and M2.dim:
+        if M1.context is None or M2.context is None:
+            raise ValidationError("direct sums do not nest: each summand must be built from (R, m)")
         if M1.ambient is not M2.ambient:
             raise ValidationError("build the summands with build_pair first")
         if M1.context.alpha != M2.context.alpha:

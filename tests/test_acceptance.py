@@ -5,6 +5,7 @@ lines; every tolerance is pinned here (symbolic checks are zero-tolerance,
 the one floating point check is the 1e-9 relative Weil bound).
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -325,6 +326,7 @@ def test_criterion_10_determinism_goldens():
             [sys.executable, "-m", "wildinv.cli", *argv],
             capture_output=True,
             check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         )
         outs.append(r.stdout)
     assert outs[0] == outs[1] == (GOLDEN_DIR / f"{name}.json").read_bytes()

@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wildinv.addpoly import (
     AdditivePoly,
+    action_matrix,
     classical_is_irreducible,
     coeff_transport,
     coeff_transport_inverse,
@@ -23,11 +27,13 @@ from wildinv.addpoly import (
     right_divmod,
     scaling_order,
     skew_right_gcd,
+    split_kernel,
     splitting_degree,
     twisted_scaling_order,
 )
 from wildinv.errors import ValidationError
 from wildinv.ff import field_create, roots_of_unity
+from wildinv.linalg import mat_vec, rref
 
 
 def random_poly(F, emax, rng, nonzero=True):
@@ -223,16 +229,17 @@ def test_mu_scaling():
 
 def test_kernel_poly():
     F27 = field_create(3, 3)
-    assert kernel_poly([F27.zero()]) == AdditivePoly.identity(F27)
-    W = [F27.constant(c) for c in range(3)]
+    with pytest.raises(ValidationError):
+        kernel_poly([])  # the zero space has no nonempty basis
+    W = [F27.one()]
     assert kernel_poly(W) == AdditivePoly(F27, [F27.constant(-1), F27.one()])
     # the line through an eighth root of -1 gives x^3 - beta^2 x
     F81 = field_create(3, 4)
     beta = next(b for b in F81.elements() if not b.is_zero() and b ** 8 == -F81.one())
-    line = [F81.zero(), beta, beta * 2]
+    line = [beta * 2]
     assert kernel_poly(line) == AdditivePoly(F81, [-(beta ** 2), F81.one()])
     with pytest.raises(ValidationError):
-        kernel_poly([F27.zero(), F27.one()])  # not a subspace
+        kernel_poly([F27.one(), F27.constant(2)])  # not a basis
     # kernel poly of a full kernel vanishes exactly on it, scaling-stable case
     F81 = field_create(3, 4)
     E = e_poly(AdditivePoly.from_ints(field_create(3, 1), [0, 1])).embed_to(F81)
@@ -240,7 +247,7 @@ def test_kernel_poly():
     span = {F81.zero()}
     for b in kb:
         span = {s + b * c for s in span for c in range(3)}
-    f = kernel_poly(sorted(span, key=lambda x: x.coords))
+    f = kernel_poly(kb)
     zeros = [x for x in F81.elements() if evaluate(f, x).is_zero()]
     assert set(zeros) == span
     # stable under x -> x^3 (base field F_3): coefficients rational over F_3
@@ -365,3 +372,84 @@ def test_transport_counterexample_beyond_base_degree():
     f2 = AdditivePoly.from_ints(F3, [2, 1, 1])
     f1 = AdditivePoly.from_ints(F3, [2, 2, 1])
     assert compose(f1, f2) == E
+
+
+# ---------------------------------------------------------------------------
+# Kernel polynomials and the primality scan against brute force
+
+
+def _span(elems, F):
+    """Every F_p-combination of elems, enumerated: the reference span."""
+    span = {F.zero()}
+    for b in elems:
+        span = {s + b * c for s in span for c in range(F.p)}
+    return span
+
+
+@st.composite
+def _element_lists(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    F = field_create(p, draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p])))
+    coords = st.lists(st.integers(0, p - 1), min_size=F.n, max_size=F.n)
+    return F, [F.el(c) for c in draw(st.lists(coords, min_size=1, max_size=3))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_element_lists())
+def test_kernel_poly_vanishes_exactly_on_the_brute_force_span(case):
+    F, elems = case
+    span = _span(elems, F)
+    if len(span) < F.p ** len(elems):
+        with pytest.raises(ValidationError):
+            kernel_poly(elems)
+        return
+    f = kernel_poly(elems)
+    assert f.degree == len(span) and f.coeffs[-1] == F.one()
+    assert {x for x in F.elements() if evaluate(f, x).is_zero()} == span
+    # the sum of a basis is in its span, so appending it leaves no basis
+    total = sum(elems, F.zero())
+    with pytest.raises(ValidationError):
+        kernel_poly(elems + [total])
+
+
+def _all_vector_scan_is_prime(f):
+    """The scan over every vector of F_p^n: f is prime iff no vector has a
+    proper nonzero Frobenius-stable closure. Each closure is grown by
+    re-reducing the rows with their images until it stops growing."""
+    base, p, n = f.base, f.p, f.p_degree
+    field, basis = split_kernel(f, base.n * splitting_degree(f))
+    S = action_matrix([b.as_vector() for b in basis], lambda x: x.frobenius(base.n), field)
+    for v in itertools.product(range(p), repeat=n):
+        rows = rref([v], p)[0]
+        while True:
+            grown = rref(rows + [mat_vec(S, r, p) for r in rows], p)[0]
+            if grown == rows:
+                break
+            rows = grown
+        if 0 < len(rows) < n:
+            return False
+    return True
+
+
+@st.composite
+def _reduced_polys(draw):
+    """A reduced additive polynomial of p-degree >= 2 over F_{p^f}, either
+    random or the E-polynomial of a random R, with at most 81 kernel
+    vectors."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    coord = st.lists(st.integers(0, p - 1), min_size=F.n, max_size=F.n)
+    nonzero = coord.filter(any)
+    if draw(st.booleans()):
+        e = draw(st.integers(1, {2: 2, 3: 2, 5: 1}[p]))
+        R = AdditivePoly(F, [F.el(draw(coord)) for _ in range(e)] + [F.el(draw(nonzero))])
+        return e_poly(R)
+    n = draw(st.integers(2, {2: 4, 3: 3, 5: 2}[p]))
+    mid = [F.el(draw(coord)) for _ in range(n - 1)]
+    return AdditivePoly(F, [F.el(draw(nonzero))] + mid + [F.el(draw(nonzero))])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_reduced_polys())
+def test_is_prime_on_projective_points_matches_the_all_vector_scan(f):
+    assert is_prime(f) == _all_vector_scan_is_prime(f)

@@ -184,6 +184,7 @@ def test_subprocess_entry():
         [sys.executable, "-m", "wildinv.cli", "swan", "-p", "5", "-e", "1", "-dR", "6", "-m", "1"],
         capture_output=True,
         text=True,
+        env=_module_env(),
     )
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"swan": 1}

@@ -207,6 +207,16 @@ def test_direct_sum_with_zero_is_original(m_q9):
     assert anisotropic_of(DS) == anisotropic_of(M2)
 
 
+def test_direct_sums_do_not_nest():
+    # a sum has no kernel context, so using it as a summand is refused by name
+    F5 = field_create(5, 1)
+    A, B = build_pair(AdditivePoly.from_ints(F5, [0, 1]), 1, AdditivePoly.from_ints(F5, [0, 2]), 7)
+    with pytest.raises(ValidationError, match="do not nest"):
+        direct_sum(direct_sum(A, B), A)
+    with pytest.raises(ValidationError, match="do not nest"):
+        direct_sum(A, direct_sum(A, B))
+
+
 def test_legendre_configuration():
     # e = f = 1 pairs: anisotropy of the sum tracks the Legendre symbol of -a
     for p in (3, 5):
@@ -281,12 +291,13 @@ def test_canonical_generator_choice_is_immaterial():
     R = AdditivePoly(F9, [F9.zero(), F9.one()])
     M = build(R, 1)
     from wildinv.ff import element_order
-    from wildinv.sympmod import Submodule, _action_matrix
+    from wildinv.addpoly import action_matrix
+    from wildinv.sympmod import Submodule
 
     ctx = M.context
     others = [z for z in ctx.mu if element_order(z) == ctx.d_Rm and z != ctx.alpha]
     for z in others:
-        T2 = _action_matrix(ctx, lambda x: z * x)
+        T2 = action_matrix(ctx.kernel_rows, lambda x: z * x, ctx.ambient)
 
         class Twin:
             p = M.p
