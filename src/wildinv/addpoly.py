@@ -13,10 +13,11 @@ from .errors import TheoremViolation, ValidationError
 from .linalg import (
     coords_in_rows,
     cyclic_closure,
+    identity,
+    line_points,
     mat_add,
     mat_mul,
     nullspace,
-    projective_points,
     transpose,
 )
 from .numth import prime_factors
@@ -284,14 +285,21 @@ class PairingTable:
         return not self.terms
 
     def eval(self, x, y):
-        F = x.field
-        if y.field is not F:
+        return self.values([x], [y])[0][0]
+
+    def values(self, xs, ys):
+        """The matrix of pairing(x, y), x in xs by rows and y in ys by columns.
+
+        Each element's Frobenius powers and each coefficient's image in the
+        elements' field are computed once, not once per entry.
+        """
+        F = xs[0].field
+        if any(z.field is not F for z in xs + ys):
             raise ValidationError("pairing arguments in different fields")
-        out = F.zero()
-        for (a, b), c in self.terms.items():
-            cc = c if c.field is F else ff.embed(c, F)
-            out = out + cc * x.frobenius(a) * y.frobenius(b)
-        return out
+        terms = [(a, b, c if c.field is F else ff.embed(c, F)) for (a, b), c in self.terms.items()]
+        xp = [{a: x.frobenius(a) for a, _, _ in terms} for x in xs]
+        yp = [{b: y.frobenius(b) for _, b, _ in terms} for y in ys]
+        return [[sum((c * u[a] * v[b] for a, b, c in terms), F.zero()) for v in yp] for u in xp]
 
     def pth_power_terms(self):
         """Term dict of table^p (exponents shift by one, coefficients by Frobenius)."""
@@ -497,7 +505,7 @@ def is_prime(f: AdditivePoly) -> bool:
     # base-field Frobenius action in kernel coordinates
     S = action_matrix(B, lambda x: x.frobenius(base.n), field)
     f_amb = f.embed_to(field)
-    for v in projective_points(p, n):
+    for v in line_points([[e] for e in identity(n)], p):
         rows = cyclic_closure(v, [S], p)
         if len(rows) < n:
             f2 = kernel_poly(field.el(r) for r in mat_mul(rows, B, p))

@@ -61,10 +61,26 @@ class Context:
 
     def omega(self, x, y) -> int:
         """Antisymmetrized pairing, a prime-field scalar."""
-        v = self.pairing.eval(x, y) - self.pairing.eval(y, x)
-        if any(v.coords[1:]):
-            raise TheoremViolation("pairing values must be scalars")
-        return v.coords[0]
+        return _scalar(self.pairing.eval(x, y) - self.pairing.eval(y, x))
+
+    def gram(self, elems):
+        """Matrix of omega on elems, from one PairingTable.values call."""
+        P = self.pairing.values(elems, elems)
+        p = self.ambient.p
+        n = len(elems)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = _scalar(P[i][j] - P[j][i])
+                gram[i][j] = w
+                gram[j][i] = (-w) % p
+        return gram
+
+
+def _scalar(v) -> int:
+    if any(v.coords[1:]):
+        raise TheoremViolation("pairing values must be scalars")
+    return v.coords[0]
 
 
 def validate_input(R: addpoly.AdditivePoly, m: int):

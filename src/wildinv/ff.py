@@ -104,8 +104,8 @@ def _fp_is_irreducible(m, p):
     to the p^n-th power.
     """
     n = len(m) - 1
-    if n < 1:
-        return False
+    if n <= 1:
+        return n == 1
     xp = _fp_powmod_x(p, m, p)
     h, rows = xp, None
     for i in range(1, n // 2 + 1):

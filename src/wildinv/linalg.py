@@ -7,7 +7,6 @@ matrix; rref output is the unique reduced row echelon form, so it doubles as
 a canonical signature.
 """
 
-import itertools
 from operator import mul
 
 from .errors import TheoremViolation
@@ -135,11 +134,30 @@ def coords_in_rows(B, v, p):
     return solve(transpose(B), v, p)
 
 
-def projective_points(p, dim):
-    """Nonzero vectors of F_p^dim whose first nonzero coordinate is 1."""
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            yield (0,) * lead + (1,) + tail
+def line_points(blocks, p):
+    """One vector per line of F_p^dim seen as a vector space over F_{p^a}.
+
+    blocks partition a basis into lists of a rows, each the F_p-basis of one
+    F_{p^a}-line (v, Tv, ..., T^{a-1} v for a T generating the field), so a
+    vector's block coordinates lie in F_{p^a}. Yields the vectors whose first
+    nonzero block coordinate is 1: for each block in turn, its first row plus
+    every F_p-combination of the rows of later blocks, (p^dim - 1)/(p^a - 1)
+    in all. Unit blocks (a = 1) give the projective points of F_p^dim in
+    lexicographic order.
+    """
+    for j, block in enumerate(blocks):
+        yield from _shifts(list(block[0]), [r for b in blocks[j + 1 :] for r in b], p)
+
+
+def _shifts(v, rows, p):
+    """v plus every F_p-combination of rows, the last row's coefficient
+    running fastest; each vector is its predecessor plus one row."""
+    if not rows:
+        yield v
+        return
+    for _ in range(p):
+        yield from _shifts(v, rows[1:], p)
+        v = [(x + y) % p for x, y in zip(v, rows[0])]
 
 
 def cyclic_closure(v, mats, p, gram=None):

@@ -195,10 +195,8 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
 
     betas = U.field_elements()
     data = [IsotropicDatum.make(ctx.R_amb, pairing, b) for b in betas]
-    for i in range(len(betas)):
-        for j in range(i + 1, len(betas)):
-            if ctx.omega(betas[i], betas[j]) != 0:
-                raise ValidationError("submodule is not totally isotropic")
+    if any(any(row) for row in ctx.gram(betas)):
+        raise ValidationError("submodule is not totally isotropic")
 
     R_cur = ctx.R_amb
     pairing_cur = pairing

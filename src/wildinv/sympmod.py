@@ -3,7 +3,9 @@
 The kernel of the E-polynomial carries the antisymmetrized pairing (values in
 the prime field), a scaling action by a canonical root of unity, and the base
 field Frobenius. Complete anisotropy of this module is decided by one scan
-over the cyclic submodules generated by projective points. A witness of
+over the cyclic submodules generated by one vector per F_p(alpha)-line: T is
+multiplication by the scaling root alpha, so F_p[T] is the field F_p(alpha)
+and a cyclic submodule is a union of such lines. A witness of
 isotropy is then turned into an exact skew decomposition of the E-polynomial,
 checked by right division, rationality over the base and scaling
 equivariance; a failed check is raised, never papered over.
@@ -11,8 +13,9 @@ equivariance; a failed check is raised, never papered over.
 
 import itertools
 from math import gcd, lcm
+from operator import mul
 
-from . import addpoly, linalg
+from . import addpoly, ff, linalg
 from .ambient import build_context
 from .errors import TheoremViolation, ValidationError
 from .numth import multiplicative_order
@@ -119,13 +122,7 @@ def _module_from_context(context) -> SymplecticModule:
     dim = context.dim
     if dim == 0:
         return SymplecticModule(p, 0, [], [], [], context.d_Rm, 1, context)
-    basis = context.kernel_elems
-    gram = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            w = context.omega(basis[i], basis[j])
-            gram[i][j] = w
-            gram[j][i] = (-w) % p
+    gram = context.gram(context.kernel_elems)
     B, F = context.kernel_rows, context.ambient
     T = addpoly.action_matrix(B, lambda x: context.alpha * x, F)
     S = addpoly.action_matrix(B, lambda x: x.frobenius(context.base.n), F)
@@ -160,19 +157,63 @@ def cyclic_submodule(M, coords) -> Submodule:
     return Submodule(M, linalg.cyclic_closure(coords, [M.T, M.S], M.p))
 
 
+def _scaling_blocks(T, p):
+    """A T-cyclic basis: blocks v, Tv, ..., T^{a-1} v, each v the first
+    standard basis vector not yet spanned.
+
+    a and mu are read from T itself: the closure of e_0 under T and the
+    relation T^a e_0 = sum c_i T^i e_0 that closes it. Raises unless mu is
+    irreducible, T^a v satisfies the same relation on every block (so each
+    block is T-stable and mu(T) = 0: mu is the minimal polynomial of T and
+    F_p[T] = F_p[x]/mu is a field), and the blocks form a basis.
+    """
+    unit = linalg.identity(len(T))
+    powers = [unit[0]]
+    for _ in unit:
+        powers.append(linalg.mat_vec(T, powers[-1], p))
+    # the pivots of the powers as columns are 0, ..., a - 1, and column a
+    # holds the c_i
+    R, pivots = linalg.rref(linalg.transpose(powers), p)
+    c = [row[len(pivots)] for row in R]
+    if not ff._fp_is_irreducible([-x % p for x in c] + [1], p):
+        raise TheoremViolation("the scaling action must have an irreducible minimal polynomial")
+    blocks, span, pivots = [], [], []
+    for k, e in enumerate(unit):
+        # a reduced echelon span holds e_k iff its row at pivot k is e_k
+        if k in pivots and span[pivots.index(k)] == e:
+            continue
+        block = [e]
+        for _ in c[1:]:
+            block.append(linalg.mat_vec(T, block[-1], p))
+        closing = [sum(map(mul, c, col)) % p for col in zip(*block)]
+        if linalg.mat_vec(T, block[-1], p) != closing:
+            raise TheoremViolation("each block v, Tv, ... must be T-stable, T acting through mu")
+        blocks.append(block)
+        span, pivots = linalg.rref(span + block, p)
+    # every e_k lies in the span by construction; a basis needs no overlap
+    if len(c) * len(blocks) != len(unit):
+        raise TheoremViolation("the T-cyclic blocks must form a basis of the module")
+    return blocks
+
+
 def _least_isotropic_cyclic(M):
     """Least (dim, signature) totally isotropic cyclic submodule, or None.
 
-    Only projective points are visited, since C(cv) = C(v) for c in F_p^*,
-    and a closure is abandoned at its first non-isotropic pair, since it can
-    then never be the witness.
+    One vector per F_p(alpha)-line is visited. C(v), the closure of v under
+    T and S, is T-stable, so it contains u(T) v for every u in F_p[T]; for a
+    unit u, v = u^{-1}(T) u(T) v likewise lies in C(u(T) v), so
+    C(u(T) v) = C(v). As F_p[T] is a field, every nonzero vector is such a
+    multiple of exactly one vector of linalg.line_points over the T-cyclic
+    blocks, and the scan sees every cyclic submodule of the module. A closure
+    is abandoned at its first non-isotropic pair, since it can then never be
+    the witness.
     """
     if M.zero_module():
         return None
     p = M.p
     mats = [M.T, M.S]
     best = None
-    for coords in linalg.projective_points(p, M.dim):
+    for coords in linalg.line_points(_scaling_blocks(M.T, p), p):
         rows = linalg.cyclic_closure(coords, mats, p, gram=M.gram)
         if rows is not None:
             key = (len(rows), rows)
@@ -192,7 +233,11 @@ def completely_anisotropic(M):
 
     Scanning cyclic submodules is complete: a nonzero isotropic submodule
     contains the cyclic closure of each of its nonzero vectors, and a
-    least-dimension witness is inclusion-minimal, hence cyclic.
+    least-dimension witness is inclusion-minimal, hence cyclic. The closures
+    of v and u(T) v agree for every unit u of F_p[T] = F_p(alpha), so one
+    generator per F_p(alpha)-line reaches them all: (p^dim - 1)/(p^a - 1)
+    closures, a = [F_p(alpha) : F_p], where a scan of projective points
+    would take (p^dim - 1)/(p - 1).
     """
     w = _least_isotropic_cyclic(M)
     return (w is None), w

@@ -5,6 +5,8 @@ the pivot row, r <- a r - b s, so it needs no inverse mod p and shares no code
 path with linalg's normalized elimination.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,3 +127,36 @@ def test_large_prime_example():
     assert R == [[1, 0], [0, 1]] and piv == [0, 1]
     x = linalg.solve(A, [1, 2], p)
     assert apply(A, x, p) == [1, 2]
+
+
+def _projective_points(p, dim):
+    """Nonzero vectors of F_p^dim whose first nonzero coordinate is 1."""
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+@pytest.mark.parametrize("p,dim", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_line_points_on_unit_blocks_are_the_projective_points(p, dim):
+    blocks = [[row] for row in linalg.identity(dim)]
+    got = [tuple(v) for v in linalg.line_points(blocks, p)]
+    assert got == list(_projective_points(p, dim))
+
+
+def test_line_points_meet_every_f9_line_once():
+    # F_3^4 as F_9^2: T acts on each coordinate pair by the companion matrix
+    # of x^2 + 1, and the units of F_3[T] carry the points onto every nonzero
+    # vector exactly once
+    p = 3
+    T = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    e = linalg.identity(4)
+    blocks = [[e[0], apply(T, e[0], p)], [e[2], apply(T, e[2], p)]]
+    points = list(linalg.line_points(blocks, p))
+    assert len(points) == (p ** 4 - 1) // (p ** 2 - 1)
+    multiples = [
+        tuple((c0 * x + c1 * y) % p for x, y in zip(v, apply(T, v, p)))
+        for v in points
+        for c0, c1 in itertools.product(range(p), repeat=2)
+        if (c0, c1) != (0, 0)
+    ]
+    assert sorted(multiples) == [v for v in itertools.product(range(p), repeat=4) if any(v)]

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -9,7 +10,8 @@ from wildinv import invariants, sympmod
 from wildinv.addpoly import AdditivePoly, compose
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
-from wildinv.linalg import mat_pow, rank, rref
+from wildinv.linalg import cyclic_closure, identity, mat_pow, rank, rref
+from wildinv.numth import multiplicative_order
 from wildinv.sympmod import (
     all_stable_submodules,
     anisotropic_of,
@@ -24,6 +26,8 @@ from wildinv.sympmod import (
     perp,
     restrict_frobenius,
 )
+
+from test_linalg import _projective_points
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +470,17 @@ def test_omega_scalar_check_raises(m_q9, monkeypatch):
         ctx.omega(g, ctx.ambient.one())
 
 
+@pytest.mark.parametrize("p,f,ints,m", WITNESS_CASES)
+def test_gram_matches_the_pointwise_pairing(p, f, ints, m):
+    # the gram takes every pairing value from one PairingTable.values call;
+    # Context.omega evaluates the table on one pair at a time
+    M = build(AdditivePoly.from_ints(field_create(p, f), ints), m)
+    ctx = M.context
+    for i, x in enumerate(M.basis):
+        for j, y in enumerate(M.basis):
+            assert M.gram[i][j] == ctx.omega(x, y)
+
+
 def _orbit_walk_bound(M):
     # the former bound: walk every nonzero kernel element through the base
     # field Frobenius until it comes back, and keep the least orbit length
@@ -588,3 +603,198 @@ def test_scan_verdict_and_witness_match_the_exhaustive_oracle(M):
     if iso:
         best = min(iso, key=lambda s: (s.dim, s.signature()))
         assert (wit.dim, wit.signature()) == (best.dim, best.signature())
+
+
+# ---------------------------------------------------------------------------
+# The scan by F_p(alpha)-lines against the former scan by projective points
+
+
+def _projective_point_scan(M):
+    """The former scan: one closure per F_p-line; least (dim, signature) or None."""
+    best = None
+    for v in _projective_points(M.p, M.dim):
+        rows = cyclic_closure(v, [M.T, M.S], M.p, gram=M.gram)
+        if rows is not None:
+            key = (len(rows), tuple(map(tuple, rows)))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+class _Twin:
+    """A module whose T is the action of another primitive d-th root z."""
+
+    def __init__(self, M, z):
+        from wildinv.addpoly import action_matrix
+
+        self.p, self.dim, self.gram, self.S, self.d = M.p, M.dim, M.gram, M.S, M.d
+        self.T = action_matrix(M.context.kernel_rows, lambda x: z * x, M.context.ambient)
+
+    def zero_module(self):
+        return self.dim == 0
+
+    def submodule(self, rows):
+        return sympmod.Submodule(self, rows)
+
+
+@contextlib.contextmanager
+def _counting_closures():
+    """Collect the start vector of every linalg.cyclic_closure call the scan makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return cyclic_closure(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sympmod.linalg, "cyclic_closure", counting)
+        yield calls
+
+
+# p^dim <= 3^6 keeps the reference scan to at most 364 projective points
+# for p = 3 (2^8 = 256 vectors for p = 2)
+_SCAN_VECTORS = 729
+
+
+@st.composite
+def _scan_modules(draw):
+    """A module of a random small (p, f, R, m) with p^dim <= 729, one of its
+    unramified restrictions, a build_pair direct sum, or a _Twin of it."""
+    from wildinv.addpoly import scaling_order, twisted_scaling_order
+    from wildinv.errors import AmbientGuardError
+    from wildinv.ff import element_order
+
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    emax = max(e for e in range(1, 5) if p ** (2 * e) <= _SCAN_VECTORS)
+    kind = draw(st.sampled_from(("module", "restriction", "twin") + ("sum",) * (emax >= 2)))
+    # monomials have scaling order p^e + 1, so a > 1 for most m
+    monomials = draw(st.booleans())
+
+    def additive(emax):
+        R = draw(_small_additive(F, emax))
+        return AdditivePoly(F, [F.zero()] * R.p_degree + [R.coeffs[-1]]) if monomials else R
+
+    R1 = additive(emax - (kind == "sum"))
+    units = [m for m in range(1, 9) if m % p]
+    try:
+        if kind == "sum":
+            R2 = additive(emax - R1.p_degree)
+            d_R2 = scaling_order(R2)
+            m1 = draw(st.sampled_from(
+                [m for m in units if d_R2 % twisted_scaling_order(R1, m) == 0] + [scaling_order(R1)]
+            ))
+            return direct_sum(*build_pair(R1, m1, R2, d_R2 // twisted_scaling_order(R1, m1)))
+        M = build(R1, draw(st.sampled_from(units)))
+    except AmbientGuardError:
+        assume(False)
+    if kind == "restriction":
+        return restrict_frobenius(M, draw(st.integers(1, 4)))
+    if kind == "twin" and M.dim:
+        ctx = M.context
+        others = [z for z in ctx.mu if element_order(z) == ctx.d_Rm and z != ctx.alpha]
+        if others:
+            return _Twin(M, draw(st.sampled_from(others)))
+    return M
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_scan_modules())
+def test_line_scan_matches_the_projective_point_scan(M):
+    # the closures of v and u(T) v agree for every unit u of F_p[T], so one
+    # generator per F_p(alpha)-line finds the same least witness; an
+    # anisotropic module costs one closure per line, (p^dim - 1)/(p^a - 1)
+    # of them with a = [F_p(alpha) : F_p] = ord_d(p)
+    want = _projective_point_scan(M)
+    with _counting_closures() as calls:
+        anis, wit = completely_anisotropic(M)
+    assert anis == (want is None)
+    if wit is not None:
+        assert (wit.dim, wit.signature()) == want
+    else:
+        a = multiplicative_order(M.p, M.d)
+        assert len(calls) == (M.p ** M.dim - 1) // (M.p ** a - 1)
+
+
+def test_line_scan_matches_the_projective_point_scan_on_legendre_sums():
+    # the sums of test_legendre_configuration have d = p + 1, so a = 2, and
+    # half of them are isotropic: witnesses of dimension 2 spanned by F_{p^2}-lines
+    seen = set()
+    for p, m2 in ((3, 5), (5, 7)):
+        Fp = field_create(p, 1)
+        for a in range(1, p):
+            A, B = build_pair(
+                AdditivePoly.from_ints(Fp, [0, 1]), 1, AdditivePoly.from_ints(Fp, [0, a]), m2
+            )
+            M = direct_sum(A, B)
+            assert multiplicative_order(p, M.d) == 2
+            want = _projective_point_scan(M)
+            anis, wit = completely_anisotropic(M)
+            assert anis == (want is None)
+            if wit is not None:
+                assert (wit.dim, wit.signature()) == want
+            seen.add(anis)
+    assert seen == {True, False}
+
+
+class _BareModule:
+    """A duck-typed module over F_3 with a given T; the scan must refuse it
+    before S or the pairing play any part."""
+
+    def __init__(self, T):
+        self.p, self.dim, self.T = 3, len(T), T
+        self.S = identity(len(T))
+        self.gram = [[0] * len(T) for _ in T]
+
+    def zero_module(self):
+        return False
+
+    def submodule(self, rows):
+        return sympmod.Submodule(self, rows)
+
+
+def test_scaling_action_with_reducible_minimal_polynomial_gets_no_verdict():
+    # diag(1, 2): e_0 gives mu = x - 1, which T does not satisfy on e_1
+    with pytest.raises(TheoremViolation, match="acting through mu"):
+        anisotropic_of(_BareModule([[1, 0], [0, 2]]))
+    # the swap: the closure of e_0 is closed by mu = x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(TheoremViolation, match="irreducible"):
+        completely_anisotropic(_BareModule([[0, 1], [1, 0]]))
+
+
+def test_block_that_is_not_T_stable_gets_no_verdict():
+    # (1) + the companion matrix of x^2 + 1: e_0 gives a = 1, and T carries
+    # the block {e_1} to e_2, outside it
+    with pytest.raises(TheoremViolation, match="T-stable"):
+        anisotropic_of(_BareModule([[1, 0, 0], [0, 0, 2], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize("e", [5, 6])
+def test_p3_monomial_scan_is_one_closure(e):
+    # x^{3^e} over F_3: alpha has degree ord_d(3) = 2e = dim, so the whole
+    # module is one F_p(alpha)-line and the scan makes one closure
+    M = build(AdditivePoly.from_ints(field_create(3, 1), [0] * e + [1]), 1)
+    assert M.dim == 2 * e == multiplicative_order(3, M.d)
+    with _counting_closures() as calls:
+        assert completely_anisotropic(M) == (True, None)
+    assert len(calls) == 1
+
+
+# the gram of `wildinv report -p 3 -f 1 -R 1 -e 6 -m 1` as the projective
+# point scan produced it, one string of entries per row
+P3E6_GRAM = [
+    "010212012210", "200220202121", "000002000202", "110020200200",
+    "210100211202", "101000021121", "010110022022", "200021100220",
+    "110022100110", "121112012000", "210001112001", "021012100020",
+]
+
+
+def test_p3e6_full_report_keeps_the_recorded_verdict_and_gram():
+    doc = invariants.full_report(3, 1, [0] * 6 + [1], 1).to_json()
+    assert doc["verdict"] == {"kind": "primitive"}
+    assert doc["module"]["anisotropic"] and doc["module"]["dim"] == 12
+    assert ["".join(map(str, row)) for row in doc["module"]["gram"]] == P3E6_GRAM
