@@ -548,8 +548,8 @@ def _least_root(S: Field, T: Field) -> FieldElement:
 
 def _one_root(g, K_rows, T: Field) -> FieldElement:
     """One root in T of the monic g, whose roots all lie in the subfield
-    spanned by K_rows; the parameters come from that span under the fixed
-    seed of poly_roots."""
+    spanned by K_rows; the parameters come from that span under a seed
+    fixed per (p, T.n), so the split is reproducible."""
     p, s = T.p, len(K_rows)
     rng = random.Random(0x5EED ^ (p * 1000003 + T.n))
 
@@ -572,6 +572,19 @@ def _one_root(g, K_rows, T: Field) -> FieldElement:
     return -g[0] / g[1]
 
 
+def _split_poly(y, g, s, T):
+    """The splitting map of y mod g over a degree-s field inside T: the trace
+    sum_{i<s} y^{2^i} for p = 2, else y^((p^s - 1)/2) - 1."""
+    if T.p != 2:
+        return poly.sub(poly.powmod(y, (T.p ** s - 1) // 2, g), [T.one()])
+    acc = poly.divmod(y, g)[1]
+    w = acc
+    for _ in range(s - 1):
+        acc = poly.divmod(poly.mul(acc, acc), g)[1]
+        w = poly.add(w, acc)
+    return w
+
+
 def roots_of_unity(F: Field, d: int):
     """All of mu_d in F, sorted canonically (a fresh list). d must divide p^n - 1."""
     return list(_mu_data(F, d)[0])
@@ -587,7 +600,9 @@ def _mu_data(F: Field, d: int):
 
     The elements of order d are the powers zeta^k with gcd(k, d) = 1 of any
     generator zeta, so the canonical root is the least of those and needs no
-    order computation.
+    order computation, and is the same whichever generator is used. A root
+    zeta_D of order D already found, with d | D, gives zeta_D^{D/d}, so the
+    search for a generator runs only when no such D is cached.
     """
     if d in F._mu:
         return F._mu[d]
@@ -595,7 +610,9 @@ def _mu_data(F: Field, d: int):
         raise ValidationError("d must be >= 1")
     if gcd(d, F.p) != 1 or (F.order - 1) % d != 0:
         raise ValidationError(f"{d} does not divide {F.p}^{F.n} - 1")
-    zeta = F.one() if d == 1 else _root_of_unity_generator(F, d)
+    zeta = next((z ** (D // d) for D, (_, z) in F._mu.items() if D % d == 0), None)
+    if zeta is None:
+        zeta = F.one() if d == 1 else _root_of_unity_generator(F, d)
     powers = []
     cur = F.one()
     for _ in range(d):
@@ -655,65 +672,6 @@ def artin_schreier_root(t: FieldElement):
 
 
 # ---------------------------------------------------------------------------
-# Root finding by Cantor-Zassenhaus over the whole field. No report path
-# uses it any more (embeddings split inside the subfield, _least_root); it
-# stays public as the independent reference for the least embedding root.
-
-
-def poly_roots(coeffs, F: Field):
-    """All roots in F of a nonzero squarefree polynomial with coefficients in F.
-
-    Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
-    results (and hence embeddings) are reproducible.
-    """
-    rng = random.Random(0x5EED ^ (F.p * 1000003 + F.n))
-    f = poly.gcd(coeffs, [])  # the monic associate
-    if not f:
-        raise ValidationError("zero polynomial")
-    # strip to the product of distinct linear factors: gcd(f, x^order - x)
-    xq = poly.powmod([F.zero(), F.one()], F.order, f)
-    lin = poly.gcd(f, poly.sub(xq, [F.zero(), F.one()]))
-    out = []
-    _cz_split(lin, F, rng, out)
-    return sorted(out, key=lambda r: r.coords)
-
-
-def _cz_split(f, F, rng, out):
-    deg = len(f) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append(-f[0] / f[1])
-        return
-    p = F.p
-    while True:
-        a = F.el([rng.randrange(p) for _ in range(F.n)])
-        # for p = 2, y = d x + a with d random nonzero: the multiplier is
-        # what separates roots with equal absolute trace
-        d = F.zero() if p == 2 else F.one()
-        while d.is_zero():
-            d = F.el([rng.randrange(p) for _ in range(F.n)])
-        g = poly.gcd(f, _split_poly([a, d], f, F.n, F))
-        if 0 < len(g) - 1 < deg:
-            _cz_split(g, F, rng, out)
-            _cz_split(poly.divmod(f, g)[0], F, rng, out)
-            return
-
-
-def _split_poly(y, g, s, T):
-    """The splitting map of y mod g over a degree-s field inside T: the trace
-    sum_{i<s} y^{2^i} for p = 2, else y^((p^s - 1)/2) - 1."""
-    if T.p != 2:
-        return poly.sub(poly.powmod(y, (T.p ** s - 1) // 2, g), [T.one()])
-    acc = poly.divmod(y, g)[1]
-    w = acc
-    for _ in range(s - 1):
-        acc = poly.divmod(poly.mul(acc, acc), g)[1]
-        w = poly.add(w, acc)
-    return w
-
-
-# ---------------------------------------------------------------------------
 # Text form "p^n:modulus_csv:coords_csv"
 
 
@@ -753,7 +711,6 @@ __all__ = [
     "element_order",
     "artin_schreier_root",
     "multiplicative_order",
-    "poly_roots",
     "format_element",
     "parse_element",
 ]

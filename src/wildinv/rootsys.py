@@ -6,7 +6,7 @@ classification (A / B / C) used to label irreducible module summands.
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import addpoly, ff
+from . import addpoly, ff, linalg
 from .errors import TheoremViolation, ValidationError
 from .numth import multiplicative_order
 
@@ -183,6 +183,46 @@ def monomial_root_system(p: int, f: int, e: int, a_e, m: int):
     return W, inv
 
 
+# (W.alpha, W.beta, module's alpha) -> image of W.beta, or None when no
+# embedding of F_p(W.alpha) sends W.alpha to the module's alpha
+_BETA_IMAGES = {}
+
+
+def _beta_image(W: RootSystem, alpha):
+    """W.beta's image under the embedding F_p(W.alpha) -> alpha's field that
+    sends W.alpha to alpha, or None when alpha is not a root of W.alpha's
+    minimal polynomial, so that there is no such embedding.
+
+    One reduction in W's field writes W.alpha^s (s = ord_{e'}(p), the degree
+    of W.alpha) and W.beta in the power basis of W.alpha; both relations are
+    then read at alpha. No root is found: the generator's image is given.
+    """
+    key = (W.alpha, W.beta, alpha)
+    if key in _BETA_IMAGES:
+        return _BETA_IMAGES[key]
+    T, p = alpha.field, W.p
+    if T.p != p:
+        raise ValidationError(f"no embedding F_{p}(alpha) -> F_{T.p}^{T.n}")
+    s = multiplicative_order(p, W.e_prime)
+    powers = [W.alpha.field.one()]
+    for _ in range(s):
+        powers.append(powers[-1] * W.alpha)
+    R, pivots = linalg.rref(linalg.transpose([x.coords for x in powers] + [W.beta.coords]), p)
+    if pivots[-1] == s + 1:
+        raise ValidationError("the root system's beta must lie in F_p(alpha)")
+    if pivots != list(range(s)):
+        raise TheoremViolation("alpha must have degree ord_{e'}(p) over F_p")
+    images = [T.one()]
+    for _ in range(s):
+        images.append(images[-1] * alpha)
+    P = linalg.transpose([x.coords for x in images[:s]])
+    image = None
+    if linalg.mat_vec(P, [row[s] for row in R], p) == list(images[s].coords):
+        image = T.el(linalg.mat_vec(P, [row[s + 1] for row in R], p))
+    _BETA_IMAGES[key] = image
+    return image
+
+
 def matches_module(M, W: RootSystem) -> bool:
     """Does a monomial module realize the defining relations of the root system?
 
@@ -191,6 +231,19 @@ def matches_module(M, W: RootSystem) -> bool:
     alpha_t, every nonzero kernel element is a beta_t-eigenvector of the a-th
     Frobenius power, and the dimension is a*b. Both conditions are F_p-linear
     in the kernel element, so they are checked on the kernel basis.
+
+    W.beta must lie in K = F_p(W.alpha), as it does for every monomial root
+    system, so each translate lies in K: its alpha_t = alpha^{p^i q^{-j}} is
+    a conjugate of alpha, q^{-j} being a power of p mod e'. The module's
+    alpha must then be a root of alpha's minimal polynomial, and the
+    embedding iota: K -> ambient with iota(alpha) = the module's alpha
+    exists. Every embedding of K is iota o Frob^k, and the translates run
+    over a full Frobenius period, so their images under any one embedding
+    are the same set and iota gives the verdict that any other would.
+    Translate (i, j) has iota(alpha_t) = iota(alpha)^u with
+    u = p^i q^{-j} mod e', so only the pairs with p^i = q^j mod e' can
+    match, each with eigenvalue iota(beta_t) = Frob^i(iota(beta)). The
+    scaling check does not depend on the translate and is made once.
     """
     ctx = M.context
     if any(not c.is_zero() for c in ctx.R.coeffs[:-1]):
@@ -198,19 +251,20 @@ def matches_module(M, W: RootSystem) -> bool:
     inv = invariants(W)
     if M.dim != inv.a * inv.b:
         return False
-    amb = M.ambient
-    ordp = multiplicative_order(W.p, lcm(W.e_prime, W.f_prime))
-    for i in range(ordp):
-        for j in range(inv.a):
-            t = W.translate(i, j)
-            if ff.embed(t.alpha, amb) != ctx.alpha:
-                continue
-            beta_amb = ff.embed(t.beta, amb)
-            if all(
-                eta.frobenius(ctx.base.n * inv.a) == beta_amb * eta
-                and M.element([row[col] for row in M.T]) == ctx.alpha * eta
-                for col, eta in enumerate(M.basis)
-            ):
+    beta = _beta_image(W, ctx.alpha)
+    if beta is None:
+        return False
+    if any(
+        M.element([row[col] for row in M.T]) != ctx.alpha * eta for col, eta in enumerate(M.basis)
+    ):
+        return False
+    ea = W.e_prime
+    q_powers = {pow(W.q, j, ea) for j in range(inv.a)}
+    images = [eta.frobenius(ctx.base.n * inv.a) for eta in M.basis]
+    for i in range(multiplicative_order(W.p, ea)):
+        if pow(W.p, i, ea) in q_powers:
+            eigenvalue = beta.frobenius(i)
+            if all(x == eigenvalue * eta for x, eta in zip(images, M.basis)):
                 return True
     return False
 

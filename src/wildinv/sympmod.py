@@ -196,7 +196,7 @@ def _scaling_blocks(T, p):
     return blocks
 
 
-def _least_isotropic_cyclic(M):
+def _least_isotropic_cyclic(M, blocks=None):
     """Least (dim, signature) totally isotropic cyclic submodule, or None.
 
     One vector per F_p(alpha)-line is visited. C(v), the closure of v under
@@ -206,14 +206,17 @@ def _least_isotropic_cyclic(M):
     multiple of exactly one vector of linalg.line_points over the T-cyclic
     blocks, and the scan sees every cyclic submodule of the module. A closure
     is abandoned at its first non-isotropic pair, since it can then never be
-    the witness.
+    the witness. blocks, if given, are _scaling_blocks(M.T, M.p), which
+    modules sharing T can share.
     """
     if M.zero_module():
         return None
     p = M.p
     mats = [M.T, M.S]
     best = None
-    for coords in linalg.line_points(_scaling_blocks(M.T, p), p):
+    if blocks is None:
+        blocks = _scaling_blocks(M.T, p)
+    for coords in linalg.line_points(blocks, p):
         rows = linalg.cyclic_closure(coords, mats, p, gram=M.gram)
         if rows is not None:
             key = (len(rows), rows)
@@ -375,7 +378,8 @@ def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
     are scaling-stable; finite because the line through any kernel vector is
     Frobenius-stable over the field that vector generates. The least such
     field, the least orbit length of a nonzero vector under S, is the least
-    t with ker(S^t - 1) != 0, and it bounds the search.
+    t with ker(S^t - 1) != 0, and it bounds the search. Every restriction
+    keeps T, so the T-cyclic blocks of the scan are built once.
     """
     if M.d > 2:
         raise ValidationError("criterion applies only when the scaling order is 1 or 2")
@@ -384,7 +388,8 @@ def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
     bound, St = 1, M.S
     while not linalg.fixed_space(St, M.p):
         bound, St = bound + 1, linalg.mat_mul(St, M.S, M.p)
+    blocks = _scaling_blocks(M.T, M.p)
     for t in range(1, bound + 1):
-        if not anisotropic_of(restrict_frobenius(M, t)):
+        if _least_isotropic_cyclic(restrict_frobenius(M, t), blocks) is not None:
             return t
     raise TheoremViolation("restriction bound reached without an isotropic line")

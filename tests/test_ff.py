@@ -372,6 +372,28 @@ def test_roots_of_unity_are_searched_once_per_field_and_d(monkeypatch):
     assert z in want and z ** 8 != F.one()
 
 
+def test_mu_data_from_a_cached_multiple_matches_a_fresh_search(monkeypatch):
+    # mu_d taken from zeta_D^{D/d} for a cached D with d | D, against mu_d
+    # from its own generator search, on random (F, D, d)
+    from wildinv import ff
+
+    rng = random.Random(11)
+    real = ff._root_of_unity_generator
+    fields = [(2, 4), (2, 6), (2, 8), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3), (7, 2), (13, 1)]
+    for _ in range(60):
+        F = field_create(*rng.choice(fields))
+        N = F.order - 1
+        D = rng.choice([x for x in range(2, N + 1) if N % x == 0])
+        d = rng.choice([x for x in range(1, D) if D % x == 0])
+        monkeypatch.setattr(F, "_mu", {})
+        fresh = ff._mu_data(F, d)
+        monkeypatch.setattr(F, "_mu", {})
+        ff._mu_data(F, D)
+        monkeypatch.setattr(ff, "_root_of_unity_generator", None)  # no search
+        assert ff._mu_data(F, d) == fresh, (F, D, d)
+        monkeypatch.setattr(ff, "_root_of_unity_generator", real)
+
+
 @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2), (13, 1)])
 def test_element_order_matches_brute_force(p, n):
     F = field_create(p, n)
@@ -399,7 +421,8 @@ def test_embedding_root_is_least_root_from_poly_roots(monkeypatch, p, s, n):
     # the embedding sends the generator of F_{p^s} to the least root of its
     # modulus in F_{p^n}: Cantor-Zassenhaus over the whole target is the
     # reference for the split inside the degree-s subfield
-    from wildinv.ff import _embedding_matrix, poly_roots
+    from reference import poly_roots
+    from wildinv.ff import _embedding_matrix
 
     S, T = field_create(p, s), field_create(p, n)
     roots = poly_roots([T.constant(c) for c in S.modulus], T)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from wildinv import poly
 from wildinv.counts import Cyc
-from wildinv.ff import field_create, poly_roots
+from wildinv.ff import field_create
+
+from reference import poly_roots
 
 FIELDS = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
 

@@ -1,9 +1,15 @@
+import functools
+import json
 from math import gcd, lcm
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from wildinv import ff, rootsys
 from wildinv.addpoly import AdditivePoly
-from wildinv.errors import ValidationError
+from wildinv.cli import parse_additive_poly
+from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.ff import canonical_root_of_unity, field_create
 from wildinv.numth import multiplicative_order, v2
 from wildinv.rootsys import (
@@ -18,6 +24,8 @@ from wildinv.rootsys import (
     same_root_system,
 )
 from wildinv.sympmod import anisotropic_of, build, build_pair, direct_sum
+
+from reference import least_root_matches_module
 
 
 def test_trivial_system():
@@ -243,3 +251,200 @@ def test_scan_bound_check_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "lcm", lambda *args: 0)
     with pytest.raises(TheoremViolation, match="b-scan"):
         invariants(W)
+
+
+# ---------------------------------------------------------------------------
+# matches_module against the least-root reference
+
+ROOT = Path(__file__).parent.parent
+
+
+def _batch_inputs():
+    """The 200 frozen inputs of the benchmark's batch workload."""
+    doc = json.loads((ROOT / "perfbench" / "batch_inputs.json").read_text())
+    return doc["timed"] + doc["warmup"]
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep():
+    """(key, module, its own root system) for the monomial a_e x^{p^e} with
+    p <= 7, f <= 3, e <= 3, m <= 8, p^{4ef} <= 2^40 and a_e in {1, -1, the
+    generator of F_{p^f}}, wherever the monomial formulas apply."""
+    out = []
+    for p in (2, 3, 5, 7):
+        for f in (1, 2, 3):
+            for e in (1, 2, 3):
+                if p ** (4 * e * f) > 2 ** 40:
+                    continue
+                F = field_create(p, f)
+                for a in dict.fromkeys([F.one(), -F.one(), F.gen()]):
+                    for m in range(1, 9):
+                        if m % p == 0:
+                            continue
+                        try:
+                            W, _ = monomial_root_system(p, f, e, a, m)
+                            M = build(AdditivePoly(F, [F.zero()] * e + [a]), m)
+                        except (ValidationError, AmbientGuardError):
+                            continue
+                        out.append(((p, f, e, a.coords, m), M, W))
+    return out
+
+
+def _branch(M, W):
+    """Which test decides matches_module: "match", or the first failing one."""
+    if matches_module(M, W):
+        return "match"
+    inv = invariants(W)
+    if M.dim != inv.a * inv.b:
+        return "dimension"
+    if rootsys._beta_image(W, M.context.alpha) is None:
+        return "minimal polynomial"
+    if any(
+        M.element([row[col] for row in M.T]) != M.context.alpha * eta
+        for col, eta in enumerate(M.basis)
+    ):
+        return "scaling"
+    return "eigenvalue"
+
+
+def test_matches_module_agrees_with_the_reference_on_the_sweep():
+    # each module against its own root system, and against the root systems
+    # of the other a_e with the same (p, f, e, m), which differ in beta
+    cases = _sweep()
+    assert len(cases) == 291
+    by_input = {}
+    for key, M, W in cases:
+        by_input.setdefault((key[:3], key[4]), []).append((M, W))
+    branches = {}
+    for (pfe, m), group in by_input.items():
+        for M, _ in group:
+            for _, W in group:
+                got = matches_module(M, W)
+                assert got == least_root_matches_module(M, W), (pfe, m)
+                f, e = pfe[1], pfe[2]
+                key = (_branch(M, W), (2 * e) % f != 0)
+                branches[key] = branches.get(key, 0) + 1
+    # both verdicts and each False branch that a sweep module reaches; f !| 2e
+    # makes f odd, so beta = -1 and every eigenvalue failure has f | 2e
+    assert set(branches) == {
+        ("match", False), ("match", True),
+        ("minimal polynomial", False), ("minimal polynomial", True),
+        ("eigenvalue", False),
+    }
+
+
+def test_matches_module_agrees_with_the_reference_on_the_batch_inputs():
+    seen = 0
+    for spec in _batch_inputs():
+        p, f, e, m = spec["p"], spec["f"], spec["e"], spec["m"]
+        R = parse_additive_poly(spec["R"], p, f, e)
+        if e < 1 or any(not c.is_zero() for c in R.coeffs[:-1]):
+            continue
+        try:
+            W, _ = monomial_root_system(p, f, e, R.coeffs[-1], m)
+        except ValidationError:
+            continue
+        M = build(R, m)
+        assert matches_module(M, W) == least_root_matches_module(M, W), spec["name"]
+        seen += 1
+    assert seen == 69
+
+
+def _golden_cases():
+    for path in sorted((ROOT / "tests" / "golden").glob("g[1-4]_*.json")):
+        doc = json.loads(path.read_text())
+        inp = doc["input"]
+        p, f, e, m = inp["p"], inp["f"], inp["e"], inp["m"]
+        coeffs = [ff.parse_element(c) for c in inp["R"]["coeffs"]]
+        if doc["root_system"]["applicable"]:
+            W, _ = monomial_root_system(p, f, e, coeffs[-1], m)
+            M = build(AdditivePoly(coeffs[0].field, coeffs), m)
+            yield path.name, M, W, doc["root_system"]["matches_module"]
+
+
+def test_matches_module_keeps_the_golden_verdicts_without_a_least_root(monkeypatch):
+    cases = list(_golden_cases())
+    assert [name[:2] for name, *_ in cases] == ["g1", "g4"]
+    for name, M, W, want in cases:
+        assert least_root_matches_module(M, W) == want, name
+
+    def no_root(*args):
+        raise AssertionError("matches_module must not find an embedding root")
+
+    monkeypatch.setattr(rootsys, "_BETA_IMAGES", {})
+    monkeypatch.setattr(ff, "_least_root", no_root)
+    monkeypatch.setattr(ff, "_embedding_matrix", no_root)
+    monkeypatch.setattr(ff, "embed", no_root)
+    for name, M, W, want in cases:
+        assert matches_module(M, W) == want, name
+
+
+@pytest.mark.parametrize("e,want", [(5, False), (6, False)])
+def test_matches_module_keeps_the_recorded_p3_verdicts(e, want):
+    # recorded from `report -p 3 -f 1 -R 1 -e 5|6 -m 1` with the least-root check
+    F3 = field_create(3, 1)
+    W, _ = monomial_root_system(3, 1, e, 1, 1)
+    M = build(AdditivePoly(F3, [F3.zero()] * e + [F3.one()]), 1)
+    assert matches_module(M, W) is want
+    # the verdict is the minimal polynomial's: the module's alpha is not a
+    # conjugate of W's alpha
+    assert rootsys._beta_image(W, M.context.alpha) is None
+
+
+def test_matches_module_false_branches():
+    cases = {key: (M, W) for key, M, W in _sweep()}
+    # minimal polynomial: the module's alpha is not a conjugate of W's
+    M, W = cases[7, 1, 1, (1,), 1]
+    assert _branch(M, W) == "minimal polynomial" and not least_root_matches_module(M, W)
+    # eigenvalue, with the module's own root system and with another a_e's
+    M, W = cases[5, 2, 1, (0, 1), 1]
+    assert _branch(M, W) == "eigenvalue" and not least_root_matches_module(M, W)
+    M, _ = cases[3, 2, 1, (1, 0), 1]
+    _, W = cases[3, 2, 1, (0, 1), 1]
+    assert _branch(M, W) == "eigenvalue" and not least_root_matches_module(M, W)
+    # dimension: a root system of another e
+    M, _ = cases[3, 1, 1, (1,), 1]
+    _, W = cases[3, 1, 2, (1,), 1]
+    assert _branch(M, W) == "dimension" and not least_root_matches_module(M, W)
+    # scaling: a broken T, against a root system the module matches
+    M, W = cases[3, 2, 1, (1, 0), 1]
+    assert matches_module(M, W)
+    T = [list(row) for row in M.T]
+    T[0][-1] = (T[0][-1] + 1) % M.p
+    V = _AlteredModule(M, T=T)
+    assert _branch(V, W) == "scaling" and not least_root_matches_module(V, W)
+
+
+def test_matches_module_uses_the_twisted_translates():
+    # W = (zeta_3, zeta_3) over F_4 with q = 2: a = b = 2. Under iota the
+    # translate (i, j) = (1, 1) has alpha^{2 * 2^-1} = alpha and eigenvalue
+    # iota(beta)^2, which only the pair with j = 1 reaches. The four basis
+    # vectors, eta and alpha eta twice over, are eigenvectors for the
+    # eigenvalue lam; a kernel basis could not be, as its eigenvalue is
+    # fixed by Frob^f
+    F2, F4, F64 = field_create(2, 1), field_create(2, 2), field_create(2, 6)
+    z4 = canonical_root_of_unity(F4, 3)
+    W = RootSystem(z4, z4, 1)
+    assert (invariants(W).a, invariants(W).b) == (2, 2)
+    alpha = canonical_root_of_unity(F64, 3)
+    ctx = SimpleNamespace(R=AdditivePoly(F2, [F2.zero(), F2.one()]), alpha=alpha, base=F2)
+    block = [[0, 1], [1, 1]]  # alpha * alpha = alpha + 1 on (eta, alpha eta)
+    T = [row + [0, 0] for row in block] + [[0, 0] + row for row in block]
+    for lam_power, want in [(2, True), (1, True), (0, False)]:
+        lam = alpha ** lam_power
+        eta = next(x for x in F64.elements() if not x.is_zero() and x ** 3 == lam)
+        M = SimpleNamespace(context=ctx, dim=4, ambient=F64, p=2, T=T)
+        M.basis = [eta, alpha * eta, eta, alpha * eta]
+        M.element = functools.partial(_AlteredModule.element, M)
+        assert matches_module(M, W) is want, lam_power
+        assert least_root_matches_module(M, W) is want, lam_power
+
+
+def test_matches_module_needs_beta_in_the_field_of_alpha():
+    # alpha = 1 and beta of order 8: F_p(alpha) = F_3 does not hold beta
+    F9 = field_create(3, 2)
+    M, _ = {key: (M, W) for key, M, W in _sweep()}[3, 1, 1, (1,), 1]
+    W = RootSystem(F9.one(), canonical_root_of_unity(F9, 8), 1)
+    assert invariants(W).a * invariants(W).b == 2 == M.dim
+    with pytest.raises(ValidationError, match="F_p\\(alpha\\)"):
+        matches_module(M, W)

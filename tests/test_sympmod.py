@@ -798,3 +798,46 @@ def test_p3e6_full_report_keeps_the_recorded_verdict_and_gram():
     assert doc["verdict"] == {"kind": "primitive"}
     assert doc["module"]["anisotropic"] and doc["module"]["dim"] == 12
     assert ["".join(map(str, row)) for row in doc["module"]["gram"]] == P3E6_GRAM
+
+
+def test_shared_scaling_blocks_keep_the_restriction_verdicts(monkeypatch):
+    # batch modules with d <= 2: every restriction scanned with the blocks of
+    # the module's T gives the witness of a scan that builds its own, and
+    # minimal_imprimitive_unramified_degree builds the blocks once
+    from wildinv.cli import parse_additive_poly
+    from wildinv.linalg import fixed_space, mat_pow
+
+    from test_rootsys import _batch_inputs
+
+    mods = {}
+    for spec in _batch_inputs():
+        R = parse_additive_poly(spec["R"], spec["p"], spec["f"], spec["e"])
+        if sympmod.addpoly.twisted_scaling_order(R, spec["m"]) <= 2:
+            M = build(R, spec["m"])
+            if M.dim:
+                mods[spec["p"], spec["f"], spec["R"], spec["e"], spec["m"]] = M
+    assert len(mods) >= 20 and {M.d for M in mods.values()} == {1, 2}
+    real = sympmod._scaling_blocks
+    calls = []
+
+    def counting(T, p):
+        calls.append(T)
+        return real(T, p)
+
+    for key, M in mods.items():
+        blocks = real(M.T, M.p)
+        bound = next(t for t in itertools.count(1) if fixed_space(mat_pow(M.S, t, M.p), M.p))
+        want = None
+        for t in range(1, bound + 1):
+            Mt = restrict_frobenius(M, t)
+            fresh = sympmod._least_isotropic_cyclic(Mt)
+            shared = sympmod._least_isotropic_cyclic(Mt, blocks)
+            assert (fresh is None) == (shared is None), (key, t)
+            assert fresh is None or fresh.signature() == shared.signature(), (key, t)
+            if want is None and fresh is not None:
+                want = t
+        calls.clear()
+        monkeypatch.setattr(sympmod, "_scaling_blocks", counting)
+        assert minimal_imprimitive_unramified_degree(M) == want, key
+        monkeypatch.setattr(sympmod, "_scaling_blocks", real)
+        assert calls == [M.T], key
