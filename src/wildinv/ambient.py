@@ -47,11 +47,11 @@ class Context:
 
     def kernel_vector_to_element(self, coords):
         """Field element from F_p-coordinates in the canonical kernel basis."""
-        out = self.ambient.zero()
+        out = [0] * self.ambient.n
         for c, b in zip(coords, self.kernel_elems):
             if c % self.ambient.p:
-                out = out + b * int(c)
-        return out
+                out = [x + int(c) * y for x, y in zip(out, b.coords)]
+        return self.ambient.el(out)
 
     def element_to_kernel_vector(self, x):
         c = coords_in_rows(self.kernel_rows, x.coords, self.ambient.p)

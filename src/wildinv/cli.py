@@ -23,6 +23,13 @@ SUBCOMMANDS = (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors (a bad int, an unknown or a missing flag) exit 2 with a JSON error."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True))
     sys.stdout.write("\n")
@@ -114,7 +121,7 @@ def run(argv) -> int:
     if cmd not in SUBCOMMANDS:
         sys.stderr.write(f"unknown subcommand {cmd!r}\n{_usage()}")
         return 1
-    parser = argparse.ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
+    parser = _ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
     try:
         if cmd == "swan":
             parser.add_argument("-p", type=int, required=True)
@@ -270,10 +277,8 @@ def run(argv) -> int:
     except TheoremViolation as exc:
         _emit({"error": f"internal consistency violation: {exc}"})
         return 3
-    except SystemExit as exc:
-        # argparse parse failure: normalize to the validation exit code
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 2 if code else 0
+    except SystemExit:  # -h: argparse has printed the help
+        return 0
 
 
 def _usage() -> str:

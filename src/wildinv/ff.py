@@ -4,12 +4,12 @@ Every field is a quotient F_p[x]/(modulus) where the modulus is the
 lexicographically least monic irreducible of its degree (coefficient tuple
 ordered constant-first), so all descriptions are reproducible across runs
 with no stored tables. The search tries candidates in that order with
-Ben-Or's irreducibility test (Ben-Or 1981; von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 14), which rejects most reducible candidates after
-one or two Frobenius steps. Elements are coordinate vectors in the power
-basis. Subfield embeddings map the source generator to the lexicographically
-least root of the source modulus in the target, which makes them canonical
-too.
+Ben-Or's test (Ben-Or 1981; von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 14) on int lists; it rejects most candidates after one or two
+Frobenius steps, and its rows x^{jp} mod m are the field's Frobenius matrix.
+Elements are coordinate vectors in the power basis. Subfield embeddings map
+the source generator to the lexicographically least root of the source
+modulus in the target, which makes them canonical too.
 
 Nothing in this module rounds: coordinates are Python ints mod p.
 """
@@ -71,58 +71,85 @@ def _fp_divmod(a, m, p):
     return _fp_trim(q), _fp_trim([c % p for c in a[:dm]])
 
 
-def _fp_mod(a, m, p):
-    return _fp_divmod(a, m, p)[1]
+def _fp_fold(a, n, terms, p):
+    """a mod a monic m of degree n, as n coefficients; terms are the nonzero
+    (i, m_i) with i < n (least moduli are sparse). a is consumed."""
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] % p
+        if c:
+            for i, mi in terms:
+                a[top - n + i] -= c * mi
+    return [x % p for x in a[:n]] + [0] * (n - len(a))
 
 
-def _fp_gcd_is_one(a, b, p):
-    """Whether gcd(a, b) = 1 in F_p[x]."""
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return len(a) == 1
-
-
-def _fp_powmod_x(e, m, p):
-    """x^e mod m over F_p by square and multiply (multiplying by x is a shift)."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _fp_mod(_fp_mul(result, result, p), m, p)
+def _frobenius_rows(m, p):
+    """x^{jp} mod the monic m for j = 0, 1, ..., lazily, n coefficients each.
+    While p < n the next row is a shift by p and p folds; else a product
+    with x^p mod m from square and multiply, so no p ever costs p shifts."""
+    n, terms = len(m) - 1, [(i, c) for i, c in enumerate(m[:-1]) if c]
+    row = xp = [1] + [0] * (n - 1)
+    yield row
+    while p < n:
+        row = _fp_fold([0] * p + row, n, terms, p)
+        yield row
+    for bit in bin(p)[2:]:
+        xp = _fp_fold(_fp_mul(xp, xp, p), n, terms, p)
         if bit == "1":
-            result = _fp_mod([0] + result, m, p)
-    return result
+            xp = _fp_fold([0] + xp, n, terms, p)
+    while True:
+        row = _fp_fold(_fp_mul(row, xp, p), n, terms, p)
+        yield row
+
+
+def _fp_coprime(a, b, p):
+    """Whether gcd(a, b) = 1 for trimmed a, b, by Euclid in one loop; a
+    quotient of degree 1, the usual case, is one pass over the remainder."""
+    while len(b) > 1:
+        db, inv = len(b) - 1, pow(b[-1], -1, p)
+        if len(a) == db + 2:
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            a = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b[:-1])]
+        else:
+            for top in range(len(a) - 1, db - 1, -1):
+                c = a[top] * inv % p
+                if c:
+                    a[top - db:top] = [x - c * y for x, y in zip(a[top - db:top], b)]
+            a = [x % p for x in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return bool(b)
 
 
 def _fp_is_irreducible(m, p):
-    """Ben-Or's test for a monic m of degree n over F_p.
+    """Ben-Or's test for a monic m of degree n over F_p: gcd(x^{p^i} - x, m)
+    = 1 for every i <= n/2, since a factor of degree d divides x^{p^d} - x.
 
-    m is irreducible iff gcd(x^{p^i} - x, m) = 1 for every i <= n/2, since a
-    factor of degree d divides x^{p^d} - x. Each x^{p^i} is the p-th power of
-    the previous one, and h^p = h(x^p) over F_p, so after x^p itself every
-    step is one product with the rows x^{jp} mod m (built only when i = 2 is
-    reached: most candidates already have a root and fail at i = 1). Most
-    reducible m stop at a small i, where the Rabin test would always raise x
-    to the p^n-th power.
+    While P = p^i < n, x^P is reduced already and m mod (x^P - x) is a fold.
+    After that each step is h <- h^p = h(x^p), one product with the rows
+    x^{jp} mod m that h reads. Most reducible m stop at a small i, where the
+    Rabin test would always raise x to the p^n-th power.
     """
     n = len(m) - 1
     if n <= 1:
         return n == 1
-    xp = _fp_powmod_x(p, m, p)
-    h, rows = xp, None
-    for i in range(1, n // 2 + 1):
-        if i > 1:
-            if rows is None:
-                rows = [[1]]
-                for _ in range(n - 1):
-                    rows.append(_fp_mod(_fp_mul(rows[-1], xp, p), m, p))
-            acc = [0] * n
-            for hj, row in zip(h, rows):
-                if hj:
-                    for t, r in enumerate(row):
-                        acc[t] += hj * r
-            h = _fp_trim([c % p for c in acc])
-        diff = h + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if not _fp_gcd_is_one(m, _fp_trim(diff), p):
+    P, i = p, 1
+    while P < n and i <= n // 2:
+        xP = [0, p - 1] + [0] * (P - 2) + [1]
+        if not _fp_coprime(xP, _fp_trim(_fp_fold(list(m), P, [(1, p - 1)], p)), p):
+            return False
+        P, i = P * p, i + 1
+    rows, made, h = _frobenius_rows(m, p), [], [0] * n
+    h[P // p] = 1  # x^{P/p}, reduced as P/p < n
+    for _ in range(i, n // 2 + 1):
+        made.extend(itertools.islice(rows, max(len(_fp_trim(h[:])) - len(made), 0)))
+        acc = [0] * n
+        for hj, row in zip(h, made):
+            if hj:
+                acc = [a + hj * r for a, r in zip(acc, row)]
+        h = [c % p for c in acc]
+        if not _fp_coprime(list(m), _fp_trim([h[0], (h[1] - 1) % p, *h[2:]]), p):
             return False
     return True
 
@@ -137,7 +164,7 @@ def _least_irreducible(p, n):
         return (0, 1)
     for c0 in range(1, p):
         for tail in _coordinate_tuples(p, n - 1):
-            m = [c0] + list(tail) + [1]
+            m = [c0, *tail, 1]
             if _fp_is_irreducible(m, p):
                 return tuple(m)
     raise TheoremViolation("no irreducible found (impossible)")
@@ -189,16 +216,8 @@ class Field:
         self.n = n
         self.modulus = tuple(modulus)
         # x^{n+j} mod modulus for j = 0..n-2, used to fold products
-        red = []
-        cur = [(-c) % p for c in modulus[:-1]]  # x^n
-        for _ in range(max(n - 1, 0)):
-            red.append(tuple(cur))
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                for i in range(n):
-                    cur[i] = (cur[i] - top * modulus[i]) % p
-        self._red = red
+        terms = [(i, c) for i, c in enumerate(modulus[:-1]) if c]
+        self._red = [tuple(_fp_fold([0] * (n + j) + [1], n, terms, p)) for j in range(n - 1)]
         self._frob = {}
         self._zero = FieldElement(self, (0,) * n)
         self._one = FieldElement(self, tuple([1] + [0] * (n - 1)))
@@ -281,14 +300,8 @@ class Field:
             if k == 0:
                 M = identity(self.n)
             elif k == 1:
-                # columns are images of the basis: (x^i)^p = (x^p)^i
-                gp = self.gen() ** self.p
-                cols = [self._one.coords]
-                cur = gp
-                for _ in range(1, self.n):
-                    cols.append(cur.coords)
-                    cur = cur * gp
-                M = transpose(cols)
+                # columns are images of the basis, (x^j)^p = x^{jp}: Ben-Or's rows
+                M = transpose(itertools.islice(_frobenius_rows(list(self.modulus), self.p), self.n))
             else:
                 h = k // 2
                 M = mat_mul(self.frobenius_matrix(h), self.frobenius_matrix(k - h), self.p)

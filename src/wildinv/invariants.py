@@ -115,7 +115,7 @@ def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
     found = sympmod.decomposition_witness(R, m, module=M)
     if found is None:
         if M.d <= 2 and M.dim > 0:
-            t = sympmod.minimal_imprimitive_unramified_degree(M)
+            t = sympmod.minimal_imprimitive_unramified_degree(M, _anisotropic=True)
             return PrimitivityResult(
                 kind="primitive_unramified_unstable", module=M, unramified_degree=t
             )

@@ -371,7 +371,7 @@ def restrict_frobenius(M: SymplecticModule, t: int) -> SymplecticModule:
     return SymplecticModule(M.p, M.dim, M.gram, M.T, S, M.d, M.r // gcd(M.r, t), M.context)
 
 
-def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
+def minimal_imprimitive_unramified_degree(M: SymplecticModule, *, _anisotropic=False) -> int:
     """Least t >= 1 such that the degree-t restriction stops being anisotropic.
 
     Only meaningful for twisted scaling order 1 or 2, where prime-field lines
@@ -379,7 +379,8 @@ def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
     Frobenius-stable over the field that vector generates. The least such
     field, the least orbit length of a nonzero vector under S, is the least
     t with ker(S^t - 1) != 0, and it bounds the search. Every restriction
-    keeps T, so the T-cyclic blocks of the scan are built once.
+    keeps T, so the T-cyclic blocks of the scan are built once. After a
+    scan of M itself found no witness, _anisotropic starts the search at 2.
     """
     if M.d > 2:
         raise ValidationError("criterion applies only when the scaling order is 1 or 2")
@@ -389,7 +390,7 @@ def minimal_imprimitive_unramified_degree(M: SymplecticModule) -> int:
     while not linalg.fixed_space(St, M.p):
         bound, St = bound + 1, linalg.mat_mul(St, M.S, M.p)
     blocks = _scaling_blocks(M.T, M.p)
-    for t in range(1, bound + 1):
+    for t in range(2 if _anisotropic else 1, bound + 1):
         if _least_isotropic_cyclic(restrict_frobenius(M, t), blocks) is not None:
             return t
     raise TheoremViolation("restriction bound reached without an isotropic line")

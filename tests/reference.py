@@ -7,8 +7,16 @@ least_root_matches_module: the root-system check through ff.embed, the
 canonical least-root embedding of W's whole field, with every orbit
 translate built; the reference for rootsys.matches_module, which embeds
 F_p(alpha) by the image of alpha instead.
+
+ben_or_is_irreducible, least_irreducible, frobenius_matrix_by_powers: the
+irreducibility test, the least-modulus search and the Frobenius matrix as
+ff had them before its lean Ben-Or (generic divmod and gcd helpers, the
+rows x^{jp} mod m all built at the second step, x^p powered in the field);
+the references for ff._fp_is_irreducible, ff.field_create and
+Field.frobenius_matrix(1).
 """
 
+import itertools
 import random
 from math import lcm
 
@@ -81,3 +89,100 @@ def least_root_matches_module(M, W):
             ):
                 return True
     return False
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim([c % p for c in out])
+
+
+def _mod(a, m, p):
+    """Remainder of a by a nonzero trimmed m."""
+    dm = len(m) - 1
+    a = list(a)
+    inv = pow(m[-1], -1, p)
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] * inv % p
+        if c:
+            for i, mi in enumerate(m[:-1]):
+                a[top - dm + i] -= c * mi
+    return _trim([c % p for c in a[:dm]])
+
+
+def _gcd_is_one(a, b, p):
+    while b:
+        a, b = b, _mod(a, b, p)
+    return len(a) == 1
+
+
+def _powmod_x(e, m, p):
+    """x^e mod m by square and multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _mod(_mul(result, result, p), m, p)
+        if bit == "1":
+            result = _mod([0] + result, m, p)
+    return result
+
+
+def ben_or_is_irreducible(m, p):
+    """Ben-Or's test for a monic m of degree n over F_p: gcd(x^{p^i} - x, m)
+    = 1 for every i <= n/2, each x^{p^i} the previous one composed with x^p
+    through the rows x^{jp} mod m."""
+    n = len(m) - 1
+    if n <= 1:
+        return n == 1
+    xp = _powmod_x(p, m, p)
+    h, rows = xp, None
+    for i in range(1, n // 2 + 1):
+        if i > 1:
+            if rows is None:
+                rows = [[1]]
+                for _ in range(n - 1):
+                    rows.append(_mod(_mul(rows[-1], xp, p), m, p))
+            acc = [0] * n
+            for hj, row in zip(h, rows):
+                for t, r in enumerate(row):
+                    acc[t] += hj * r
+            h = _trim([c % p for c in acc])
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        if not _gcd_is_one(m, _trim(diff), p):
+            return False
+    return True
+
+
+def least_irreducible(p, n):
+    """The least monic irreducible of degree n, the constant term from 1 and
+    then the tail in lexicographic order."""
+    if n == 1:
+        return (0, 1)
+    return next(
+        m
+        for c0 in range(1, p)
+        for tail in itertools.product(range(p), repeat=n - 1)
+        for m in [(c0, *tail, 1)]
+        if ben_or_is_irreducible(list(m), p)
+    )
+
+
+def frobenius_matrix_by_powers(F):
+    """Columns (x^j)^p = (x^p)^j, with x^p = gen() ** p in the field."""
+    gp = F.gen() ** F.p
+    cols = [F.one().coords]
+    cur = gp
+    for _ in range(1, F.n):
+        cols.append(cur.coords)
+        cur = cur * gp
+    return [list(row) for row in zip(*cols)]

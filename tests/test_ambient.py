@@ -74,3 +74,41 @@ def test_artin_schreier_verdict_examples(p, f, coeffs, m, needs):
     # the gamma context grows the ambient by a factor p exactly when needed
     gamma = ambient.build_context(R, m, need_gamma=True)
     assert gamma.ambient.n == ctx.ambient.n * (p if needs else 1)
+
+
+def test_kernel_vector_to_element_matches_the_field_sum():
+    # scaled and summed coordinates give the element that sum c_i b_i made
+    # with field products, on the 56 monomial modules of the timed batch
+    # list that have a root system: unit vectors, the columns of T (the
+    # root-system check's vectors) and random coordinates outside 0..p-1
+    import random
+
+    from wildinv.cli import parse_additive_poly
+    from wildinv.errors import ValidationError
+    from wildinv.rootsys import monomial_root_system
+    from wildinv.sympmod import build
+
+    from test_rootsys import _batch_inputs
+
+    rng = random.Random(11)
+    checked = 0
+    for spec in _batch_inputs()[:160]:
+        R = parse_additive_poly(spec["R"], spec["p"], spec["f"], spec["e"])
+        if spec["e"] == 0 or any(not c.is_zero() for c in R.coeffs[:-1]):
+            continue
+        try:
+            monomial_root_system(spec["p"], spec["f"], spec["e"], R.coeffs[-1], spec["m"])
+        except ValidationError:
+            continue
+        M = build(R, spec["m"])
+        ctx, p = M.context, spec["p"]
+        vectors = [[int(i == j) for j in range(M.dim)] for i in range(M.dim)]
+        vectors += [list(col) for col in zip(*M.T)]
+        vectors += [[rng.randrange(-p, 2 * p) for _ in range(M.dim)] for _ in range(4)]
+        for v in vectors:
+            want = ctx.ambient.zero()
+            for c, b in zip(v, ctx.kernel_elems):
+                want = want + b * c
+            assert ctx.kernel_vector_to_element(v) == want, (spec["name"], v)
+        checked += 1
+    assert checked == 56

@@ -439,3 +439,62 @@ def test_prime_with_scaling_order_one_returns():
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert "transport" not in doc
+
+
+# every subcommand: a bad int, an unknown flag and a missing required flag,
+# each with a fragment of its error message
+FLAG_ERRORS = {
+    "report": [
+        (["-p", "x", "-f", "1", "-R", "1", "-e", "1", "-m", "1"], "invalid int value"),
+        (["-p", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["-p", "3"], "report needs"),
+    ],
+    "swan": [
+        (["-p", "3", "-e", "x", "-dR", "4", "-m", "1"], "invalid int value"),
+        (["-p", "3", "-e", "1", "-dR", "4", "-m", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["-p", "3", "-e", "1", "-m", "1"], "required: -dR"),
+    ],
+}
+for _cmd in ("primitivity", "quotient", "rootsystem", "count", "anisotropy", "prime"):
+    FLAG_ERRORS[_cmd] = [
+        (["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1.5"], "invalid int value"),
+        (["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--bogus"], "unrecognized arguments"),
+        (["-p", "3", "-f", "1", "-R", "1", "-e", "1"], "required: -m"),
+    ]
+
+_FLAG_ERROR_SCRIPT = """
+import contextlib, io, json, sys
+from wildinv.cli import run
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out.append([code, buf.getvalue(), err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("cmd", sorted(FLAG_ERRORS))
+def test_bad_flags_exit_2_with_a_json_error(cmd, optimize):
+    # argparse's usage errors take the validation path: one JSON document
+    # with an error on stdout, exit 2, nothing on stderr; -h keeps its help
+    from wildinv.cli import SUBCOMMANDS
+
+    assert sorted(FLAG_ERRORS) == sorted(SUBCOMMANDS)
+    cases = [[cmd, *args] for args, _ in FLAG_ERRORS[cmd]]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases + [[cmd, "-h"]])],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    *errors, (help_code, help_out, _) = json.loads(r.stdout)
+    for argv, (_, fragment), (code, out, err) in zip(cases, FLAG_ERRORS[cmd], errors):
+        assert code == 2, argv
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and fragment in doc["error"], (argv, doc)
+        assert err == "", argv
+    assert help_code == 0 and help_out.startswith(f"usage: wildinv {cmd}")

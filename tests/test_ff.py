@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildinv.errors import ValidationError
 from wildinv.ff import (
@@ -455,3 +457,101 @@ def test_ff_checks_raise(monkeypatch):
         mp.setattr(ff, "_root_of_unity_generator", lambda F, d: F.one())
         with pytest.raises(TheoremViolation, match="order exactly d"):
             roots_of_unity(F81, 5)
+
+
+# ---------------------------------------------------------------------------
+# The lean Ben-Or against the former one (tests/reference.py)
+
+
+def _random_monic(rng, p, n):
+    return [rng.randrange(p) for _ in range(n)] + [1]
+
+
+def _random_irreducible(rng, p, n):
+    from reference import ben_or_is_irreducible
+
+    while True:
+        m = _random_monic(rng, p, n)
+        if ben_or_is_irreducible(m, p):
+            return m
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(0, 2 ** 32),
+    st.sampled_from(["random", "irreducible", "product", "square", "square times"]),
+)
+def test_ben_or_verdict_matches_the_reference(p, seed, kind):
+    # random monic polynomials of degree <= 12, irreducible ones, products of
+    # two irreducibles and squares of one (times another): the verdict is the
+    # former Ben-Or's, and m is left as it was
+    from reference import ben_or_is_irreducible
+    from wildinv.ff import _fp_is_irreducible
+
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    if kind == "random":
+        m = _random_monic(rng, p, n)
+    elif kind == "irreducible":
+        m = _random_irreducible(rng, p, max(n, 1))
+    elif kind == "product":
+        k = rng.randint(1, 11)
+        m = _poly_mul(_random_irreducible(rng, p, k), _random_irreducible(rng, p, rng.randint(1, 12 - k)), p)
+    else:
+        k = rng.randint(1, 6)
+        g = _random_irreducible(rng, p, k)
+        m = _poly_mul(g, g, p)
+        if kind == "square times" and 2 * k < 12:
+            m = _poly_mul(m, _random_irreducible(rng, p, rng.randint(1, 12 - 2 * k)), p)
+    given_m = list(m)
+    assert _fp_is_irreducible(m, p) == ben_or_is_irreducible(list(m), p), (m, p)
+    assert m == given_m
+    if kind == "irreducible":
+        assert _fp_is_irreducible(m, p)
+    elif kind != "random":
+        assert not _fp_is_irreducible(m, p)
+
+
+LEAST_MODULUS_RANGES = [(2, 32), (3, 24), (5, 20), (23, 8)]
+
+
+@pytest.mark.parametrize("p,max_n", LEAST_MODULUS_RANGES)
+def test_field_modulus_matches_the_reference_search(p, max_n):
+    from reference import least_irreducible
+
+    for n in range(1, max_n + 1):
+        assert field_create(p, n).modulus == least_irreducible(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p,max_n", LEAST_MODULUS_RANGES)
+def test_frobenius_matrix_matches_powers_of_the_generator(p, max_n):
+    # the columns come from Ben-Or's rows x^{jp} mod m, not from gen() ** p
+    from reference import frobenius_matrix_by_powers
+
+    for n in range(1, max_n + 1):
+        F = field_create(p, n)
+        assert F.frobenius_matrix(1) == frobenius_matrix_by_powers(F), (p, n)
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_least_irreducible_for_a_large_prime_is_fast(p, n):
+    # x^p comes from square and multiply: no step costs p shifts
+    import time
+
+    from reference import ben_or_is_irreducible
+    from wildinv.ff import _least_irreducible
+
+    t0 = time.perf_counter()
+    m = _least_irreducible(p, n)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(m) == n + 1 and m[-1] == 1 and ben_or_is_irreducible(list(m), p)

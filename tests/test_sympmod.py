@@ -841,3 +841,42 @@ def test_shared_scaling_blocks_keep_the_restriction_verdicts(monkeypatch):
         assert minimal_imprimitive_unramified_degree(M) == want, key
         monkeypatch.setattr(sympmod, "_scaling_blocks", real)
         assert calls == [M.T], key
+
+
+def test_unramified_degree_after_the_scan_skips_t_1(monkeypatch):
+    # primitive batch modules with d <= 2: started at t = 2 because the
+    # caller's scan of M found no witness, the search gives the degree a
+    # search from t = 1 gives, with one _least_isotropic_cyclic call fewer;
+    # primitivity's verdict makes exactly the calls of the search from t = 1
+    from wildinv.cli import parse_additive_poly
+
+    from test_rootsys import _batch_inputs
+
+    real = sympmod._least_isotropic_cyclic
+    calls = []
+
+    def counting(M, blocks=None):
+        calls.append(M)
+        return real(M, blocks)
+
+    monkeypatch.setattr(sympmod, "_least_isotropic_cyclic", counting)
+    seen = 0
+    for spec in _batch_inputs()[:160]:
+        R = parse_additive_poly(spec["R"], spec["p"], spec["f"], spec["e"])
+        if sympmod.addpoly.twisted_scaling_order(R, spec["m"]) > 2 or spec["e"] == 0:
+            continue
+        M = build(R, spec["m"])
+        if real(M) is not None:
+            continue
+        calls.clear()
+        t = minimal_imprimitive_unramified_degree(M)
+        from_one = len(calls)
+        calls.clear()
+        assert minimal_imprimitive_unramified_degree(M, _anisotropic=True) == t, spec["name"]
+        assert len(calls) == from_one - 1, spec["name"]
+        calls.clear()
+        res = invariants.primitivity(R, spec["m"])
+        assert (res.kind, res.unramified_degree) == ("primitive_unramified_unstable", t), spec["name"]
+        assert len(calls) == from_one, spec["name"]
+        seen += 1
+    assert seen == 20
