@@ -11,13 +11,14 @@ from math import gcd
 from . import ff, poly
 from .errors import TheoremViolation, ValidationError
 from .linalg import (
-    coords_in_rows,
     cyclic_closure,
     identity,
     line_points,
     mat_add,
     mat_mul,
+    mat_vec,
     nullspace,
+    rref,
     transpose,
 )
 from .numth import prime_factors
@@ -285,21 +286,16 @@ class PairingTable:
         return not self.terms
 
     def eval(self, x, y):
-        return self.values([x], [y])[0][0]
-
-    def values(self, xs, ys):
-        """The matrix of pairing(x, y), x in xs by rows and y in ys by columns.
-
-        Each element's Frobenius powers and each coefficient's image in the
-        elements' field are computed once, not once per entry.
-        """
-        F = xs[0].field
-        if any(z.field is not F for z in xs + ys):
+        """pairing(x, y), each Frobenius power of x and y computed once."""
+        F = x.field
+        if y.field is not F:
             raise ValidationError("pairing arguments in different fields")
-        terms = [(a, b, c if c.field is F else ff.embed(c, F)) for (a, b), c in self.terms.items()]
-        xp = [{a: x.frobenius(a) for a, _, _ in terms} for x in xs]
-        yp = [{b: y.frobenius(b) for _, b, _ in terms} for y in ys]
-        return [[sum((c * u[a] * v[b] for a, b, c in terms), F.zero()) for v in yp] for u in xp]
+        xp = {a: x.frobenius(a) for a, _ in self.terms}
+        yp = {b: y.frobenius(b) for _, b in self.terms}
+        return sum(
+            ((c if c.field is F else ff.embed(c, F)) * xp[a] * yp[b] for (a, b), c in self.terms.items()),
+            F.zero(),
+        )
 
     def pth_power_terms(self):
         """Term dict of table^p (exponents shift by one, coefficients by Frobenius)."""
@@ -436,28 +432,33 @@ def split_kernel(f: AdditivePoly, degree: int):
 def splitting_degree(f: AdditivePoly) -> int:
     """Least k with ker(f) fully inside F_{q^k}, q the base field order.
 
-    Found by right-gcds against x^{q^k} - x, so no extension field is built.
+    With f's Frobenius right factors peeled, g is separable, so its kernel
+    lies in F_{q^k} exactly when g right-divides tau^{n0 k} - 1, tau = x^p
+    and q = p^{n0}: when r_N = tau^N mod_right g is 1 at N = n0 k. One
+    remainder sequence serves every k, as r_{N+1} = (tau o r_N) mod_right g
+    is a shift, a Frobenius on each coefficient and one reduction step by
+    the monic g; no extension field is built.
     """
     if f.is_zero():
         raise ValidationError("zero polynomial")
     # kernel size is blind to Frobenius right-factors
     coeffs = list(f.coeffs)
-    s = 0
     while coeffs and coeffs[0].is_zero():
         coeffs.pop(0)
-        s += 1
-    g = AdditivePoly(f.base, coeffs)
-    target = g.p_degree
-    if target == 0:
+    if len(coeffs) == 1:
         return 1
-    n0 = f.base.n
-    for k in range(1, 10000):
-        frob_poly = [f.base.zero()] * (n0 * k + 1)
-        frob_poly[0] = -f.base.one()
-        frob_poly[-1] = f.base.one()
-        h = skew_right_gcd(AdditivePoly(f.base, frob_poly), g)
-        if not h.is_zero() and h.p_degree == target:
-            return k
+    F, n0 = f.base, f.base.n
+    lead_inv = coeffs[-1].inverse()
+    low = [c * lead_inv for c in coeffs[:-1]]  # tau^e = -sum low_i tau^i mod g
+    one = [F.one()] + [F.zero()] * (len(low) - 1)
+    r = one
+    for N in range(1, n0 * 10000):
+        top = r[-1].frobenius(1)
+        r = [F.zero()] + [c.frobenius(1) for c in r[:-1]]
+        if not top.is_zero():
+            r = [x - top * y for x, y in zip(r, low)]
+        if N % n0 == 0 and r == one:
+            return N // n0
     raise TheoremViolation("splitting degree search exceeded cap")
 
 
@@ -518,11 +519,22 @@ def is_prime(f: AdditivePoly) -> bool:
 
 
 def action_matrix(B, fn, field):
-    """Matrix (columns) of a linear map in the row-basis coordinates of B."""
+    """Matrix (columns) of a linear map in the row-basis coordinates of B.
+
+    B must be in reduced echelon form, as nullspace returns it: then the
+    coordinates of a vector of the span are its entries at the pivots of B,
+    and an image is in the span iff those coordinates give it back.
+    """
+    p = field.p
+    R, pivots = rref(B, p)
+    if R != [list(row) for row in B]:
+        raise ValidationError("the basis must be in reduced row echelon form")
+    Bt = transpose(B)
     cols = []
     for row in B:
-        c = coords_in_rows(B, fn(field.el(row)).coords, field.p)
-        if c is None:
+        v = list(fn(field.el(row)).coords)
+        c = [v[k] for k in pivots]
+        if mat_vec(Bt, c, p) != v:
             raise TheoremViolation("space not stable under the action")
         cols.append(c)
     return transpose(cols)

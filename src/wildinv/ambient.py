@@ -64,14 +64,37 @@ class Context:
         return _scalar(self.pairing.eval(x, y) - self.pairing.eval(y, x))
 
     def gram(self, elems):
-        """Matrix of omega on elems, from one PairingTable.values call."""
-        P = self.pairing.values(elems, elems)
-        p = self.ambient.p
+        """Matrix of omega on elems, from the antisymmetric table d_ab = c_ab - c_ba.
+
+        omega(x, y) = sum_b D_b(x) y^{p^b} with D_b(x) = sum_a d_ab x^{p^a},
+        so each element's D_b are formed once and an entry above the
+        diagonal costs one product per b. omega is alternating: the diagonal
+        is zero and the entries below it are the negated ones above.
+        """
         n = len(elems)
+        if not n:
+            return []
+        F = elems[0].field
+        if any(x.field is not F for x in elems):
+            raise ValidationError("pairing arguments in different fields")
+        d = {}
+        for (a, b), c in self.pairing.terms.items():
+            d[a, b] = d.get((a, b), 0) + c
+            d[b, a] = d.get((b, a), 0) - c
+        rows = {}  # b -> [(a, d_ab)] over the nonzero d_ab, embedded in F
+        for (a, b), c in d.items():
+            if not c.is_zero():
+                rows.setdefault(b, []).append((a, c if c.field is F else ff.embed(c, F)))
+        exps = {a for row in rows.values() for a, _ in row} | set(rows)
+        powers = [{k: x.frobenius(k) for k in exps} for x in elems]
+        p = F.p
         gram = [[0] * n for _ in range(n)]
-        for i in range(n):
+        for i in range(n - 1):
+            xp = powers[i]
+            D = {b: sum((c * xp[a] for a, c in row), F.zero()) for b, row in rows.items()}
             for j in range(i + 1, n):
-                w = _scalar(P[i][j] - P[j][i])
+                yp = powers[j]
+                w = _scalar(sum((v * yp[b] for b, v in D.items()), F.zero()))
                 gram[i][j] = w
                 gram[j][i] = (-w) % p
         return gram

@@ -720,6 +720,8 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     read from Z's power sums, and every radical of a polar form built is
     checked against ker(S^k - 1).
     """
+    if max_k is not None and max_k < 0:
+        raise ValidationError(f"max_k must be >= 0, got {max_k}")
     g = genus(R)
     kmax = max_k if max_k is not None else 2 * g
     top = check_curve_work(R, 0 if frobenius is not None else kmax)

@@ -639,16 +639,19 @@ def _mu_data(F: Field, d: int):
 
 
 def _root_of_unity_generator(F: Field, d: int):
-    cof = (F.order - 1) // d
-    ells = [ell for ell in _group_order_primes(F) if d % ell == 0]
-    for y in F.elements():
-        if y.is_zero():
-            continue
-        z = y ** cof
-        if z == F.one():
-            continue
-        if all(z ** (d // ell) != F.one() for ell in ells):
-            return z
+    """A generator of mu_d, which lies in the subfield F_{p^a}, a = ord_d(p):
+    the first y of the fixed space of Frob^a, in lex order of its
+    coordinates, whose power y^((p^a - 1)/d) has order d (d > 1)."""
+    p = F.p
+    a = multiplicative_order(p, d)
+    K = transpose(fixed_space(F.frobenius_matrix(a), p))
+    cof = (p ** a - 1) // d
+    ells = prime_factors(d)
+    for cs in _coordinate_tuples(p, a):
+        if any(cs):
+            z = F.el(mat_vec(K, cs, p)) ** cof
+            if all(z ** (d // ell) != F.one() for ell in ells):
+                return z
     raise TheoremViolation("no generator of mu_d found (impossible)")
 
 

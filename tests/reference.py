@@ -14,15 +14,25 @@ ff had them before its lean Ben-Or (generic divmod and gcd helpers, the
 rows x^{jp} mod m all built at the second step, x^p powered in the field);
 the references for ff._fp_is_irreducible, ff.field_create and
 Field.frobenius_matrix(1).
+
+splitting_degree_by_gcds, root_of_unity_generator_in_the_whole_field,
+gram_from_pairing_values, action_matrix_by_solves: the module build's
+routines as they were before it made fewer field products (a skew right gcd
+with x^{q^k} - x per k, a generator search over all of F_{p^n}, every
+pairing value c x^{p^a} y^{p^b} summed for both orders of each pair, one
+linear solve per image); the references for addpoly.splitting_degree,
+ff._root_of_unity_generator, Context.gram and addpoly.action_matrix.
 """
 
 import itertools
 import random
 from math import lcm
 
-from wildinv import ff, poly
-from wildinv.errors import ValidationError
-from wildinv.numth import multiplicative_order
+from wildinv import addpoly, ff, poly
+from wildinv.ambient import _scalar
+from wildinv.errors import TheoremViolation, ValidationError
+from wildinv.linalg import coords_in_rows, transpose
+from wildinv.numth import multiplicative_order, prime_factors
 from wildinv.rootsys import invariants
 
 
@@ -186,3 +196,68 @@ def frobenius_matrix_by_powers(F):
         cols.append(cur.coords)
         cur = cur * gp
     return [list(row) for row in zip(*cols)]
+
+
+def splitting_degree_by_gcds(f, kmax=9999):
+    """Least k with ker(f) inside F_{q^k}: the first k whose right gcd of
+    x^{q^k} - x and f, Frobenius right factors peeled, has f's p-degree;
+    None if no k <= kmax is."""
+    coeffs = list(f.coeffs)
+    while coeffs and coeffs[0].is_zero():
+        coeffs.pop(0)
+    g = addpoly.AdditivePoly(f.base, coeffs)
+    target = g.p_degree
+    if target == 0:
+        return 1
+    n0 = f.base.n
+    for k in range(1, kmax + 1):
+        frob_poly = [f.base.zero()] * (n0 * k + 1)
+        frob_poly[0] = -f.base.one()
+        frob_poly[-1] = f.base.one()
+        h = addpoly.skew_right_gcd(addpoly.AdditivePoly(f.base, frob_poly), g)
+        if not h.is_zero() and h.p_degree == target:
+            return k
+    return None
+
+
+def root_of_unity_generator_in_the_whole_field(F, d):
+    """The first y^((p^n - 1)/d) of order d, y over all of F in lex order."""
+    cof = (F.order - 1) // d
+    ells = [ell for ell in prime_factors(F.order - 1) if d % ell == 0]
+    for y in F.elements():
+        if y.is_zero():
+            continue
+        z = y ** cof
+        if z == F.one():
+            continue
+        if all(z ** (d // ell) != F.one() for ell in ells):
+            return z
+    raise TheoremViolation("no generator of mu_d found (impossible)")
+
+
+def gram_from_pairing_values(ctx, elems):
+    """omega on elems from the whole matrix of pairing values P[i][j] =
+    pairing(x_i, x_j), each entry summed over every term of the table."""
+    F, p, n = elems[0].field, elems[0].field.p, len(elems)
+    terms = [(a, b, c if c.field is F else ff.embed(c, F)) for (a, b), c in ctx.pairing.terms.items()]
+    xp = [{k: x.frobenius(k) for a, b, _ in terms for k in (a, b)} for x in elems]
+    P = [[sum((c * u[a] * v[b] for a, b, c in terms), F.zero()) for v in xp] for u in xp]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = _scalar(P[i][j] - P[j][i])
+            gram[i][j] = w
+            gram[j][i] = (-w) % p
+    return gram
+
+
+def action_matrix_by_solves(B, fn, field):
+    """Matrix (columns) of a linear map in the row-basis coordinates of any
+    basis B, one linear solve per image."""
+    cols = []
+    for row in B:
+        c = coords_in_rows(B, fn(field.el(row)).coords, field.p)
+        if c is None:
+            raise TheoremViolation("space not stable under the action")
+        cols.append(c)
+    return transpose(cols)

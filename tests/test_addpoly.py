@@ -35,6 +35,8 @@ from wildinv.errors import ValidationError
 from wildinv.ff import field_create, roots_of_unity
 from wildinv.linalg import mat_vec, rref
 
+from test_ambient import _contexts
+
 
 def random_poly(F, emax, rng, nonzero=True):
     e = rng.randint(0, emax)
@@ -275,6 +277,10 @@ def test_splitting_degree():
     # frobenius right factors do not change the splitting field: f = g o x^p
     fr = AdditivePoly.from_ints(F3, [0, 1, 0, 1])
     assert splitting_degree(fr) == splitting_degree(AdditivePoly.from_ints(F3, [1, 0, 1]))
+    # a unit and a pure Frobenius have p-degree 0 once peeled
+    F9 = field_create(3, 2)
+    assert splitting_degree(AdditivePoly(F9, [F9.gen()])) == 1
+    assert splitting_degree(AdditivePoly.monomial(F9, 3, F9.gen())) == 1
 
 
 def test_skew_right_gcd():
@@ -453,3 +459,74 @@ def _reduced_polys(draw):
 @given(_reduced_polys())
 def test_is_prime_on_projective_points_matches_the_all_vector_scan(f):
     assert is_prime(f) == _all_vector_scan_is_prime(f)
+
+
+# ---------------------------------------------------------------------------
+# The module build's routines against their former versions (tests/reference.py)
+
+_GCD_KMAX = 40
+
+
+@st.composite
+def _splitting_polys(draw):
+    """A random f over F_{p^f}, p <= 7, f <= 2, p-degree <= 4: a nonzero
+    x-slot or some Frobenius right factors x^{p^s}, and p-degree 0 too."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    coord = st.lists(st.integers(0, p - 1), min_size=F.n, max_size=F.n)
+    e = draw(st.integers(0, 4))
+    s = draw(st.integers(0, e))
+    mid = [F.el(draw(coord)) for _ in range(e - s)]
+    lead = F.el(draw(coord.filter(any)))
+    if s < e:
+        mid[0] = F.el(draw(coord.filter(any)))
+    return AdditivePoly(F, [F.zero()] * s + mid + [lead])
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_splitting_polys())
+def test_splitting_degree_matches_the_gcd_per_k_reference(f):
+    # one remainder sequence tau^N mod_right g against a skew right gcd with
+    # x^{q^k} - x per k; past _GCD_KMAX the reference costs too much, and the
+    # new route must then agree that no k <= _GCD_KMAX splits f
+    from reference import splitting_degree_by_gcds
+
+    want = splitting_degree_by_gcds(f, _GCD_KMAX)
+    got = splitting_degree(f)
+    if want is None:
+        assert got > _GCD_KMAX
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_contexts())
+def test_action_matrix_matches_the_solve_per_vector_reference(ctx):
+    # coordinates read at the pivots of the echelon kernel basis against one
+    # linear solve per image, for the scaling and Frobenius actions
+    from reference import action_matrix_by_solves
+
+    B, F = ctx.kernel_rows, ctx.ambient
+    for fn in (lambda x: ctx.alpha * x, lambda x: x.frobenius(ctx.base.n)):
+        assert action_matrix(B, fn, F) == action_matrix_by_solves(B, fn, F)
+
+
+def test_action_matrix_raises_on_a_non_stable_span_and_a_non_echelon_basis():
+    from wildinv.errors import TheoremViolation
+
+    F = field_create(3, 4)
+    E = e_poly(AdditivePoly.from_ints(field_create(3, 1), [0, 1])).embed_to(F)
+    B = [b.as_vector() for b in kernel_basis(E, F)]
+    assert len(B) == 2
+    frob = lambda x: x.frobenius(1)  # noqa: E731
+    action_matrix(B, frob, F)
+    # the span of the first kernel vector alone is not Frobenius-stable
+    with pytest.raises(TheoremViolation, match="not stable"):
+        action_matrix(B[:1], frob, F)
+    # F_3 in F_81 is stable, so only the echelon check can refuse these
+    one = F.one().as_vector()
+    two = F.constant(2).as_vector()
+    both = [x + y for x, y in zip(B[0], B[1])]
+    for bad in ([two], [one, one], [[0] * 4], B[::-1], [B[0], both], [both, B[1]]):
+        with pytest.raises(ValidationError, match="echelon"):
+            action_matrix(bad, lambda x: x, F)

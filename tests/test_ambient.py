@@ -112,3 +112,56 @@ def test_kernel_vector_to_element_matches_the_field_sum():
             assert ctx.kernel_vector_to_element(v) == want, (spec["name"], v)
         checked += 1
     assert checked == 56
+
+
+# ---------------------------------------------------------------------------
+# The Gram matrix from the antisymmetric table against the former matrix of
+# pairing values (tests/reference.py)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_contexts(), st.randoms(use_true_random=False))
+def test_gram_matches_the_pairing_values_reference(ctx, rng):
+    # on the kernel basis and on random kernel vectors, as the descent passes
+    from reference import gram_from_pairing_values
+
+    kb = ctx.kernel_elems
+    assert ctx.gram(kb) == gram_from_pairing_values(ctx, kb)
+    vectors = [ctx.kernel_vector_to_element([rng.randrange(ctx.ambient.p) for _ in kb]) for _ in range(3)]
+    assert ctx.gram(vectors) == gram_from_pairing_values(ctx, vectors)
+
+
+@pytest.mark.parametrize(
+    "coeffs, m",
+    [
+        ([(1,), (1,)], 1),
+        ([(1,), (0,), (1,)], 3),
+        ([(0,), (1,), (1,)], 1),
+        ([(1,), (1,), (0,), (1,)], 1),
+        ([(1, 1), (0, 1)], 3),
+        ([(0, 1), (1, 0), (1, 1)], 1),
+    ],
+)
+def test_gram_matches_the_pairing_values_reference_for_p_2(coeffs, m):
+    # p = 2 and non-monomial R: d_ab = c_ab + c_ba
+    from reference import gram_from_pairing_values
+
+    F = field_create(2, len(coeffs[0]))
+    ctx = ambient.build_context(AdditivePoly(F, [F.el(c) for c in coeffs]), m)
+    assert ctx.dim >= 2
+    assert ctx.gram(ctx.kernel_elems) == gram_from_pairing_values(ctx, ctx.kernel_elems)
+
+
+def test_gram_raises_on_a_non_scalar_table(monkeypatch):
+    # the scalar check survives python -O: x y^p - x^p y is not a scalar on
+    # the generator and 1 of F_9
+    from wildinv.addpoly import PairingTable
+    from wildinv.errors import TheoremViolation
+
+    F9 = field_create(3, 2)
+    ctx = ambient.build_context(AdditivePoly(F9, [F9.zero(), F9.one()]), 1)
+    F = ctx.ambient
+    monkeypatch.setattr(ctx, "pairing", PairingTable(F9, {(0, 1): F9.one()}))
+    with pytest.raises(TheoremViolation, match="scalars"):
+        ctx.gram([F.gen(), F.one()])
+    assert ctx.gram([F.one(), F.constant(2)]) == [[0, 0], [0, 0]]

@@ -498,3 +498,31 @@ def test_bad_flags_exit_2_with_a_json_error(cmd, optimize):
         assert list(doc) == ["error"] and fragment in doc["error"], (argv, doc)
         assert err == "", argv
     assert help_code == 0 and help_out.startswith(f"usage: wildinv {cmd}")
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_negative_max_k_exits_2_with_a_json_error(tmp_path, optimize):
+    # a negative max_k from a flag or an input file is refused by
+    # counts.curve_summary; max_k = 0 keeps its empty count list
+    spec = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1, "flags": {"curve": True, "max_k": -1}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"]
+    cases = [
+        ["report", *poly, "--curve", "--max-k", "-3"],
+        ["count", *poly, "--max-k", "-2"],
+        ["report", "--input", str(path)],
+        ["count", *poly, "--max-k", "0"],
+    ]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    *refused, (zero_code, zero_out, _) = json.loads(r.stdout)
+    for argv, want, (code, out, err) in zip(cases, (-3, -2, -1), refused):
+        assert code == 2 and err == "", argv
+        assert json.loads(out) == {"error": f"max_k must be >= 0, got {want}"}, argv
+    assert zero_code == 0 and json.loads(zero_out)["counts"] == []

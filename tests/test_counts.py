@@ -536,3 +536,28 @@ def test_weil_check_edges():
     assert ZetaNumerator(4, 2, [1, 8, 24, 32, 16]).weil_bounds_ok()
     assert not ZetaNumerator(4, 1, [1, 5, 4]).weil_bounds_ok()
     assert not ZetaNumerator(3, 1, [1, 1, -3]).weil_bounds_ok()
+
+
+@st.composite
+def _brute_force_cases(draw):
+    """A random R over F_{p^f} and a degree k with at most 3^8 points of
+    F_{q^k} to enumerate; R's lower coefficients may vanish or not."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    assume(p ** (f * k) <= 3 ** 8)
+    e = draw(st.integers(0, 2))
+    assume(not (p == 2 and e == 0))
+    F = field_create(p, f)
+    coord = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    lead = draw(coord.filter(any))
+    return AdditivePoly(F, [F.el(draw(coord)) for _ in range(e)] + [F.el(lead)]), k
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_brute_force_cases())
+def test_point_counts_match_brute_force_on_random_curves(case):
+    # the count from the quadratic form Tr(x R(x)) against the double loop
+    # over F_{q^k}
+    R, k = case
+    assert point_count(R, k) == brute_force_count(R, k)

@@ -396,6 +396,37 @@ def test_mu_data_from_a_cached_multiple_matches_a_fresh_search(monkeypatch):
         monkeypatch.setattr(ff, "_root_of_unity_generator", real)
 
 
+def _mu_pairs(bound=3 ** 12, dmax=400):
+    for p in (2, 3, 5, 7):
+        n = 1
+        while p ** n <= bound:
+            yield from ((p, n, d) for d in range(2, dmax + 1) if (p ** n - 1) % d == 0)
+            n += 1
+
+
+def test_mu_data_matches_the_whole_field_generator_search(monkeypatch):
+    # the generator drawn from F_{p^a}, a = ord_d(p), against the first
+    # generator of the whole field: every (F, d) with p <= 7, p^n <= 3^12,
+    # 2 <= d <= 400, each from a fresh cache so neither route reuses a mu_D
+    from reference import root_of_unity_generator_in_the_whole_field
+
+    from wildinv import ff
+
+    real = ff._root_of_unity_generator
+    pairs = list(_mu_pairs())
+    assert len(pairs) == 362
+    for p, n, d in pairs:
+        F = field_create(p, n)
+        monkeypatch.setattr(F, "_mu", {})
+        got = ff._mu_data(F, d)
+        monkeypatch.setattr(F, "_mu", {})
+        monkeypatch.setattr(ff, "_root_of_unity_generator", root_of_unity_generator_in_the_whole_field)
+        assert ff._mu_data(F, d) == got, (p, n, d)
+        monkeypatch.setattr(ff, "_root_of_unity_generator", real)
+        z = real(F, d)
+        assert z.frobenius(multiplicative_order(p, d)) == z, (p, n, d)
+
+
 @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2), (13, 1)])
 def test_element_order_matches_brute_force(p, n):
     F = field_create(p, n)

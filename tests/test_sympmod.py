@@ -472,8 +472,9 @@ def test_omega_scalar_check_raises(m_q9, monkeypatch):
 
 @pytest.mark.parametrize("p,f,ints,m", WITNESS_CASES)
 def test_gram_matches_the_pointwise_pairing(p, f, ints, m):
-    # the gram takes every pairing value from one PairingTable.values call;
-    # Context.omega evaluates the table on one pair at a time
+    # the gram sums D_b(x) y^{p^b} over the antisymmetric table d_ab =
+    # c_ab - c_ba; Context.omega evaluates the table itself on each order of
+    # one pair
     M = build(AdditivePoly.from_ints(field_create(p, f), ints), m)
     ctx = M.context
     for i, x in enumerate(M.basis):
@@ -880,3 +881,28 @@ def test_unramified_degree_after_the_scan_skips_t_1(monkeypatch):
         assert len(calls) == from_one, spec["name"]
         seen += 1
     assert seen == 20
+
+
+# Field._mul calls of one sympmod.build with every field cache empty, at the
+# antisymmetric Gram matrix, the one remainder sequence of splitting_degree
+# and mu_d's generator drawn from F_{p^a}. Per-entry pairing products or a
+# gcd per k would each exceed them by far more than the 10 % allowed.
+MUL_BUDGET = {(3, 3): 191, (2, 5): 641}
+
+
+@pytest.mark.parametrize("p,e", sorted(MUL_BUDGET))
+def test_module_build_stays_within_its_field_product_budget(monkeypatch, p, e):
+    from wildinv import ff
+
+    monkeypatch.setattr(ff, "_FIELD_CACHE", {})
+    calls = []
+    real = ff.Field._mul
+
+    def counting(F, a, b):
+        calls.append(F.n)
+        return real(F, a, b)
+
+    monkeypatch.setattr(ff.Field, "_mul", counting)
+    M = build(AdditivePoly.monomial(field_create(p, 1), e), 1)
+    assert M.dim == 2 * e
+    assert len(calls) <= MUL_BUDGET[p, e] * 1.1, len(calls)
