@@ -1,11 +1,13 @@
 """Command line front end: every subcommand prints exactly one JSON document.
 
-Exit codes: 0 success, 1 unknown subcommand, 2 validation error,
-3 internal consistency check failed (which should never happen).
+Exit codes: 0 success, 1 unknown subcommand or stdout closed by its reader,
+2 validation error, 3 internal consistency check failed (which should never
+happen).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import addpoly, counts, ff, invariants, rootsys, sympmod
@@ -290,7 +292,16 @@ def _usage() -> str:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`); point it at devnull so the
+        # interpreter's final flush does not raise again (Python docs, "Note
+        # on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

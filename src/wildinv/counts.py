@@ -9,11 +9,15 @@ p = 2), so counts over F_{q^k} cost O((fk)^3) instead of O(q^k); a brute
 force enumeration loop is kept as the independent oracle for small fields.
 
 Character sums then live in the p-th cyclotomic integers, represented as
-coefficient vectors modulo 1 + x + ... + x^{p-1}. The zeta numerator is the
-product of the p - 1 Galois conjugates of L(psi_1), which has degree p^e, so
-only the fields F_{q^k} with k <= p^e + PSI_SLACK are needed; it must come out
-with integer coefficients, which is checked, not assumed. Small curves are
-cross-checked against Newton's identities on all 2g direct counts.
+coefficient vectors modulo 1 + x + ... + x^{p-1}. Newton's identities, written
+once in each direction, turn power sums into coefficients and back. L(psi_1)
+has degree p^e, so only the fields F_{q^k} with k <= p^e + PSI_SLACK are
+needed for it; its further power sums follow from its coefficients. The zeta
+numerator is the product of the p - 1 Galois conjugates of L(psi_1), so its
+power sums are the traces to Q of those of L(psi_1), and Newton's identities
+over the integers give its coefficients; every division must be exact, which
+is checked, not assumed. Small curves are cross-checked against Newton's
+identities on all 2g direct counts.
 """
 
 from fractions import Fraction
@@ -357,29 +361,52 @@ def _exact_quotient(a, b):
     return None if r else q
 
 
+def _newton_exp(sums, one, divide):
+    """Coefficients c_0 = one, c_1, ..., c_n of exp(sum_k a_k T^k / k) from
+    the power sums a_1..a_n (Newton's identities: n c_n = sum_{i<=n} a_i
+    c_{n-i}). divide(x, n) is the caller's exact division by n, which raises
+    when n does not divide x."""
+    coeffs = [one]
+    for n in range(1, len(sums) + 1):
+        acc = sums[0] * coeffs[n - 1]
+        for i in range(2, n + 1):
+            acc = acc + sums[i - 1] * coeffs[n - i]
+        coeffs.append(divide(acc, n))
+    return coeffs
+
+
+def _newton_log(coeffs, n, known=()):
+    """Power sums a_1..a_n of the polynomial sum_j c_j T^j with c_0 = 1, that
+    is log(sum_j c_j T^j) = sum_k a_k T^k / k (Newton's identities: a_k =
+    k c_k - sum_{i<k} a_i c_{k-i}, with c_j = 0 past the degree). The power
+    sums in the prefix known are taken as given."""
+    deg = len(coeffs) - 1
+    sums = list(known[:n])
+    for k in range(len(sums) + 1, n + 1):
+        acc = k * coeffs[k] if k <= deg else coeffs[0] * 0  # zero of the ring
+        for i in range(max(1, k - deg), k):
+            acc = acc - sums[i - 1] * coeffs[k - i]
+        sums.append(acc)
+    return sums
+
+
+def _divide_int(a, n):
+    if a % n:
+        raise TheoremViolation("a Newton step must divide exactly: non-integral zeta coefficient")
+    return a // n
+
+
 def zeta_numerator(R: addpoly.AdditivePoly) -> ZetaNumerator:
     """Reconstruct the numerator from counts N_1..N_{2g} by Newton's identities.
 
-    Power sums are s_k = q^k - N_k (one point at infinity); every division in
-    the recursion must be exact over the integers.
+    Its power sums are N_k - q^k, log Z = sum_k (N_k - q^k) T^k / k (one
+    point at infinity); every division in the recursion must be exact over
+    the integers.
     """
     g = genus(R)
     q = R.base.order
-    Ns = point_counts(R, 2 * g)
-    s = [q ** (k + 1) - Ns[k] for k in range(2 * g)]
-    coeffs = [Fraction(1)]
-    for j in range(1, 2 * g + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += s[i - 1] * coeffs[j - i]
-        cj = -acc / j
-        coeffs.append(cj)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValidationError("non-integral zeta coefficient: counting bug")
-        out.append(int(c))
-    Z = ZetaNumerator(q, g, out)
+    sums = [N - q ** k for k, N in enumerate(point_counts(R, 2 * g), start=1)]
+    Z = ZetaNumerator(q, g, _newton_exp(sums, 1, _divide_int))
     if Z.functional_equation_sign() is None:
         raise ValidationError("zeta numerator fails its functional equation")
     return Z
@@ -390,11 +417,8 @@ def zeta_numerator(R: addpoly.AdditivePoly) -> ZetaNumerator:
 
 
 class Cyc:
-    """Element of Q(zeta_p) as a coordinate vector in the basis 1..zeta^{p-2}.
-
-    Coordinates are Python ints; only `divide` can leave a Fraction, and only
-    when the quotient is not an algebraic integer.
-    """
+    """Element of Z[zeta_p] as a coordinate vector of Python ints in the basis
+    1..zeta^{p-2}."""
 
     __slots__ = ("p", "vec")
 
@@ -404,17 +428,6 @@ class Cyc:
         if len(v) > p - 1:
             raise ValidationError("too many coordinates for Q(zeta_p)")
         self.vec = v + [0] * (p - 1 - len(v))
-
-    @classmethod
-    def root_power(cls, p, j):
-        """zeta^j reduced into the basis."""
-        j %= p
-        if j <= p - 2:
-            out = cls(p)
-            out.vec[j] = 1
-            return out
-        # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-        return cls(p, [-1] * (p - 1))
 
     @classmethod
     def integer(cls, p, n):
@@ -445,8 +458,10 @@ class Cyc:
     __rmul__ = __mul__
 
     def divide(self, n):
-        """self / n; a coordinate stays an int whenever n divides it."""
-        return Cyc(self.p, [a // n if a % n == 0 else Fraction(a, n) for a in self.vec])
+        """self / n, which must lie in Z[zeta_p]: n divides every coordinate."""
+        if any(a % n for a in self.vec):
+            raise TheoremViolation("a Newton step must divide exactly: L-polynomial coefficient is not an algebraic integer")
+        return Cyc(self.p, [a // n for a in self.vec])
 
     def __eq__(self, other):
         return isinstance(other, Cyc) and self.p == other.p and self.vec == other.vec
@@ -460,17 +475,10 @@ class Cyc:
     def __bool__(self):
         return not self.is_zero()
 
-    def is_rational_integer(self):
-        return all(c == 0 for c in self.vec[1:]) and self.vec[0].denominator == 1
-
-    def galois(self, c):
-        """zeta -> zeta^c: permute the powers, then fold zeta^{p-1} back."""
-        p = self.p
-        full = [0] * p
-        for i, a in enumerate(self.vec):
-            full[i * c % p] += a
-        top = full[p - 1]
-        return Cyc(p, [a - top for a in full[: p - 1]])
+    def trace(self):
+        """Tr to Q, the sum of the p - 1 conjugates: Tr(1) = p - 1 and
+        Tr(zeta^j) = -1 for 0 < j < p."""
+        return self.p * self.vec[0] - sum(self.vec)
 
 
 class PsiLPolynomial:
@@ -487,88 +495,39 @@ class PsiLPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def conjugate(self, c):
-        """sigma_c: zeta -> zeta^c on every coefficient, which is L(psi_{c c0})."""
-        return PsiLPolynomial(self.p, self.c * c % self.p, [cf.galois(c) for cf in self.coeffs])
-
 
 def character_sum(R: addpoly.AdditivePoly, c: int, k: int) -> Cyc:
-    """S_k = sum over x in F_{q^k} of zeta_p^{c Tr(x R(x))}, exactly."""
+    """S_k = sum over x in F_{q^k} of zeta_p^{c Tr(x R(x))}, exactly: each
+    count of a value t goes to the power c t, and zeta^{p-1} folds back."""
     p = R.p
-    dist = value_distribution(R, k)
-    out = Cyc(p)
-    for t, cnt in dist.items():
-        out = out + Cyc.root_power(p, c * t) * cnt
-    return out
+    full = [0] * p
+    for t, cnt in value_distribution(R, k).items():
+        full[c * t % p] += cnt
+    return Cyc(p, [a - full[p - 1] for a in full[: p - 1]])
 
 
-_PSI_L_CACHE = {}
-
-
-def psi_l_polynomial(R: addpoly.AdditivePoly, c: int, slack: int = PSI_SLACK) -> PsiLPolynomial:
+def psi_l_polynomial(R: addpoly.AdditivePoly, c: int) -> PsiLPolynomial:
     """L(psi_c, T) = exp(sum_k S_k T^k / k), which must terminate at degree p^e.
 
-    Computed through degree p^e + slack; the extra coefficients must vanish
-    and every kept coefficient must be an algebraic integer. Memoized per
-    (R, c, slack): `curve_summary` reads the degrees and the product check
-    multiplies the same polynomials. Each call returns a fresh coefficient
-    list.
+    Computed through degree p^e + PSI_SLACK; the extra coefficients must
+    vanish and every coefficient must be an algebraic integer.
     """
     p = R.p
     if not (1 <= c <= p - 1):
         raise ValidationError("character index must be a unit mod p")
-    key = (R, c, slack)
-    if key not in _PSI_L_CACHE:
-        _PSI_L_CACHE[key] = _psi_l_coefficients(R, c, slack)
-    return PsiLPolynomial(p, c, list(_PSI_L_CACHE[key]))
+    return PsiLPolynomial(p, c, _psi_l_coefficients(R, c))
 
 
-def _psi_l_coefficients(R, c, slack):
+def _psi_l_coefficients(R, c):
     p = R.p
-    e = R.p_degree
-    deg = p ** e
-    upto = deg + slack
-    S = [character_sum(R, c, k) for k in range(1, upto + 1)]
-    coeffs = [Cyc.integer(p, 1)]
-    for nn in range(1, upto + 1):
-        acc = Cyc(p)
-        for i in range(1, nn + 1):
-            acc = acc + S[i - 1] * coeffs[nn - i]
-        coeffs.append(acc.divide(nn))
-    for j in range(deg + 1, upto + 1):
-        if not coeffs[j].is_zero():
-            raise ValidationError("L-series does not terminate at degree p^e")
-    kept = coeffs[: deg + 1]
-    for cf in kept:
-        if any(x.denominator != 1 for x in cf.vec):
-            raise ValidationError("L-polynomial coefficient is not an algebraic integer")
-    if kept[-1].is_zero():
+    deg = p ** R.p_degree
+    S = [character_sum(R, c, k) for k in range(1, deg + PSI_SLACK + 1)]
+    coeffs = _newton_exp(S, Cyc.integer(p, 1), Cyc.divide)
+    if any(coeffs[deg + 1:]):
+        raise ValidationError("L-series does not terminate at degree p^e")
+    if coeffs[deg].is_zero():
         raise ValidationError("L-polynomial has degree below p^e")
-    return kept
-
-
-def _psi_l_product(p, polys):
-    """Coefficients in Z[zeta_p] of the product of the given L-polynomials."""
-    prod = [Cyc.integer(p, 1)]
-    for L in polys:
-        prod = poly.mul(prod, L.coeffs)
-    return prod
-
-
-def psi_l_product_equals_zeta(R: addpoly.AdditivePoly, Z: ZetaNumerator = None) -> bool:
-    """Product over nontrivial characters of L(psi_c) equals the zeta numerator.
-
-    Every L(psi_c) here comes from its own character sums.
-    """
-    p = R.p
-    Z = Z or zeta_numerator(R)
-    prod = _psi_l_product(p, [psi_l_polynomial(R, c) for c in range(1, p)])
-    if len(prod) != len(Z.coeffs):
-        return False
-    for got, want in zip(prod, Z.coeffs):
-        if not got.is_rational_integer() or got.vec[0] != want:
-            return False
-    return True
+    return coeffs[: deg + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +601,11 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
     Returns top, the largest k whose form the summary builds: p^e + PSI_SLACK
     for L(psi_1), 2g when the Newton cross-check runs, and direct_k, the
     largest k counted directly. Raises AmbientGuardError when F_{q^top} has
-    more than 2^CURVE_FIELD_BITS_BOUND elements, or when the product of
-    the p - 1 conjugates of L(psi_1), each of degree p^e with p - 1
-    coordinates per coefficient, needs more than CYC_PRODUCT_BOUND coordinate
-    products, estimated as (2g (p - 1))^2 / 2.
+    more than 2^CURVE_FIELD_BITS_BOUND elements, or when the work in
+    Z[zeta_p], estimated as (2g (p - 1))^2 / 2 coordinate products, exceeds
+    CYC_PRODUCT_BOUND. The estimate bounds that work from above, up to lower
+    order terms: L(psi_1) and its power sums up to 2g take about
+    (p - 1)^3 p^{2e} coordinate products.
     """
     g = genus(R)
     p = R.p
@@ -663,37 +623,27 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
     products = (2 * g * (p - 1)) ** 2 // 2
     if products > CYC_PRODUCT_BOUND:
         raise AmbientGuardError(
-            f"the product of the {p - 1} conjugates of L(psi_1) needs about "
+            f"L(psi_1) and its power sums in Z[zeta_{p}] are estimated at "
             f"{products:.2e} coordinate products, beyond the "
             f"{CYC_PRODUCT_BOUND:.0e} curve product guard"
         )
     return top
 
 
-def _zeta_from_conjugates(R: addpoly.AdditivePoly):
-    """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), and the p - 1 factors."""
-    p = R.p
-    L1 = psi_l_polynomial(R, 1)
-    Ls = [L1] + [L1.conjugate(c) for c in range(2, p)]
-    coeffs = []
-    for cf in _psi_l_product(p, Ls):
-        if not cf.is_rational_integer():
-            raise TheoremViolation("the product of the conjugates of L(psi_1) must have integer coefficients")
-        coeffs.append(cf.vec[0])
-    return ZetaNumerator(R.base.order, genus(R), coeffs), Ls
+def _zeta_from_psi_1(R: addpoly.AdditivePoly, L1: PsiLPolynomial) -> ZetaNumerator:
+    """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), so log Z = sum_k Tr(S_k) T^k / k
+    with S_k the power sums of L(psi_1): the character sums for k <= p^e +
+    PSI_SLACK, and Newton's identities on L(psi_1)'s coefficients past them."""
+    two_g = 2 * genus(R)
+    near = R.p ** R.p_degree + PSI_SLACK
+    S = _newton_log(L1.coeffs, two_g, [character_sum(R, 1, k) for k in range(1, near + 1)])
+    return ZetaNumerator(R.base.order, two_g // 2, _newton_exp([s.trace() for s in S], 1, _divide_int))
 
 
 def counts_from_zeta(Z: ZetaNumerator, kmax: int) -> list:
-    """Affine counts N_k = q^k - s_k for k <= kmax, s_k the power sums of the
-    reciprocal roots of Z (Newton's identities read forwards)."""
-    c = Z.coeffs
-    s = []
-    for k in range(1, kmax + 1):
-        acc = k * c[k] if k < len(c) else 0
-        for i in range(1, min(k, len(c))):
-            acc += c[i] * s[k - i - 1]
-        s.append(-acc)
-    return [Z.q ** k - s[k - 1] for k in range(1, kmax + 1)]
+    """Affine counts N_k = q^k + a_k for k <= kmax, a_k the power sums of Z,
+    log Z = sum_k a_k T^k / k (Newton's identities read backwards)."""
+    return [Z.q ** k + a for k, a in enumerate(_newton_log(Z.coeffs, kmax), start=1)]
 
 
 def _check_radicals(R, S, top):
@@ -709,12 +659,12 @@ def _check_radicals(R, S, top):
 def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) -> dict:
     """Counts, genus, zeta numerator, supersingularity and character degrees.
 
-    Z is the product of the p - 1 Galois conjugates of L(psi_1), so only the
-    fields F_{q^k} with k <= p^e + PSI_SLACK are needed. While q^{2g} <=
-    NEWTON_CHECK_BOUND, Z must also equal the numerator Newton's identities
-    give from the direct counts N_1..N_{2g}, and the product of the L(psi_c)
-    from their own character sums. Z must satisfy its functional equation
-    and the Weil bounds, and its power sums must give the direct counts for
+    Z is the product of the p - 1 Galois conjugates of L(psi_1), formed from
+    the traces of L(psi_1)'s power sums, so only the fields F_{q^k} with
+    k <= p^e + PSI_SLACK are needed. While q^{2g} <= NEWTON_CHECK_BOUND, Z
+    must also equal the numerator Newton's identities give from the direct
+    counts N_1..N_{2g}. Z must satisfy its functional equation and the Weil
+    bounds, and its power sums must give the direct counts for
     k <= p^e + PSI_SLACK. Without frobenius the counts are counted directly.
     Given the matrix S of the q-Frobenius on the module ker E, the counts are
     read from Z's power sums, and every radical of a polar form built is
@@ -725,18 +675,16 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     g = genus(R)
     kmax = max_k if max_k is not None else 2 * g
     top = check_curve_work(R, 0 if frobenius is not None else kmax)
-    Z, Ls = _zeta_from_conjugates(R)
+    L1 = psi_l_polynomial(R, 1)
+    Z = _zeta_from_psi_1(R, L1)
     sign = Z.functional_equation_sign()
     if sign is None:
         raise TheoremViolation("zeta numerator fails its functional equation")
     weil = Z.weil_bounds_ok()
     if not weil:
         raise TheoremViolation("zeta numerator fails the Weil bounds")
-    if _newton_check_runs(R):
-        if zeta_numerator(R).coeffs != Z.coeffs:
-            raise TheoremViolation("the conjugates of L(psi_1) and the direct counts give different zeta numerators")
-        if not psi_l_product_equals_zeta(R, Z):
-            raise TheoremViolation("product of the character L-polynomials differs from the zeta numerator")
+    if _newton_check_runs(R) and zeta_numerator(R).coeffs != Z.coeffs:
+        raise TheoremViolation("L(psi_1) and the direct counts give different zeta numerators")
     near = R.p ** R.p_degree + PSI_SLACK
     if counts_from_zeta(Z, near) != point_counts(R, near):
         raise TheoremViolation("the power sums of Z disagree with the direct counts")
@@ -752,5 +700,5 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
         "functional_equation_sign": sign,
         "weil_bounds_ok": weil,
         "supersingular": check_supersingular(Z),
-        "psi_L_degrees": [L.degree for L in Ls],
+        "psi_L_degrees": [L1.degree] * (R.p - 1),
     }

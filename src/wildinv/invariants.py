@@ -250,6 +250,8 @@ def full_report(
         raise ValidationError("leading coefficient a_e must be nonzero")
     if m < 1 or m % p == 0:
         raise ValidationError(f"m = {m} must be a positive integer prime to p = {p}")
+    if max_k is not None and max_k < 0:
+        raise ValidationError(f"max_k must be >= 0, got {max_k}")
     e = R.p_degree
     if p == 2 and e == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")

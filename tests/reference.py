@@ -22,6 +22,12 @@ with x^{q^k} - x per k, a generator search over all of F_{p^n}, every
 pairing value c x^{p^a} y^{p^b} summed for both orders of each pair, one
 linear solve per image); the references for addpoly.splitting_degree,
 ff._root_of_unity_generator, Context.gram and addpoly.action_matrix.
+
+root_power, galois, psi_l_product, zeta_from_conjugates: zeta^j in
+counts.Cyc's basis, the reference for counts.character_sum; the zeta numerator as the
+product in Z[zeta_p] of the p - 1 Galois conjugates of L(psi_1), or of any
+list of character L-polynomials; the reference for counts' route through the
+traced power sums of L(psi_1).
 """
 
 import itertools
@@ -29,6 +35,7 @@ import random
 from math import lcm
 
 from wildinv import addpoly, ff, poly
+from wildinv.counts import Cyc, PsiLPolynomial
 from wildinv.ambient import _scalar
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.linalg import coords_in_rows, transpose
@@ -261,3 +268,40 @@ def action_matrix_by_solves(B, fn, field):
             raise TheoremViolation("space not stable under the action")
         cols.append(c)
     return transpose(cols)
+
+
+def root_power(p, j):
+    """zeta^j reduced into the basis 1..zeta^{p-2}."""
+    j %= p
+    if j <= p - 2:
+        return Cyc(p, [int(i == j) for i in range(p - 1)])
+    # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    return Cyc(p, [-1] * (p - 1))
+
+
+def galois(x, c):
+    """sigma_c: zeta -> zeta^c on a Cyc: permute the powers, then fold
+    zeta^{p-1} back."""
+    p = x.p
+    full = [0] * p
+    for i, a in enumerate(x.vec):
+        full[i * c % p] += a
+    top = full[p - 1]
+    return Cyc(p, [a - top for a in full[: p - 1]])
+
+
+def psi_l_product(Ls):
+    """Integer coefficients of the product of the given L-polynomials, which
+    must lie in Z."""
+    prod = [Cyc.integer(Ls[0].p, 1)]
+    for L in Ls:
+        prod = poly.mul(prod, L.coeffs)
+    if any(any(cf.vec[1:]) for cf in prod):
+        raise TheoremViolation("the product of the L-polynomials must have integer coefficients")
+    return [cf.vec[0] for cf in prod]
+
+
+def zeta_from_conjugates(L1):
+    """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), multiplied out in Z[zeta_p]."""
+    conjugates = [PsiLPolynomial(L1.p, c, [galois(cf, c) for cf in L1.coeffs]) for c in range(2, L1.p)]
+    return psi_l_product([L1, *conjugates])

@@ -23,6 +23,8 @@ from wildinv.errors import AmbientGuardError
 from wildinv.ff import field_create
 from wildinv.numth import v2
 
+from reference import psi_l_product
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN_INPUTS = {
@@ -32,6 +34,9 @@ GOLDEN_INPUTS = {
     "g4_p5_f1_x5_m1_curve": ["report", "-p", "5", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
     "g5_p2_f2_x2x8_m1_curve": ["report", "-p", "2", "-f", "2", "-R", "0;1;0;1", "-e", "3", "-m", "1", "--curve"],
     "g6_p3_f1_x_x3_m1": ["report", "-p", "3", "-f", "1", "-R", "1;1", "-e", "1", "-m", "1"],
+    "g7_p23_f1_x_m1_curve": ["report", "-p", "23", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
+    "g8_p101_f1_x_m1_curve": ["report", "-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
+    "g9_p11_f1_x11_m1_curve": ["report", "-p", "11", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
 }
 
 
@@ -288,10 +293,10 @@ def test_criterion_9_curve_verification():
         assert all(isinstance(c, int) for c in Z.coeffs)
         assert Z.weil_bounds_ok(), (p, f)
         assert counts.check_supersingular(Z), (p, f)
-        for c in range(1, p):
-            L = counts.psi_l_polynomial(R, c)
-            assert L.degree == p ** e, (p, f, c)
-        assert counts.psi_l_product_equals_zeta(R, Z)
+        Ls = [counts.psi_l_polynomial(R, c) for c in range(1, p)]
+        assert all(L.degree == p ** e for L in Ls), (p, f)
+        # each L(psi_c) from its own character sums; their product is Z
+        assert psi_l_product(Ls) == Z.coeffs, (p, f)
     took = time.time() - t0
     assert took < 180, f"criterion 9 runtime {took:.1f}s exceeds 3 min"
     _ok(9, f"curve data exact (3 curves, Weil at 1e-9, Kronecker) in {took:.1f}s")
@@ -311,7 +316,7 @@ def _run_cli_capture(argv):
 
 
 def test_criterion_10_determinism_goldens():
-    """Six pinned reports byte-identical: in-process and across two fresh runs."""
+    """Nine pinned reports byte-identical: in-process and across two fresh runs."""
     assert GOLDEN_DIR.is_dir()
     for name, argv in GOLDEN_INPUTS.items():
         pinned = (GOLDEN_DIR / f"{name}.json").read_bytes()

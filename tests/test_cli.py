@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildinv.cli import parse_additive_poly, run
 from wildinv.errors import ValidationError
@@ -248,6 +250,9 @@ GOLDEN_ARGV = {
     "g4_p5_f1_x5_m1_curve": ["-p", "5", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
     "g5_p2_f2_x2x8_m1_curve": ["-p", "2", "-f", "2", "-R", "0;1;0;1", "-e", "3", "-m", "1", "--curve"],
     "g6_p3_f1_x_x3_m1": ["-p", "3", "-f", "1", "-R", "1;1", "-e", "1", "-m", "1"],
+    "g7_p23_f1_x_m1_curve": ["-p", "23", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
+    "g8_p101_f1_x_m1_curve": ["-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
+    "g9_p11_f1_x11_m1_curve": ["-p", "11", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
 }
 
 
@@ -372,8 +377,8 @@ def test_prime_above_2_32_allocates_nothing_large():
     ],
 )
 def test_curve_report_past_the_newton_bound_completes(argv):
-    # q^{2g} = 11^110 and 101^100: Z comes from the conjugates of L(psi_1),
-    # which needs F_q^k for k <= p^e + 2 only
+    # q^{2g} = 11^110 and 101^100: Z comes from the traced power sums of
+    # L(psi_1), which needs F_q^k for k <= p^e + 2 only
     code, out = cap(["report", *argv, "--curve"])
     assert code == 0, out
     curve = json.loads(out)["curve"]
@@ -502,16 +507,21 @@ def test_bad_flags_exit_2_with_a_json_error(cmd, optimize):
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 def test_negative_max_k_exits_2_with_a_json_error(tmp_path, optimize):
-    # a negative max_k from a flag or an input file is refused by
-    # counts.curve_summary; max_k = 0 keeps its empty count list
-    spec = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1, "flags": {"curve": True, "max_k": -1}}
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    # a negative max_k from a flag or an input file is refused, by
+    # invariants.full_report with or without the curve section and by
+    # counts.curve_summary for count; max_k = 0 keeps its empty count list
+    paths = []
+    for name, flags in (("curve", {"curve": True, "max_k": -1}), ("plain", {"max_k": -5})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"p": 3, "f": 1, "R": "1", "e": 1, "m": 1, "flags": flags}))
+        paths.append(str(path))
     poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"]
     cases = [
         ["report", *poly, "--curve", "--max-k", "-3"],
         ["count", *poly, "--max-k", "-2"],
-        ["report", "--input", str(path)],
+        ["report", "--input", paths[0]],
+        ["report", *poly, "--max-k", "-4"],
+        ["report", "--input", paths[1]],
         ["count", *poly, "--max-k", "0"],
     ]
     r = subprocess.run(
@@ -522,7 +532,86 @@ def test_negative_max_k_exits_2_with_a_json_error(tmp_path, optimize):
     )
     assert r.returncode == 0, r.stderr
     *refused, (zero_code, zero_out, _) = json.loads(r.stdout)
-    for argv, want, (code, out, err) in zip(cases, (-3, -2, -1), refused):
+    for argv, want, (code, out, err) in zip(cases[:-1], (-3, -2, -1, -4, -5), refused, strict=True):
         assert code == 2 and err == "", argv
         assert json.loads(out) == {"error": f"max_k must be >= 0, got {want}"}, argv
     assert zero_code == 0 and json.loads(zero_out)["counts"] == []
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 2 MB of counts into a pipe whose reader leaves after 100 bytes:
+    # the write meets a broken pipe, which ends the run quietly with exit 1
+    argv = ["report", "-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve", "--max-k", "3000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wildinv", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env()
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+_NOT_INT = st.one_of(
+    st.text(max_size=3), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2), st.just({"n": 1}),
+)
+
+
+@st.composite
+def _malformed_spec(draw):
+    """A valid p3e1 input file spec with one or more faults: a missing key,
+    a p, f, e or m that is no int, an R that is neither a string nor a list
+    of strings, non-object flags, a max_k that is no int, or a negative
+    max_k with or without the curve section."""
+    spec = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1}
+    faults = draw(st.lists(st.sampled_from(["missing", "type", "R", "flags", "max_k", "negative"]), min_size=1, max_size=3))
+    for fault in faults:
+        if fault == "missing":
+            spec.pop(draw(st.sampled_from(["p", "f", "R", "e", "m"])), None)
+        elif fault == "type":
+            spec[draw(st.sampled_from(["p", "f", "e", "m"]))] = draw(_NOT_INT)
+        elif fault == "R":
+            spec["R"] = draw(st.one_of(
+                st.integers(), st.none(), st.floats(allow_nan=False), st.just({"c": "1"}),
+                st.lists(st.one_of(st.integers(), st.none()), min_size=1, max_size=3),
+            ))
+        elif fault == "flags":
+            spec["flags"] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.booleans(), max_size=2)))
+        else:
+            flags = spec.get("flags") if isinstance(spec.get("flags"), dict) else {}
+            if fault == "max_k":
+                flags["max_k"] = draw(_NOT_INT.filter(lambda v: v is not None))
+            else:
+                flags["max_k"] = draw(st.integers(max_value=-1))
+                if draw(st.booleans()):
+                    flags["curve"] = draw(st.booleans())
+            spec["flags"] = flags
+    return spec
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_malformed_spec(), min_size=1, max_size=8))
+def test_malformed_input_files_exit_2_with_a_json_error(optimize, specs):
+    # one fresh interpreter per drawn batch of input files; each file ends
+    # in one JSON error document, exit 2, and nothing on stderr
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = []
+        for i, spec in enumerate(specs):
+            path = Path(tmp) / f"in{i}.json"
+            path.write_text(json.dumps(spec))
+            cases.append(["report", "--input", str(path)])
+        r = subprocess.run(
+            [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
+            capture_output=True,
+            text=True,
+            env=_module_env(),
+        )
+    assert r.returncode == 0, r.stderr
+    for spec, (code, out, err) in zip(specs, json.loads(r.stdout), strict=True):
+        assert code == 2 and err == "", spec
+        assert list(json.loads(out)) == ["error"], spec

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from wildinv.addpoly import AdditivePoly
 from wildinv.counts import (
+    Cyc,
     ZetaNumerator,
     brute_force_count,
     character_sum,
@@ -13,12 +14,13 @@ from wildinv.counts import (
     genus,
     point_count,
     psi_l_polynomial,
-    psi_l_product_equals_zeta,
     value_distribution,
     zeta_numerator,
 )
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
+
+from reference import galois, psi_l_product, root_power, zeta_from_conjugates
 
 
 def poly(p, f, ints):
@@ -99,10 +101,11 @@ def test_psi_l_polynomials_331():
     L1 = psi_l_polynomial(R, 1)
     L2 = psi_l_polynomial(R, 2)
     assert L1.degree == L2.degree == 3
-    assert psi_l_product_equals_zeta(R, Z)
+    # the L(psi_c), each from its own character sums, multiply out to Z
+    assert psi_l_product([L1, L2]) == Z.coeffs
     # Galois conjugates under zeta -> zeta^2
     for k in range(4):
-        assert L1.coeffs[k].galois(2) == L2.coeffs[k]
+        assert galois(L1.coeffs[k], 2) == L2.coeffs[k]
 
 
 def test_character_sum_trivial_bound():
@@ -111,6 +114,17 @@ def test_character_sum_trivial_bound():
         S = character_sum(R, 1, k)
         # coefficients of the cyclotomic vector are bounded by the point total
         assert all(abs(c) <= 3 ** k for c in S.vec)
+
+
+def test_character_sum_is_the_sum_of_root_powers():
+    for R in [poly(3, 1, [0, 1]), poly(5, 1, [2, 1]), poly(7, 1, [1]), poly(2, 2, [0, 1, 0, 1])]:
+        p = R.p
+        for c in range(1, p):
+            for k in (1, 2):
+                want = Cyc(p)
+                for t, cnt in value_distribution(R, k).items():
+                    want = want + root_power(p, c * t) * cnt
+                assert character_sum(R, c, k) == want
 
 
 def test_supersingular_controls():
@@ -143,12 +157,26 @@ def test_curve_summary_q9():
 
 
 def test_curve_summary_product_check_raises(monkeypatch):
-    # the L-polynomial product check is a raise, so it survives python -O
+    # a wrong coefficient c_j of L(psi_1) changes the power sums read from
+    # it: a raise, not a report, so it survives python -O. p23e0 is past the
+    # Newton bound. On p3e1 a change in c_1 or c_3 shifts S_6 by -S_5 or
+    # -S_3, whose traces vanish, so Z and the report would not change.
     from wildinv import counts
 
-    monkeypatch.setattr(counts, "psi_l_product_equals_zeta", lambda R, Z: False)
-    with pytest.raises(TheoremViolation):
-        curve_summary(poly(3, 1, [0, 1]))
+    real = counts._psi_l_coefficients
+    for p, f, ints, j in [(3, 1, [0, 1], 2), (23, 1, [1], 1)]:
+        R = poly(p, f, ints)
+        S = _frobenius(R)
+
+        def corrupted(R, c, j=j):
+            coeffs = real(R, c)
+            coeffs[j] = coeffs[j] + counts.Cyc.integer(R.p, 1)
+            return coeffs
+
+        with monkeypatch.context() as m:
+            m.setattr(counts, "_psi_l_coefficients", corrupted)
+            with pytest.raises(TheoremViolation):
+                curve_summary(R, frobenius=S)
 
 
 def test_p2_full_path():
@@ -203,31 +231,30 @@ def test_psi_l_coefficients_are_ints():
 
 
 def test_curve_summary_computes_each_psi_l_once(monkeypatch):
-    # the degrees and the product check read the same L(psi_c): one
-    # computation per (R, c), and every call hands out a fresh list
+    # Z and the degrees all come from L(psi_1), computed once; the other
+    # characters share its degree. Every call hands out a fresh list.
     from wildinv import counts
 
-    monkeypatch.setattr(counts, "_PSI_L_CACHE", {})
     computed = []
     real = counts._psi_l_coefficients
 
-    def counting(R, c, slack):
+    def counting(R, c):
         computed.append(c)
-        return real(R, c, slack)
+        return real(R, c)
 
     monkeypatch.setattr(counts, "_psi_l_coefficients", counting)
     R = poly(5, 1, [0, 1])
     out = curve_summary(R)
     assert out["psi_L_degrees"] == [5, 5, 5, 5]
-    assert sorted(computed) == [1, 2, 3, 4]
+    assert computed == [1]
     L = psi_l_polynomial(R, 1)
     L.coeffs.clear()
     assert psi_l_polynomial(R, 1).degree == 5
-    assert sorted(computed) == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
-# Z from the Galois conjugates of L(psi_1)
+# Z from the traced power sums of L(psi_1), against the product of its Galois
+# conjugates
 
 
 @st.composite
@@ -251,12 +278,55 @@ def test_zeta_from_conjugates_matches_newton_and_direct_sums(R):
     from wildinv import counts
 
     g = genus(R)
-    Z, Ls = counts._zeta_from_conjugates(R)
-    assert Z.coeffs == zeta_numerator(R).coeffs
+    L1 = psi_l_polynomial(R, 1)
+    Z = counts._zeta_from_psi_1(R, L1)
+    assert Z.coeffs == zeta_from_conjugates(L1) == zeta_numerator(R).coeffs
     assert counts.counts_from_zeta(Z, 2 * g) == counts.point_counts(R, 2 * g)
-    assert [L.c for L in Ls] == list(range(1, R.p))
-    for c, L in zip(range(1, R.p), Ls):
-        assert L.coeffs == counts._psi_l_coefficients(R, c, 2)
+    # L(psi_c) from its own character sums is sigma_c(L(psi_1))
+    for c in range(2, R.p):
+        assert psi_l_polynomial(R, c).coeffs == [galois(cf, c) for cf in L1.coeffs]
+
+
+@pytest.mark.parametrize("p", [23, 101, 113])
+def test_zeta_from_psi_1_matches_the_conjugate_product_past_the_newton_bound(p):
+    from wildinv import counts
+
+    R = poly(p, 1, [1])
+    assert not counts._newton_check_runs(R)
+    L1 = psi_l_polynomial(R, 1)
+    assert counts._zeta_from_psi_1(R, L1).coeffs == zeta_from_conjugates(L1)
+
+
+@st.composite
+def _integer_polys(draw):
+    n = draw(st.integers(0, 8))
+    return [1] + draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_polys(), st.integers(0, 12))
+def test_newton_log_and_exp_are_inverse(c, extra):
+    from wildinv import counts
+
+    n = len(c) - 1 + extra
+    sums = counts._newton_log(c, n)
+    assert counts._newton_exp(sums, 1, counts._divide_int) == c + [0] * extra
+    # a known prefix is kept, and the rest follows from the coefficients
+    assert counts._newton_log(c, n, sums[: n // 2]) == sums
+    # the same over Z[zeta_p]: c_j times zeta^{2j}
+    cyc = [Cyc.integer(5, a) * root_power(5, 2 * j) for j, a in enumerate(c)]
+    cyc_sums = counts._newton_log(cyc, n)
+    assert counts._newton_exp(cyc_sums, cyc[0], Cyc.divide) == cyc + [Cyc(5)] * extra
+
+
+def test_inexact_newton_step_raises():
+    # 2 c_2 = a_1 c_1 + a_2 = 1 has no integral solution, over Z and Z[zeta_p]
+    from wildinv import counts
+
+    with pytest.raises(TheoremViolation):
+        counts._newton_exp([1, 0], 1, counts._divide_int)
+    with pytest.raises(TheoremViolation):
+        counts._newton_exp([Cyc.integer(3, 1), Cyc(3)], Cyc.integer(3, 1), Cyc.divide)
 
 
 def test_counts_from_zeta_past_2g_match_direct_counts():
@@ -264,7 +334,7 @@ def test_counts_from_zeta_past_2g_match_direct_counts():
     from wildinv import counts
 
     for R, kmax in [(poly(3, 1, [0, 1]), 10), (poly(5, 1, [1]), 9), (poly(2, 1, [0, 1]), 8)]:
-        Z, _ = counts._zeta_from_conjugates(R)
+        Z = counts._zeta_from_psi_1(R, psi_l_polynomial(R, 1))
         assert counts.counts_from_zeta(Z, kmax) == counts.point_counts(R, kmax)
         assert counts.counts_from_zeta(Z, 0) == []
 
@@ -286,7 +356,6 @@ def test_large_q_builds_only_the_fields_of_psi_1(monkeypatch):
     real = counts._form_data
     monkeypatch.setattr(counts, "_form_data", lambda R, k: calls.append(k) or real(R, k))
     monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
-    monkeypatch.setattr(counts, "_PSI_L_CACHE", {})
     monkeypatch.setattr(counts, "zeta_numerator", lambda R: pytest.fail("Newton route ran"))
     out = curve_summary(R, frobenius=_frobenius(R))
     assert sorted(calls) == [1, 2, 3]
@@ -304,13 +373,24 @@ def test_report_counts_equal_direct_counts():
 
 
 def test_conjugate_product_must_be_rational(monkeypatch):
-    # with sigma_c replaced by the identity the product is L(psi_1)^{p-1},
-    # whose coefficients leave Z: a raise, not a report
+    # with sigma_c replaced by the identity, the reference product is
+    # L(psi_1)^{p-1}, whose coefficients leave Z; the report route, whose
+    # traces then count only the rational coordinate p - 1 times, gets power
+    # sums that are not Z's: a raise, not a report, on both
+    import reference
     from wildinv import counts
 
-    monkeypatch.setattr(counts.PsiLPolynomial, "conjugate", lambda self, c: self)
-    with pytest.raises(TheoremViolation):
-        curve_summary(poly(3, 1, [0, 1]))
+    for p, f, ints in [(3, 1, [0, 1]), (23, 1, [1])]:
+        R = poly(p, f, ints)
+        S = _frobenius(R)
+        L1 = psi_l_polynomial(R, 1)
+        with monkeypatch.context() as m:
+            m.setattr(reference, "galois", lambda x, c: x)
+            with pytest.raises(TheoremViolation):
+                reference.zeta_from_conjugates(L1)
+            m.setattr(counts.Cyc, "trace", lambda self: (self.p - 1) * self.vec[0])
+            with pytest.raises(TheoremViolation):
+                curve_summary(R, frobenius=S)
 
 
 def test_zeta_mismatch_with_newton_raises(monkeypatch):
@@ -325,15 +405,18 @@ def test_zeta_mismatch_with_newton_raises(monkeypatch):
 
 
 def test_galois_matches_the_power_by_power_definition():
-    from wildinv.counts import Cyc
-
+    # the reference's sigma_c against zeta^i -> zeta^{ic}, and Cyc.trace
+    # against the sum of the p - 1 conjugates
     for p in (2, 3, 5, 7, 11):
         x = Cyc(p, [(3 * i * i + 1) % 7 - 3 for i in range(p - 1)])
+        total = Cyc(p)
         for c in range(1, p):
             want = Cyc(p)
             for i, a in enumerate(x.vec):
-                want = want + Cyc.root_power(p, i * c) * a
-            assert x.galois(c) == want
+                want = want + root_power(p, i * c) * a
+            assert galois(x, c) == want
+            total = total + want
+        assert total == Cyc.integer(p, x.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +466,7 @@ def test_curve_guard_refuses_before_any_field(monkeypatch):
     monkeypatch.setattr(counts, "_form_data", lambda R, k: pytest.fail("a form was built"))
     with pytest.raises(AmbientGuardError):
         R = poly(10007, 1, [1])
-        curve_summary(R, frobenius=_frobenius(R))  # the conjugate product
+        curve_summary(R, frobenius=_frobenius(R))  # the work in Z[zeta_p]
     with pytest.raises(AmbientGuardError):
         R = poly(3, 1, [0, 0, 0, 0, 0, 1])
         curve_summary(R, frobenius=_frobenius(R))  # F_3^245
