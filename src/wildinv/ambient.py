@@ -18,7 +18,8 @@ SIZE_GUARD_BITS = 40
 
 
 class Context:
-    """Ambient field together with the kernel space and scaling roots of R."""
+    """Ambient field together with the kernel space of R and alpha, the
+    canonical root of unity of order d_Rm."""
 
     __slots__ = (
         "R",
@@ -32,7 +33,6 @@ class Context:
         "d_Rm",
         "kernel_elems",
         "kernel_rows",
-        "mu",
         "alpha",
         "pairing",
     )
@@ -145,7 +145,6 @@ def build_context(
             _guard(p, M)
             ambient, kernel_elems = addpoly.split_kernel(E, M)
 
-    mu = ff.roots_of_unity(ambient, d_R)
     alpha = ff.canonical_root_of_unity(ambient, d_Rm)
     return Context(
         R=R,
@@ -159,7 +158,6 @@ def build_context(
         d_Rm=d_Rm,
         kernel_elems=kernel_elems,
         kernel_rows=[b.as_vector() for b in kernel_elems],
-        mu=mu,
         alpha=alpha,
         pairing=pairing,
     )

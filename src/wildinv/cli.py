@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from . import addpoly, counts, ff, invariants, rootsys, sympmod
+from . import addpoly, ambient, counts, ff, invariants, rootsys, sympmod
 from .errors import TheoremViolation, ValidationError
 
 SUBCOMMANDS = (
@@ -105,6 +105,12 @@ def _load_input_file(path):
     flags = spec.get("flags", {})
     if not isinstance(flags, dict):
         raise ValidationError("input file 'flags' must be a JSON object")
+    unknown = sorted(set(flags) - {"curve", "oracle", "max_k"})
+    if unknown:
+        raise ValidationError(f"input file has unknown flags {unknown}; the flags are curve, oracle and max_k")
+    for key in ("curve", "oracle"):
+        if type(flags.get(key, False)) is not bool:
+            raise ValidationError(f"input file flag {key!r} must be true or false")
     max_k = flags.get("max_k")
     if max_k is not None and type(max_k) is not int:
         raise ValidationError("input file flag 'max_k' must be an integer or null")
@@ -173,9 +179,9 @@ def run(argv) -> int:
                 R.base.n,
                 list(R.coeffs),
                 m,
-                curve=bool(curve),
+                curve=curve,
                 max_k=max_k,
-                oracle=bool(oracle),
+                oracle=oracle,
             )
             _emit(rep.to_json())
             return 0
@@ -185,6 +191,8 @@ def run(argv) -> int:
             parser.add_argument("--max-k", type=int, default=None)
         args = parser.parse_args(argv[1:])
         R = _poly_from_args(args)
+        if cmd in ("count", "prime"):
+            ambient.validate_input(R, args.m)
 
         if cmd == "primitivity":
             res = invariants.primitivity(R, args.m)
@@ -222,23 +230,7 @@ def run(argv) -> int:
             return 0
 
         if cmd == "rootsystem":
-            W, inv = rootsys.monomial_root_system(args.p, args.f, args.e, R.coeffs[-1], args.m)
-            label, count_structs = rootsys.classify(W)
-            _emit(
-                {
-                    "root_system": {
-                        "a": inv.a,
-                        "b": inv.b,
-                        "c": inv.c,
-                        "e1": inv.b,
-                        "e_prime": inv.e_prime,
-                        "f_prime": inv.f_prime,
-                        "type": label,
-                        "symplectic_structures": count_structs,
-                        "nu_label": rootsys.nu_label(label),
-                    }
-                }
-            )
+            _emit({"root_system": rootsys.monomial_summary(args.p, args.f, args.e, R.coeffs[-1], args.m)[1]})
             return 0
 
         if cmd == "count":

@@ -443,12 +443,8 @@ class Cyc:
         if isinstance(other, int):
             return Cyc(self.p, [a * other for a in self.vec])
         p = self.p
-        conv = [0] * (2 * p - 2)  # degrees up to 2p - 4, and p - 1 when p = 2
-        b_terms = [(j, b) for j, b in enumerate(other.vec) if b]
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in b_terms:
-                    conv[i + j] += a * b
+        conv = poly.mul(self.vec, other.vec)
+        conv += [0] * (2 * p - 2 - len(conv))  # degrees up to 2p - 4, and p - 1 when p = 2
         # zeta^k = zeta^{k-p} for k >= p, then zeta^{p-1} = -(1 + ... + zeta^{p-2})
         for k in range(p, 2 * p - 3):
             conv[k - p] += conv[k]

@@ -26,7 +26,7 @@ class GroupContext:
         self.d_R = ctx.d_R
         self.d_Rm = ctx.d_Rm
         self.e = ctx.e
-        self.mu = ctx.mu  # mu_{d_R}, canonical order
+        self.mu = ff.roots_of_unity(ctx.ambient, ctx.d_R)  # mu_{d_R}, canonical order
         self.p = ctx.ambient.p
         # full kernel space enumerated by basis coordinates (mixed radix order)
         p, dim = self.p, 2 * self.e

@@ -7,9 +7,12 @@ with no stored tables. The search tries candidates in that order with
 Ben-Or's test (Ben-Or 1981; von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 14) on int lists; it rejects most candidates after one or two
 Frobenius steps, and its rows x^{jp} mod m are the field's Frobenius matrix.
-Elements are coordinate vectors in the power basis. Subfield embeddings map
-the source generator to the lexicographically least root of the source
-modulus in the target, which makes them canonical too.
+Elements are coordinate vectors in the power basis. The product of two is
+poly.mul of their coordinate lists folded by the nonzero low terms of the
+modulus (_fp_fold): this module reduces by p and by a modulus, and has no
+polynomial product of its own. Subfield embeddings map the source generator
+to the lexicographically least root of the source modulus in the target,
+which makes them canonical too.
 
 Nothing in this module rounds: coordinates are Python ints mod p.
 """
@@ -30,25 +33,8 @@ MAX_DEGREE = 512
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers on plain int lists (coefficient lists, constant first)
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in b_terms:
-                out[i + j] += ai * bj
-    return _fp_trim([c % p for c in out])
-
+# Reductions of int coefficient lists (constant first) by p and by a
+# modulus; products come from poly.mul, whose int coefficients they reduce
 
 def _fp_divmod(a, m, p):
     """Quotient and remainder of a by a nonzero trimmed m; coefficients are
@@ -56,7 +42,7 @@ def _fp_divmod(a, m, p):
     division."""
     dm = len(m) - 1
     if len(a) <= dm:
-        return [], _fp_trim([c % p for c in a])
+        return [], poly.trim([c % p for c in a])
     a = list(a)
     inv = pow(m[-1], -1, p)
     low = m[:-1]
@@ -68,12 +54,14 @@ def _fp_divmod(a, m, p):
             q[off] = c
             for i, mi in enumerate(low):
                 a[off + i] -= c * mi
-    return _fp_trim(q), _fp_trim([c % p for c in a[:dm]])
+    return poly.trim(q), poly.trim([c % p for c in a[:dm]])
 
 
 def _fp_fold(a, n, terms, p):
-    """a mod a monic m of degree n, as n coefficients; terms are the nonzero
-    (i, m_i) with i < n (least moduli are sparse). a is consumed."""
+    """a mod a monic m of degree n, as n coefficients mod p; terms are the
+    nonzero (i, m_i) with i < n (least moduli are sparse). The coefficients
+    of a may be any ints, such as poly.mul's unreduced products: each is
+    reduced where it is read. a is consumed."""
     for top in range(len(a) - 1, n - 1, -1):
         c = a[top] % p
         if c:
@@ -93,11 +81,11 @@ def _frobenius_rows(m, p):
         row = _fp_fold([0] * p + row, n, terms, p)
         yield row
     for bit in bin(p)[2:]:
-        xp = _fp_fold(_fp_mul(xp, xp, p), n, terms, p)
+        xp = _fp_fold(poly.mul(xp, xp), n, terms, p)
         if bit == "1":
             xp = _fp_fold([0] + xp, n, terms, p)
     while True:
-        row = _fp_fold(_fp_mul(row, xp, p), n, terms, p)
+        row = _fp_fold(poly.mul(row, xp), n, terms, p)
         yield row
 
 
@@ -137,19 +125,19 @@ def _fp_is_irreducible(m, p):
     P, i = p, 1
     while P < n and i <= n // 2:
         xP = [0, p - 1] + [0] * (P - 2) + [1]
-        if not _fp_coprime(xP, _fp_trim(_fp_fold(list(m), P, [(1, p - 1)], p)), p):
+        if not _fp_coprime(xP, poly.trim(_fp_fold(list(m), P, [(1, p - 1)], p)), p):
             return False
         P, i = P * p, i + 1
     rows, made, h = _frobenius_rows(m, p), [], [0] * n
     h[P // p] = 1  # x^{P/p}, reduced as P/p < n
     for _ in range(i, n // 2 + 1):
-        made.extend(itertools.islice(rows, max(len(_fp_trim(h[:])) - len(made), 0)))
+        made.extend(itertools.islice(rows, max(len(poly.trim(h[:])) - len(made), 0)))
         acc = [0] * n
         for hj, row in zip(h, made):
             if hj:
                 acc = [a + hj * r for a, r in zip(acc, row)]
         h = [c % p for c in acc]
-        if not _fp_coprime(list(m), _fp_trim([h[0], (h[1] - 1) % p, *h[2:]]), p):
+        if not _fp_coprime(list(m), poly.trim([h[0], (h[1] - 1) % p, *h[2:]]), p):
             return False
     return True
 
@@ -204,10 +192,11 @@ def field_create(p: int, n: int) -> "Field":
 
 
 class Field:
-    """Immutable description of F_{p^n} plus cached arithmetic tables."""
+    """Immutable description of F_{p^n}: the modulus, its nonzero low terms,
+    which fold every product, and cached Frobenius and embedding tables."""
 
     __slots__ = (
-        "p", "n", "modulus", "_red", "_frob", "_zero", "_one", "_embed_cache", "_mu",
+        "p", "n", "modulus", "_terms", "_frob", "_zero", "_one", "_embed_cache", "_mu",
         "_order_primes",
     )
 
@@ -215,9 +204,8 @@ class Field:
         self.p = p
         self.n = n
         self.modulus = tuple(modulus)
-        # x^{n+j} mod modulus for j = 0..n-2, used to fold products
-        terms = [(i, c) for i, c in enumerate(modulus[:-1]) if c]
-        self._red = [tuple(_fp_fold([0] * (n + j) + [1], n, terms, p)) for j in range(n - 1)]
+        # the nonzero low terms of the modulus, which fold every product
+        self._terms = [(i, c) for i, c in enumerate(modulus[:-1]) if c]
         self._frob = {}
         self._zero = FieldElement(self, (0,) * n)
         self._one = FieldElement(self, tuple([1] + [0] * (n - 1)))
@@ -257,36 +245,22 @@ class Field:
     # -- raw coordinate arithmetic ------------------------------------------
 
     def _mul(self, a, b):
-        p, n = self.p, self.n
-        if n == 1:
-            return (a[0] * b[0] % p,)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = [c % p for c in conv[:n]]
-        for j in range(n - 1):
-            c = conv[n + j] % p
-            if c:
-                row = self._red[j]
-                for i in range(n):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        if self.n == 1:
+            return (a[0] * b[0] % self.p,)
+        return tuple(_fp_fold(poly.mul(a, b), self.n, self._terms, self.p))
 
     def _inv(self, a):
         # extended Euclid in F_p[x] against the modulus
         p = self.p
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        r0, r1 = list(self.modulus), _fp_trim(list(a))
+        r0, r1 = list(self.modulus), poly.trim(list(a))
         s0, s1 = [], [1]
         while r1:
             q, r2 = _fp_divmod(r0, r1, p)
             r0, r1 = r1, r2
-            qs1 = _fp_mul(q, s1, p)
-            s2 = [(x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0)]
-            s0, s1 = s1, _fp_trim(s2)
+            s2 = [(x - y) % p for x, y in itertools.zip_longest(s0, poly.mul(q, s1), fillvalue=0)]
+            s0, s1 = s1, poly.trim(s2)
         c = pow(r0[-1], p - 2, p)
         inv = [x * c % p for x in s0]
         inv += [0] * (self.n - len(inv))
@@ -313,30 +287,24 @@ class Field:
 
         For m < n they are the power sums of the roots of the modulus, by
         Newton's identities, and must equal the traces of the multiplication
-        matrices of x^m, read off the reduction table; x^{n+j} mod modulus
-        then gives the rest by linearity.
+        matrices of x^m, read off the rows x^{n+j} mod modulus (j <= n - 2);
+        those rows then give the rest by linearity.
         """
         p, n, c = self.p, self.n, self.modulus
         s = [n % p]
         for i in range(1, n):
             s.append(-(i * c[n - i] + sum(c[n - k] * s[i - k] for k in range(1, i))) % p)
-        diag = [sum(self._red[i + k - n][k] for k in range(n - i, n)) % p for i in range(1, n)]
+        red = [_fp_fold([0] * (n + j) + [1], n, self._terms, p) for j in range(n - 1)]
+        diag = [sum(red[i + k - n][k] for k in range(n - i, n)) % p for i in range(1, n)]
         if s[1:] != diag:
             raise TheoremViolation("Newton's identities and the multiplication matrices disagree on a trace")
-        return s + [sum(a * b for a, b in zip(row, s)) % p for row in self._red]
+        return s + [sum(a * b for a, b in zip(row, s)) % p for row in red]
 
     def mult_matrix(self, a: "FieldElement"):
         """Matrix (columns) of multiplication by a."""
-        p, n = self.p, self.n
-        cols = [a.coords]
-        cur = a.coords
-        for _ in range(1, n):
-            # times x: shift up, fold the x^n term back with x^n mod modulus
-            top = cur[-1]
-            cur = (0,) + cur[:-1]
-            if top:
-                cur = tuple((c + top * r) % p for c, r in zip(cur, self._red[0]))
-            cols.append(cur)
+        cols = [list(a.coords)]
+        for _ in range(1, self.n):
+            cols.append(_fp_fold([0] + cols[-1], self.n, self._terms, self.p))  # times x
         return transpose(cols)
 
     def __repr__(self):

@@ -11,7 +11,6 @@ than a report.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import addpoly, counts, ff, numth, quotient, rootsys, sympmod
 from .errors import TheoremViolation, ValidationError
@@ -23,6 +22,8 @@ def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
         raise ValidationError(f"{p} is not prime")
     if m < 1:
         raise ValidationError("m must be >= 1")
+    if m % p == 0:
+        raise ValidationError(f"m = {m} must be prime to p = {p}")
     if d_R < 1 or (p ** e + 1) % d_R != 0:
         raise ValidationError("d_R must divide p^e + 1")
     out = Fraction(m * (p ** e + 1), d_R)
@@ -285,22 +286,12 @@ def full_report(
     root_system = {"applicable": False, "reason": "R is not a monomial"}
     if e >= 1 and all(c.is_zero() for c in R.coeffs[:-1]):
         try:
-            W, inv = rootsys.monomial_root_system(p, f, e, R.coeffs[-1], m)
-            label, count = rootsys.classify(W)
-            root_system = {
-                "applicable": True,
-                "a": inv.a,
-                "b": inv.b,
-                "c": inv.c,
-                "e1": gcd(f, 2 * e),
-                "e_prime": inv.e_prime,
-                "f_prime": inv.f_prime,
-                "type": label,
-                "symplectic_structures": count,
-                "nu_label": rootsys.nu_label(label),
-                "belongs": rootsys.belongs(W, M.d, M.r),
-                "matches_module": rootsys.matches_module(M, W) if M.dim else False,
-            }
+            W, root_system = rootsys.monomial_summary(p, f, e, R.coeffs[-1], m)
+            root_system.update(
+                applicable=True,
+                belongs=rootsys.belongs(W, M.d, M.r),
+                matches_module=rootsys.matches_module(M, W) if M.dim else False,
+            )
         except ValidationError as exc:
             root_system = {"applicable": False, "reason": str(exc)}
 

@@ -2,8 +2,11 @@
 
 A polynomial is a constant-first list of coefficients, trimmed so that its
 last entry is nonzero; the zero polynomial is []. Coefficients are any exact
-ring elements with +, -, * and truth as "nonzero": FieldElement, Fraction
-and counts.Cyc all qualify. gcd, and divmod and powmod by a divisor that is
+ring elements with +, -, * and truth as "nonzero": FieldElement, Fraction,
+counts.Cyc and int all qualify. mul is the library's one polynomial
+product: on int lists it is the product of field coordinates, which ff
+reduces by the modulus and p, and of counts.Cyc vectors, which Cyc folds by
+zeta^p = 1. gcd, and divmod and powmod by a divisor that is
 not monic, also divide by a leading coefficient, so they need a field
 (FieldElement or Fraction); a monic divisor needs no inverse, so division
 by it is exact over the integers too. Every function but trim returns fresh

@@ -183,6 +183,25 @@ def monomial_root_system(p: int, f: int, e: int, a_e, m: int):
     return W, inv
 
 
+def monomial_summary(p: int, f: int, e: int, a_e, m: int):
+    """The root system W of a_e x^{p^e} and its JSON summary: the invariants
+    a, b, c, e1 (which is b = gcd(f, 2e)), e' and f', the type, its number
+    of symplectic structures and its nu label."""
+    W, inv = monomial_root_system(p, f, e, a_e, m)
+    label, count = classify(W)
+    return W, {
+        "a": inv.a,
+        "b": inv.b,
+        "c": inv.c,
+        "e1": inv.b,
+        "e_prime": inv.e_prime,
+        "f_prime": inv.f_prime,
+        "type": label,
+        "symplectic_structures": count,
+        "nu_label": nu_label(label),
+    }
+
+
 # (W.alpha, W.beta, module's alpha) -> image of W.beta, or None when no
 # embedding of F_p(W.alpha) sends W.alpha to the module's alpha
 _BETA_IMAGES = {}

@@ -23,6 +23,11 @@ pairing value c x^{p^a} y^{p^b} summed for both orders of each pair, one
 linear solve per image); the references for addpoly.splitting_degree,
 ff._root_of_unity_generator, Context.gram and addpoly.action_matrix.
 
+cyc_mul: the product in Z[zeta_p] with its own convolution of the
+coordinate vectors, as counts.Cyc had it; the reference for Cyc.__mul__,
+which takes its convolution from poly.mul. _mul and _mod, the products and
+remainders of the former Ben-Or, are also the references for Field._mul.
+
 root_power, galois, psi_l_product, zeta_from_conjugates: zeta^j in
 counts.Cyc's basis, the reference for counts.character_sum; the zeta numerator as the
 product in Z[zeta_p] of the p - 1 Galois conjugates of L(psi_1), or of any
@@ -268,6 +273,20 @@ def action_matrix_by_solves(B, fn, field):
             raise TheoremViolation("space not stable under the action")
         cols.append(c)
     return transpose(cols)
+
+
+def cyc_mul(x, y):
+    """x y in Z[zeta_p]: the convolution of the coordinate vectors, then
+    zeta^k = zeta^{k-p} for k >= p and zeta^{p-1} = -(1 + ... + zeta^{p-2})."""
+    p = x.p
+    conv = [0] * (2 * p - 2)  # degrees up to 2p - 4, and p - 1 when p = 2
+    for i, a in enumerate(x.vec):
+        for j, b in enumerate(y.vec):
+            conv[i + j] += a * b
+    for k in range(p, 2 * p - 3):
+        conv[k - p] += conv[k]
+    top = conv[p - 1]
+    return Cyc(p, [c - top for c in conv[: p - 1]])
 
 
 def root_power(p, j):

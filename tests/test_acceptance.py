@@ -19,7 +19,7 @@ import pytest
 from wildinv import addpoly, counts, espgroup, invariants, quotient, rootsys, sympmod
 from wildinv.addpoly import AdditivePoly
 from wildinv.ambient import required_degree
-from wildinv.errors import AmbientGuardError
+from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.ff import field_create
 from wildinv.numth import v2
 
@@ -99,7 +99,7 @@ def test_criterion_2_extra_special_structure():
 
 def test_criterion_3_swan():
     """Closed-form conductor values, and degree x max jump identity, exact."""
-    for m in (1, 2, 3):
+    for m in (1, 2, 4):
         assert invariants.swan_conductor(3, 1, 4, m) == m
     rng = random.Random(1003)
     for _ in range(20):
@@ -109,9 +109,13 @@ def test_criterion_3_swan():
         d_R = rng.choice(divisors)
         m = rng.randint(1, 40)
         prof = invariants.ramification_profile(p, e, d_R, m)
+        if m % p == 0:  # no input has such an m
+            with pytest.raises(ValidationError):
+                invariants.swan_conductor(p, e, d_R, m)
+            continue
         assert p ** e * prof.jumps[-1] == invariants.swan_conductor(p, e, d_R, m)
         assert prof.jumps[-1] == Fraction((p ** e + 1) * m, p ** e * d_R)
-    _ok(3, "conductor formula exact for m in {1,2,3} and 20 random profiles")
+    _ok(3, "conductor formula exact for m in {1,2,4} and 20 random profiles")
 
 
 def _criterion4_instances():

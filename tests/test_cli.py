@@ -28,9 +28,9 @@ def test_report_monomial_shorthand():
 
 
 def test_swan_subcommand():
-    code, out = cap(["swan", "-p", "3", "-e", "1", "-dR", "4", "-m", "3"])
+    code, out = cap(["swan", "-p", "3", "-e", "1", "-dR", "4", "-m", "2"])
     assert code == 0
-    assert json.loads(out) == {"swan": 3}
+    assert json.loads(out) == {"swan": 2}
 
 
 def test_validation_exit_code():
@@ -135,8 +135,9 @@ def test_input_file_max_k_null_is_default(tmp_path):
 
 def test_input_file_errors_exit_2(tmp_path):
     # a missing file, a file that is not JSON or not an object, R given as a
-    # bare int or a list of ints, and mistyped numbers each end in a JSON
-    # error, never a traceback
+    # bare int or a list of ints, mistyped numbers, a curve flag "false"
+    # (which used to print the curve section) and a misspelt flag key (which
+    # used to drop it) each end in a JSON error, never a traceback
     good = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1}
     texts = [
         "not json",
@@ -145,6 +146,9 @@ def test_input_file_errors_exit_2(tmp_path):
         json.dumps(dict(good, R=[1, 0])),
         json.dumps(dict(good, p="3")),
         json.dumps(dict(good, flags={"curve": True, "max_k": "2"})),
+        json.dumps(dict(good, flags={"curve": "false"})),
+        json.dumps(dict(good, flags={"curv": True})),
+        json.dumps(dict(good, flags={"oracle": 1})),
     ]
     cases = [str(tmp_path / "missing.json")]
     for i, text in enumerate(texts):
@@ -562,10 +566,14 @@ _NOT_INT = st.one_of(
 def _malformed_spec(draw):
     """A valid p3e1 input file spec with one or more faults: a missing key,
     a p, f, e or m that is no int, an R that is neither a string nor a list
-    of strings, non-object flags, a max_k that is no int, or a negative
-    max_k with or without the curve section."""
+    of strings, non-object flags, a max_k that is no int, a negative max_k
+    with or without the curve section, a curve or oracle flag that is not
+    JSON true or false, or a flag key that is not curve, oracle or max_k."""
     spec = {"p": 3, "f": 1, "R": "1", "e": 1, "m": 1}
-    faults = draw(st.lists(st.sampled_from(["missing", "type", "R", "flags", "max_k", "negative"]), min_size=1, max_size=3))
+    faults = draw(st.lists(
+        st.sampled_from(["missing", "type", "R", "flags", "max_k", "negative", "flag_value", "flag_key"]),
+        min_size=1, max_size=3,
+    ))
     for fault in faults:
         if fault == "missing":
             spec.pop(draw(st.sampled_from(["p", "f", "R", "e", "m"])), None)
@@ -582,6 +590,14 @@ def _malformed_spec(draw):
             flags = spec.get("flags") if isinstance(spec.get("flags"), dict) else {}
             if fault == "max_k":
                 flags["max_k"] = draw(_NOT_INT.filter(lambda v: v is not None))
+            elif fault == "flag_value":
+                flags[draw(st.sampled_from(["curve", "oracle"]))] = draw(st.one_of(
+                    st.sampled_from(["false", "true", 0, 1, None]), _NOT_INT.filter(lambda v: type(v) is not bool),
+                ))
+            elif fault == "flag_key":
+                flags[draw(st.sampled_from(["curv", "Curve", "max-k", "oracles"]) | st.text(max_size=4).filter(
+                    lambda k: k not in ("curve", "oracle", "max_k")
+                ))] = draw(st.booleans())
             else:
                 flags["max_k"] = draw(st.integers(max_value=-1))
                 if draw(st.booleans()):
@@ -615,3 +631,31 @@ def test_malformed_input_files_exit_2_with_a_json_error(optimize, specs):
     for spec, (code, out, err) in zip(specs, json.loads(r.stdout), strict=True):
         assert code == 2 and err == "", spec
         assert list(json.loads(out)) == ["error"], spec
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_count_prime_and_swan_refuse_an_m_that_is_not_positive_and_prime_to_p(optimize):
+    # the paper's m is a positive integer prime to p; count and prime used to
+    # print a result for m = 0, m = 3 or m = -5 at p = 3, and swan for m = 3
+    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1"]
+    cases, wanted = [], []
+    for cmd in ("count", "prime"):
+        for m, message in (("0", "m must be a positive integer"), ("-5", "m must be a positive integer"),
+                           ("3", "m = 3 must be prime to p = 3")):
+            cases.append([cmd, *poly, "-m", m])
+            wanted.append(message)
+    cases.append(["swan", "-p", "3", "-e", "1", "-dR", "4", "-m", "3"])
+    wanted.append("m = 3 must be prime to p = 3")
+    cases.append(["count", *poly, "-m", "2", "--max-k", "2"])
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    *refused, (good_code, good_out, _) = json.loads(r.stdout)
+    for argv, message, (code, out, err) in zip(cases[:-1], wanted, refused, strict=True):
+        assert code == 2 and err == "", argv
+        assert json.loads(out) == {"error": message}, argv
+    assert good_code == 0 and json.loads(good_out)["counts"] == [3, 3]

@@ -552,6 +552,76 @@ def test_ben_or_verdict_matches_the_reference(p, seed, kind):
         assert not _fp_is_irreducible(m, p)
 
 
+def _dense_irreducible(rng, p, n):
+    """A random monic irreducible of degree n; for p > 2 every coefficient
+    is nonzero."""
+    from wildinv.ff import _fp_is_irreducible
+
+    low = range(1, p) if p > 2 else range(p)
+    while True:
+        m = [rng.choice(low) for _ in range(n)] + [1]
+        if _fp_is_irreducible(m, p):
+            return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 16), st.booleans(), st.integers(0, 2 ** 32))
+def test_field_products_and_power_traces_match_the_references(p, n, canonical, seed):
+    # a product is poly.mul folded by the nonzero low terms of the modulus;
+    # the canonical moduli have 1 to 5 of them, so dense random moduli test
+    # the fold too. Tr(x^k) is the sum of the powers r^k over the conjugates
+    # r = x^{p^i}, all formed with the reference products.
+    from reference import _mod, _mul
+    from wildinv.ff import Field
+    from wildinv.linalg import mat_vec
+
+    rng = random.Random(seed)
+    F = field_create(p, n) if canonical else Field(p, n, _dense_irreducible(rng, p, n))
+    m = list(F.modulus)
+
+    def padded(c):
+        return tuple(c) + (0,) * (n - len(c))
+
+    for _ in range(4):
+        a, b = (F.el([rng.randrange(p) for _ in range(n)]) for _ in range(2))
+        want = padded(_mod(_mul(list(a.coords), list(b.coords), p), m, p))
+        assert F._mul(a.coords, b.coords) == want
+        assert tuple(mat_vec(F.mult_matrix(a), b.coords, p)) == want
+
+    r, sums = _mod([0, 1], m, p), [[0] * n for _ in range(2 * n - 1)]
+    for _ in range(n):  # r runs over the conjugates x^{p^i}
+        power = [1]
+        for total in sums:
+            total[:] = [(t + c) % p for t, c in zip(total, padded(power))]
+            power = _mod(_mul(power, r, p), m, p)
+        conjugate = [1]
+        for _ in range(p):
+            conjugate = _mod(_mul(conjugate, r, p), m, p)
+        r = conjugate
+    assert F.power_traces() == [total[0] for total in sums]
+    assert all(not any(total[1:]) for total in sums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 23, 101]), st.integers(0, 2 ** 32))
+def test_cyc_product_matches_the_former_convolution(p, seed):
+    # Cyc.__mul__ takes its convolution from poly.mul, which skips zero
+    # coordinates and trims; the reference convolves every pair
+    from reference import cyc_mul
+    from wildinv.counts import Cyc
+
+    rng = random.Random(seed)
+
+    def draw():
+        bound = rng.choice([1, 3, 10 ** 6, 10 ** 40])
+        density = rng.choice([0.0, 0.3, 1.0])
+        return Cyc(p, [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(p - 1)])
+
+    x, y = draw(), draw()
+    assert x * y == cyc_mul(x, y)
+    assert y * x == cyc_mul(y, x)
+
+
 LEAST_MODULUS_RANGES = [(2, 32), (3, 24), (5, 20), (23, 8)]
 
 

@@ -17,7 +17,9 @@ from wildinv.invariants import (
 def test_swan_examples():
     assert swan_conductor(3, 1, 4, 1) == 1
     assert swan_conductor(3, 1, 4, 2) == 2
-    assert swan_conductor(3, 1, 4, 3) == 3
+    assert swan_conductor(3, 1, 4, 4) == 4
+    with pytest.raises(ValidationError):
+        swan_conductor(3, 1, 4, 3)  # m must be prime to p
     with pytest.raises(ValidationError):
         swan_conductor(3, 1, 3, 1)  # 3 does not divide p^e + 1 = 4
 
@@ -43,6 +45,10 @@ def test_swan_equals_degree_times_max_jump_random():
         d_R = rng.choice(divisors)
         m = rng.randint(1, 30)
         prof = ramification_profile(p, e, d_R, m)
+        if m % p == 0:  # no input has such an m
+            with pytest.raises(ValidationError):
+                swan_conductor(p, e, d_R, m)
+            continue
         assert p ** e * prof.jumps[-1] == swan_conductor(p, e, d_R, m)
 
 

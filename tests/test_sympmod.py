@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wildinv import invariants, sympmod
+from wildinv import ff, invariants, sympmod
 from wildinv.addpoly import AdditivePoly, compose
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
@@ -299,7 +299,7 @@ def test_canonical_generator_choice_is_immaterial():
     from wildinv.sympmod import Submodule
 
     ctx = M.context
-    others = [z for z in ctx.mu if element_order(z) == ctx.d_Rm and z != ctx.alpha]
+    others = [z for z in ff.roots_of_unity(ctx.ambient, ctx.d_R) if element_order(z) == ctx.d_Rm and z != ctx.alpha]
     for z in others:
         T2 = action_matrix(ctx.kernel_rows, lambda x: z * x, ctx.ambient)
 
@@ -693,7 +693,7 @@ def _scan_modules(draw):
         return restrict_frobenius(M, draw(st.integers(1, 4)))
     if kind == "twin" and M.dim:
         ctx = M.context
-        others = [z for z in ctx.mu if element_order(z) == ctx.d_Rm and z != ctx.alpha]
+        others = [z for z in ff.roots_of_unity(ctx.ambient, ctx.d_R) if element_order(z) == ctx.d_Rm and z != ctx.alpha]
         if others:
             return _Twin(M, draw(st.sampled_from(others)))
     return M
