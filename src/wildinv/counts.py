@@ -7,11 +7,20 @@ trace-zero locus. The distribution is computed exactly by classifying Q
 (rank and discriminant for p odd, radical behaviour and the Arf invariant for
 p = 2), so counts over F_{q^k} cost O((fk)^3) instead of O(q^k); a brute
 force enumeration loop is kept as the independent oracle for small fields.
+The classification is an isometry invariant, so Q may be written in any
+F_p-basis of F_{q^k}. When R's coefficients lie in F_p, Q is a circulant in
+a normal basis, given by R's coefficients and the traces Tr(beta beta^{p^d})
+alone, and no extension field is built: for n = fk odd, or p = 2 with 4 not
+dividing n, a self-dual normal basis exists (Lempel and Weinberger); for p
+odd and n even, Stickelberger's discriminant theorem fixes the square class
+that the traces must have at x = -1. The remaining inputs, p = 2 with 4 | n
+and R with a coefficient outside F_p, use the power basis of the canonical
+field F_{q^k}.
 
 Character sums then live in the p-th cyclotomic integers, represented as
 coefficient vectors modulo 1 + x + ... + x^{p-1}. Newton's identities, written
 once in each direction, turn power sums into coefficients and back. L(psi_1)
-has degree p^e, so only the fields F_{q^k} with k <= p^e + PSI_SLACK are
+has degree p^e, so only the forms on F_{q^k} with k <= p^e + PSI_SLACK are
 needed for it; its further power sums follow from its coefficients. The zeta
 numerator is the product of the p - 1 Galois conjugates of L(psi_1), so its
 power sums are the traces to Q of those of L(psi_1), and Newton's identities
@@ -57,12 +66,71 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     """Gram data of the quadratic form on F_{q^k} as an F_p-space.
 
     Returns (p, n, B, qvec): B the polar (symmetric) matrix B(x,y) =
-    Tr(x R(y) + y R(x)), qvec the diagonal values Q(basis). In the power
-    basis, Tr(x^i R(x^j)) = sum_k R(x^j)_k Tr(x^{i+k}): the Hankel matrix of
-    the power traces of x times the matrix of R."""
-    base = R.base
-    p = base.p
-    n = base.n * k
+    Tr(x R(y) + y R(x)), qvec the diagonal values Q(basis). The value
+    distribution and the radical are isometry invariants, so any basis will
+    do: a normal basis with no field built when R's coefficients lie in F_p
+    and its trace sequence is known (`_normal_form_data`), else the power
+    basis of the canonical field (`_field_form_data`)."""
+    n = R.base.n * k
+    if all(not any(c.coords[1:]) for c in R.coeffs) and not (R.p == 2 and n % 4 == 0):
+        return _normal_form_data(R, n)
+    return _field_form_data(R, k)
+
+
+def _normal_traces(p, n):
+    """T_d = Tr(beta beta^{p^d}), d < n, for some normal element beta of
+    F_{p^n}/F_p; p = 2 needs 4 not dividing n.
+
+    For n odd, or p = 2 with 4 not dividing n, a self-dual normal basis
+    exists (Lempel and Weinberger), so T_d = [d = 0]. For p odd and n = n' p^s
+    even with p not dividing n', a change of normal element multiplies t =
+    sum_d T_d x^d in F_p[x]/(x^n - 1) by g(x) g(1/x), and these products are
+    the symmetric units whose values at x = 1 and x = -1 are squares. t(1) = Tr(beta)^2 is
+    a nonzero square, and t(-1) lies in the square class of the discriminant,
+    a nonsquare for n even (Stickelberger). So t = 1 + (nu - 1) e is realized,
+    nu the least nonsquare and e(x) = (1/n') sum_{j<n'} (-1)^j x^{j p^s} the
+    idempotent at x = -1: t(-1) = nu, and t = 1 at every other root."""
+    T = [1] + [0] * (n - 1)
+    if p != 2 and n % 2 == 0:
+        step = 1  # p^s
+        while n // step % p == 0:
+            step *= p
+        nu = next(a for a in range(2, p) if _legendre(a, p) == -1)
+        c = (nu - 1) * pow(n // step, -1, p)
+        for j in range(n // step):
+            T[j * step] = (T[j * step] + (-1) ** j * c) % p
+    return T
+
+
+def _normal_form_data(R, n):
+    """_form_data in the normal basis b_j = beta^{p^j} of `_normal_traces`.
+
+    With x = sum_j x_j b_j and R = sum_i a_i x^{p^i}, a_i in F_p, Q(x) =
+    sum_{i,j,j'} a_i x_j x_{j'} T_{i+j'-j}: the circulant H[j][j'] =
+    h[j' - j], h[d] = sum_i a_i T_{i+d} (indices mod n), so B = H + H^T and
+    every Q(b_j) = h[0]. T must be symmetric with t(1) = sum_d T_d a nonzero
+    square and, for p odd and n even, t(-1) = sum_d (-1)^d T_d a nonsquare."""
+    p = R.p
+    T = _normal_traces(p, n)
+    if (
+        any(T[d] != T[-d] for d in range(n))
+        or _legendre(sum(T), p) != 1
+        or (p != 2 and n % 2 == 0 and _legendre(sum(T[::2]) - sum(T[1::2]), p) != -1)
+    ):
+        raise TheoremViolation("the trace sequence must belong to a normal basis")
+    a = [c.coords[0] for c in R.coeffs]
+    h = [sum(ai * T[(i + d) % n] for i, ai in enumerate(a)) for d in range(n)]
+    b = [(h[d] + h[-d]) % p for d in range(n)]
+    B = [b[n - j:] + b[:n - j] for j in range(n)]
+    return p, n, B, [h[0] % p] * n
+
+
+def _field_form_data(R: addpoly.AdditivePoly, k: int):
+    """_form_data in the power basis of the canonical F_{q^k}:
+    Tr(x^i R(x^j)) = sum_k R(x^j)_k Tr(x^{i+k}), the Hankel matrix of the
+    power traces of x times the matrix of R."""
+    p = R.p
+    n = R.base.n * k
     F = ff.field_create(p, n)
     tau = F.power_traces()
     hankel = [tau[i:i + n] for i in range(n)]

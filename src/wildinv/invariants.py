@@ -9,6 +9,8 @@ are checked as it is built; a failed check surfaces as a loud error rather
 than a report.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,18 +19,33 @@ from .errors import TheoremViolation, ValidationError
 
 
 def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
-    """m (p^e + 1) / d_R; an integer since d_R divides p^e + 1."""
+    """m (p^e + 1) / d_R; an integer since d_R divides p^e + 1.
+
+    A conductor that would have more decimal digits than Python converts to
+    a string (sys.get_int_max_str_digits(), 0 for no limit) is refused before
+    p^e is formed, on the estimate e log10 p + log10 m - log10 d_R of its
+    log10, and exactly once it is formed."""
     if not numth.is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    if e < 0:
+        raise ValidationError("e must be >= 0")
     if m < 1:
         raise ValidationError("m must be >= 1")
     if m % p == 0:
         raise ValidationError(f"m = {m} must be prime to p = {p}")
-    if d_R < 1 or (p ** e + 1) % d_R != 0:
+    if d_R < 1:
+        raise ValidationError("d_R must divide p^e + 1")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    too_long = f"the Swan conductor would have more than {digits} digits"
+    if digits and e * math.log10(p) + math.log10(m) - math.log10(d_R) > digits + 1:
+        raise ValidationError(too_long)
+    if (p ** e + 1) % d_R != 0:
         raise ValidationError("d_R must divide p^e + 1")
     out = Fraction(m * (p ** e + 1), d_R)
     if out.denominator != 1:
         raise TheoremViolation("the Swan conductor must be an integer")
+    if digits and out >= 10 ** digits:
+        raise ValidationError(too_long)
     return out
 
 

@@ -659,3 +659,37 @@ def test_count_prime_and_swan_refuse_an_m_that_is_not_positive_and_prime_to_p(op
         assert code == 2 and err == "", argv
         assert json.loads(out) == {"error": message}, argv
     assert good_code == 0 and json.loads(good_out)["counts"] == [3, 3]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_swan_refuses_a_negative_e_and_a_conductor_too_long_to_print(optimize):
+    # p^e used to be formed before any check: e = -1 gave a float and the
+    # wrong error, and a conductor past Python's int-to-string limit ended
+    # in a traceback from the JSON output; e = 10^12 would never finish
+    limit = 4300
+    too_long = f"the Swan conductor would have more than {limit} digits"
+    refused = [
+        (["-p", "3", "-e", "-1", "-dR", "1", "-m", "1"], "e must be >= 0"),
+        (["-p", "3", "-e", "1000000", "-dR", "1", "-m", "1"], too_long),
+        (["-p", "7", "-e", "5200", "-dR", "2", "-m", "1"], too_long),
+        (["-p", "3", "-e", str(10 ** 12), "-dR", "1", "-m", "1"], too_long),
+        # 2^14285 + 1 has 4301 digits, so only the exact test refuses it
+        (["-p", "2", "-e", "14285", "-dR", "1", "-m", "1"], too_long),
+    ]
+    cases = [["swan", *args] for args, _ in refused]
+    cases.append(["swan", "-p", "2", "-e", "14284", "-dR", "1", "-m", "1"])  # 4300 digits
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-X", f"int_max_str_digits={limit}",
+         "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    *errors, (code, out, err) = json.loads(r.stdout)
+    for (argv, message), (got, doc, stderr) in zip(refused, errors, strict=True):
+        assert got == 2 and stderr == "", argv
+        assert json.loads(doc) == {"error": message}, argv
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_int=str) == {"swan": str(2 ** 14284 + 1)}

@@ -624,15 +624,20 @@ def test_weil_check_edges():
 @st.composite
 def _brute_force_cases(draw):
     """A random R over F_{p^f} and a degree k with at most 3^8 points of
-    F_{q^k} to enumerate; R's lower coefficients may vanish or not."""
+    F_{q^k} to enumerate; R's lower coefficients may vanish or not. Half the
+    draws have R's coefficients in F_p, which counts in a normal basis with
+    no field built; the others draw R over F_{p^2}, whose coefficients lie
+    in F_p only by chance."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    f = draw(st.integers(1, 2))
+    prime_field = draw(st.booleans())
+    f = draw(st.integers(1, 2)) if prime_field else 2
     k = draw(st.integers(1, 4))
     assume(p ** (f * k) <= 3 ** 8)
     e = draw(st.integers(0, 2))
     assume(not (p == 2 and e == 0))
     F = field_create(p, f)
-    coord = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    width = 1 if prime_field else f
+    coord = st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(lambda c: c + [0] * (f - width))
     lead = draw(coord.filter(any))
     return AdditivePoly(F, [F.el(draw(coord)) for _ in range(e)] + [F.el(lead)]), k
 
@@ -644,3 +649,147 @@ def test_point_counts_match_brute_force_on_random_curves(case):
     # over F_{q^k}
     R, k = case
     assert point_count(R, k) == brute_force_count(R, k)
+
+
+# ---------------------------------------------------------------------------
+# the form in a normal basis against the form in the canonical field
+
+
+def _classified(data):
+    """(value distribution, radical dimension) of _form_data's output."""
+    from wildinv import counts
+
+    p, n, B, qvec = data
+    if p == 2:
+        return counts._distribution_char2(n, B, qvec)
+    return counts._distribution_odd(p, n, B, qvec)
+
+
+# every (p, n = fk) with p odd dividing an even n <= 20, and three n = 2
+# mod 4 for p = 2
+_NORMAL_FORM_EXAMPLES = [
+    (3, 1, 6, [1, 2, 0, 1]), (3, 2, 6, [2, 1]), (3, 1, 18, [0, 0, 1]),
+    (5, 1, 10, [3, 0, 1]), (5, 2, 10, [1, 4]), (7, 1, 14, [3, 1]),
+    (2, 1, 6, [1, 1, 0, 1]), (2, 2, 5, [0, 1, 0, 1]), (2, 1, 18, [0, 1]),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_normal_basis_form_matches_the_field_form(data):
+    # for R with coefficients in F_p, the circulant form built from the
+    # synthetic trace sequence classifies like the Hankel form in the
+    # canonical F_{q^k}: the same value counts and the same radical
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    f = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(1, 20 // f).filter(lambda k: p != 2 or f * k % 4))
+    e = data.draw(st.integers(1 if p == 2 else 0, 3))
+    ints = data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)) + [data.draw(st.integers(1, p - 1))]
+    _check_normal_form(p, f, k, ints)
+
+
+@pytest.mark.parametrize("p,f,k,ints", _NORMAL_FORM_EXAMPLES)
+def test_normal_basis_form_matches_the_field_form_where_p_divides_n(p, f, k, ints):
+    assert (f * k % p == 0 and f * k % 2 == 0) or (p == 2 and f * k % 4 == 2)
+    _check_normal_form(p, f, k, ints)
+
+
+def _check_normal_form(p, f, k, ints):
+    from wildinv import counts
+
+    R = poly(p, f, ints)
+    normal = counts._form_data(R, k)
+    assert _classified(normal) == _classified(counts._field_form_data(R, k))
+    assert normal == counts._normal_form_data(R, f * k)
+
+
+# (p, n) for the search of a normal element with the synthetic traces: every
+# p odd with n even up to 3^6, 5^4, 7^4, 11^2 and 13^2, a few odd n, and p = 2
+# with n odd or n = 2 mod 4
+NORMAL_TRACE_FIELDS = [
+    (3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (7, 2), (7, 4), (11, 2), (13, 2),
+    (3, 3), (3, 5), (3, 7), (5, 3),
+    (2, 2), (2, 3), (2, 5), (2, 6), (2, 7), (2, 9), (2, 10),
+]
+
+
+@pytest.mark.parametrize("p,n", NORMAL_TRACE_FIELDS)
+def test_synthetic_traces_belong_to_a_normal_basis(p, n):
+    # some beta in the canonical F_{p^n} has Tr(beta beta^{p^d}) = T_d for
+    # every d < n; the circulant of the T_d is nonsingular, so the conjugates
+    # of such a beta are independent and beta is normal
+    from wildinv import counts, linalg
+
+    T = counts._normal_traces(p, n)
+    _, piv = linalg.rref([[T[(j - i) % n] for j in range(n)] for i in range(n)], p)
+    assert len(piv) == n
+    F = field_create(p, n)
+    tau = F.power_traces()[:n]
+
+    def trace(x):
+        return sum(a * b for a, b in zip(x.coords, tau)) % p
+
+    for beta in F.elements():
+        if trace(beta * beta) != T[0]:
+            continue
+        conj = beta
+        for d in range(1, n):
+            conj = conj.frobenius()
+            if trace(beta * conj) != T[d]:
+                break
+        else:
+            return
+    pytest.fail(f"no normal element of F_{p}^{n} has the traces {T}")
+
+
+@pytest.mark.parametrize(
+    "p,n,T",
+    [
+        (3, 1, [2]),  # t(1) = 2, a nonsquare mod 3
+        (5, 3, [0, 0, 0]),  # t(1) = 0
+        (5, 4, [1, 0, 0, 0]),  # the self-dual sequence for n even: t(-1) = 1 is a square
+        (7, 3, [1, 1, 0]),  # not symmetric
+    ],
+)
+def test_normal_form_refuses_a_trace_sequence_of_no_normal_basis(monkeypatch, p, n, T):
+    from wildinv import counts
+
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    monkeypatch.setattr(counts, "_normal_traces", lambda p, n: list(T))
+    with pytest.raises(TheoremViolation, match="normal basis"):
+        value_distribution(poly(p, 1, [1, 1]), n)
+
+
+def test_prime_field_coefficients_build_no_extension_field(monkeypatch):
+    # a guard on the normal-basis route: with every extension of F_q refused,
+    # value_distribution still works wherever R's coefficients lie in F_p,
+    # except for p = 2 with 4 | n, which still goes through the field
+    from wildinv import counts, ff
+
+    class FieldBuilt(Exception):
+        pass
+
+    cases = [
+        (poly(5, 1, [0, 1]), range(1, 21)),
+        (poly(3, 1, [1, 1, 1]), range(1, 21)),
+        (poly(2, 2, [0, 1, 0, 1]), range(1, 21, 2)),  # g5
+    ]
+    real = ff.field_create
+
+    def refuse_extensions(f):
+        def create(p, n):
+            if n > f:
+                raise FieldBuilt(p, n)
+            return real(p, n)
+
+        monkeypatch.setattr(ff, "field_create", create)
+
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    for R, ks in cases:
+        refuse_extensions(R.base.n)
+        for k in ks:
+            assert sum(value_distribution(R, k).values()) == R.base.order ** k
+    for R, k in ((cases[2][0], 2), (poly(2, 1, [1, 1]), 4)):
+        refuse_extensions(R.base.n)
+        with pytest.raises(FieldBuilt):
+            value_distribution(R, k)
