@@ -3,10 +3,11 @@ y^p - y = x R(x).
 
 Counting reduces to the value distribution of the prime-field quadratic form
 Q(x) = Tr(x R(x)) on F_{q^k}: fibers of the cover have size p exactly on the
-trace-zero locus. The distribution is computed exactly by classifying Q
-(rank and discriminant for p odd, radical behaviour and the Arf invariant for
-p = 2), so counts over F_{q^k} cost O((fk)^3) instead of O(q^k); a brute
-force enumeration loop is kept as the independent oracle for small fields.
+trace-zero locus. The distribution is computed exactly by classifying Q with
+one symmetric congruence reduction for every p, which splits off lines,
+hyperbolic or Arf-1 planes and the radical, so counts over F_{q^k} cost
+O((fk)^3) instead of O(q^k); a brute force enumeration loop is kept as the
+independent oracle for small fields.
 The classification is an isometry invariant, so Q may be written in any
 F_p-basis of F_{q^k}. When R's coefficients lie in F_p, Q is a circulant in
 a normal basis, given by R's coefficients and the traces Tr(beta beta^{p^d})
@@ -29,6 +30,8 @@ is checked, not assumed. Small curves are cross-checked against Newton's
 identities on all 2g direct counts.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 from . import addpoly, ff, linalg, poly
@@ -146,140 +149,80 @@ def _legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _distribution_odd(p, n, B, qvec):
-    """Value counts of the form with symmetric matrix A = B/2 (p odd), and
-    the dimension n - r of its radical, r the rank of the diagonalization."""
-    inv2 = pow(2, -1, p)
-    M = [[x * inv2 % p for x in row] for row in B]
-    # symmetric congruence diagonalization
-    diag = []
+def _classify(p, n, B, qvec):
+    """(value counts, radical dimension) of the form Q with polar matrix B
+    and Q(e_i) = qvec[i], by symmetric congruence reduction of B for every p.
+
+    A nonzero diagonal entry of B splits off a line (p odd only, as B(x, x)
+    = 2 Q(x)); else a nonzero B(e_u, e_w) splits off a plane, hyperbolic
+    unless Q(e_u) Q(e_w) != 0 (the Arf-1 plane, p = 2 only). Q is carried to
+    each new basis vector. Once B is zero the rest is the radical, where Q is
+    additive: if it is nonzero there (p = 2 only), each value is taken p^{n-1}
+    times. Else, with s lines of Q-values d_i and the planes' signs
+    multiplied into sign, eps = sign eta((-1)^{s//2} prod d_i), and a form of
+    rank r takes each value t N_t times, N_t = p^{n-1} + eps p^{n-1-r//2}
+    (p [t = 0] - 1) for r even and p^{n-1} + eps p^{n-1-r//2} eta(t) for r
+    odd (Lidl and Niederreiter, Finite Fields, 6.2). The one assumption is
+    B(e_i, e_i) = 2 Q(e_i) for every i; TheoremViolation otherwise."""
+    if any((2 * qvec[i] - B[i][i]) % p for i in range(n)):
+        raise TheoremViolation("the polar matrix must have B(e_i, e_i) = 2 Q(e_i)")
+    M = [[x % p for x in row] for row in B]
+    Q = [x % p for x in qvec]
+    lines, sign = [], 1
     while M:
-        size = len(M)
-        # find a nonzero diagonal entry, or make one
-        piv = next((i for i in range(size) if M[i][i]), None)
+        piv = next(([i] for i in range(len(M)) if M[i][i]), None)
         if piv is None:
-            pos = next(((i, j) for i in range(size) for j in range(size) if M[i][j]), None)
-            if pos is None:
-                break  # zero block: radical
-            i, j = pos
-            M[i] = [(x + y) % p for x, y in zip(M[i], M[j])]
+            u = next((i for i, row in enumerate(M) if any(row)), None)
+            if u is None:
+                break  # B is zero: the radical
+            piv = [u, next(j for j, x in enumerate(M[u]) if x)]
+        # swap the pivots to the front
+        for slot, i in enumerate(piv):
+            M[slot], M[i] = M[i], M[slot]
+            Q[slot], Q[i] = Q[i], Q[slot]
             for row in M:
-                row[i] = (row[i] + row[j]) % p
-            piv = i
-        if piv != 0:
-            M[0], M[piv] = M[piv], M[0]
-            for row in M:
-                row[0], row[piv] = row[piv], row[0]
-        d = M[0][0]
-        diag.append(d)
-        dinv = pow(d, -1, p)
-        for i in range(1, size):
-            c = M[i][0] * dinv % p
-            if c:
-                M[i] = [(x - c * y) % p for x, y in zip(M[i], M[0])]
-                for row in M:
-                    row[i] = (row[i] - c * row[0]) % p
-        M = [row[1:] for row in M[1:]]
-    r = len(diag)
-    rad = n - r
-    det = 1
-    for d in diag:
-        det = det * d % p
-    counts = {}
-    if r == 0:
-        return {0: p ** n}, rad
-    if r % 2 == 0:
-        eps = _legendre(pow(-1, r // 2, p) * det, p)
-        n0 = p ** (r - 1) + (p - 1) * eps * p ** (r // 2 - 1)
-        for t in range(p):
-            counts[t] = n0 if t == 0 else p ** (r - 1) - eps * p ** (r // 2 - 1)
-    else:
-        chi = _legendre(pow(-1, (r - 1) // 2, p) * det, p)
-        for t in range(p):
-            if t == 0:
-                counts[t] = p ** (r - 1)
-            else:
-                counts[t] = p ** (r - 1) + chi * _legendre(t, p) * p ** ((r - 1) // 2)
-    return {t: c * p ** rad for t, c in counts.items()}, rad
-
-
-def _distribution_char2(n, B, qvec):
-    """Value counts over F_2 via the radical and the Arf invariant, and the
-    dimension of the radical."""
-    p = 2
-    rad = linalg.nullspace(B, p)
-
-    def qval(vec):
-        # Q(sum x_i e_i) = sum x_i Q(e_i) + sum_{i<j} x_i x_j B(i,j)
-        idxs = [i for i, c in enumerate(vec) if c % 2]
-        v = sum(qvec[i] for i in idxs)
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                v += B[idxs[a]][idxs[b]]
-        return v % 2
-
-    if any(qval(row) for row in rad):
-        return {0: 2 ** (n - 1), 1: 2 ** (n - 1)}, len(rad)
-    # complement of the radical: complete B-nondegenerate part
-    comp = _complement_rows(rad, n, p)
-    pairs = _symplectic_pairs(comp, B, p)
-    arf = 0
-    for u, w in pairs:
-        arf ^= qval(u) & qval(w)
-    h = len(pairs)
-    sign = -1 if arf else 1
-    n0 = 2 ** (2 * h - 1) + sign * 2 ** (h - 1) if h else 1
-    n1 = 2 ** (2 * h) - n0
-    radsize = 2 ** (n - 2 * h)
-    return {0: n0 * radsize, 1: n1 * radsize}, len(rad)
-
-
-def _complement_rows(rad, n, p):
-    """The unit vectors e_i outside the span of rad and e_0, ..., e_{i-1}:
-    those whose index is no pivot of rad's echelon form read right to left."""
-    _, piv = linalg.rref([row[::-1] for row in rad], p)
-    last = {n - 1 - c for c in piv}
-    return [[int(i == j) for j in range(n)] for i in range(n) if i not in last]
-
-
-def _symplectic_pairs(comp, B, p):
-    """Hyperbolic pairs of the restriction of the symmetric B to the span of
-    comp (char 2)."""
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v)) % p
-
-    vecs = list(comp)
-    pairs = []
-    while vecs:
-        u = vecs.pop(0)
-        Bu = linalg.mat_vec(B, u, p)
-        j = next(i for i, w in enumerate(vecs) if dot(w, Bu))
-        w = vecs.pop(j)
-        if dot(w, Bu) != 1:
-            raise TheoremViolation("hyperbolic pair must pair to 1")
-        Bw = linalg.mat_vec(B, w, p)
-        rest = []
-        for v in vecs:
-            a, b = dot(v, Bw), dot(v, Bu)
-            rest.append([(x + a * y + b * z) % p for x, y, z in zip(v, u, w)])
-        vecs = rest
-        pairs.append((u, w))
-    return pairs
+                row[slot], row[i] = row[i], row[slot]
+        k = len(piv)
+        if k == 1:
+            dinv = pow(M[0][0], -1, p)
+            lines.append(Q[0])
+            for j in range(1, len(M)):
+                t = M[j][0] * dinv % p
+                if t:
+                    # e_j - t e_0
+                    Q[j] = (Q[j] - t * M[j][0] + t * t * Q[0]) % p
+                    M[j] = [(x - t * y) % p for x, y in zip(M[j], M[0])]
+        else:
+            b = M[0][1]
+            binv = pow(b, -1, p)
+            if Q[0] * Q[1] % p:
+                sign = -sign
+            for j in range(2, len(M)):
+                a, c = M[j][1] * binv % p, M[j][0] * binv % p
+                if a or c:
+                    # e_j - a e_0 - c e_1, orthogonal to both
+                    Q[j] = (Q[j] + a * a * Q[0] + c * c * Q[1] - a * c * b) % p
+                    M[j] = [(x - a * y - c * z) % p for x, y, z in zip(M[j], M[0], M[1])]
+        M = [row[k:] for row in M[k:]]
+        Q = Q[k:]
+    rad = len(M)
+    r = n - rad
+    eps = sign * _legendre((-1) ** (len(lines) // 2) * math.prod(lines), p)
+    w = 0 if any(Q) else eps * p ** (n - 1 - r // 2)
+    counts = {t: p ** (n - 1) + w * (_legendre(t, p) if r % 2 else p * (t == 0) - 1) for t in range(p)}
+    return counts, rad
 
 
 _DISTRIBUTION_CACHE = {}
-_RADICAL_CACHE = {}
 
 
 def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
     """Exact counts {t: #{x in F_{q^k} : Tr(x R(x)) = t}} for t in F_p.
 
-    Memoized per (R, k): one curve report asks for the same k from the
-    counts, the zeta numerator and every character sum. Each call returns a
-    fresh dict, so a caller may change it without touching the memo. The
-    dimension of the polar form's radical is kept beside it in
-    `_RADICAL_CACHE`.
+    Memoized per (R, k), with the dimension of the polar form's radical
+    beside it: one curve report asks for the same k from the counts, the
+    zeta numerator, every character sum and the radical check. Each call
+    returns a fresh dict, so a caller may change it without touching the memo.
     """
     if R.is_zero():
         raise ValidationError("R must be nonzero")
@@ -288,22 +231,17 @@ def value_distribution(R: addpoly.AdditivePoly, k: int) -> dict:
     key = (R, k)
     if key not in _DISTRIBUTION_CACHE:
         p, n, B, qvec = _form_data(R, k)
-        if p == 2:
-            out, rad = _distribution_char2(n, B, qvec)
-        else:
-            out, rad = _distribution_odd(p, n, B, qvec)
-        out = {t: int(out.get(t, 0)) for t in range(p)}
+        out, rad = _classify(p, n, B, qvec)
         if sum(out.values()) != p ** n:
             raise TheoremViolation("value counts must exhaust the space")
-        _DISTRIBUTION_CACHE[key] = out
-        _RADICAL_CACHE[key] = rad
-    return dict(_DISTRIBUTION_CACHE[key])
+        _DISTRIBUTION_CACHE[key] = out, rad
+    return dict(_DISTRIBUTION_CACHE[key][0])
 
 
 def radical_dimension(R: addpoly.AdditivePoly, k: int) -> int:
     """F_p-dimension of the radical of B(x, y) = Tr(x R(y) + y R(x)) on F_{q^k}."""
     value_distribution(R, k)
-    return _RADICAL_CACHE[(R, k)]
+    return _DISTRIBUTION_CACHE[(R, k)][1]
 
 
 def point_count(R: addpoly.AdditivePoly, k: int) -> int:
@@ -694,6 +632,21 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
     return top
 
 
+def check_max_k(R: addpoly.AdditivePoly, max_k: int) -> None:
+    """Refuses a max_k below 0, or one whose last count N_K <= q^K + 2g
+    q^{K/2} could have more decimal digits than Python converts to a string
+    (sys.get_int_max_str_digits(), 0 for no limit). The test is on the log10
+    of that bound, K log10 q + log10(1 + 2g q^{-K/2}), before q^K is formed."""
+    if max_k is None:
+        return
+    if max_k < 0:
+        raise ValidationError(f"max_k must be >= 0, got {max_k}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    q = R.base.order
+    if digits and max_k * math.log10(q) + math.log10(1 + 2 * genus(R) * q ** (-max_k / 2)) > digits - 1e-9:
+        raise ValidationError(f"max_k = {max_k} is too large: N_{max_k} could have more than {digits} digits")
+
+
 def _zeta_from_psi_1(R: addpoly.AdditivePoly, L1: PsiLPolynomial) -> ZetaNumerator:
     """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), so log Z = sum_k Tr(S_k) T^k / k
     with S_k the power sums of L(psi_1): the character sums for k <= p^e +
@@ -734,8 +687,7 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     read from Z's power sums, and every radical of a polar form built is
     checked against ker(S^k - 1).
     """
-    if max_k is not None and max_k < 0:
-        raise ValidationError(f"max_k must be >= 0, got {max_k}")
+    check_max_k(R, max_k)
     g = genus(R)
     kmax = max_k if max_k is not None else 2 * g
     top = check_curve_work(R, 0 if frobenius is not None else kmax)

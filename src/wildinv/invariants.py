@@ -274,6 +274,7 @@ def full_report(
     if p == 2 and e == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
     if curve:
+        counts.check_max_k(R, max_k)
         counts.check_curve_work(R)
 
     d_R = addpoly.scaling_order(R)

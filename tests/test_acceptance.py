@@ -37,6 +37,7 @@ GOLDEN_INPUTS = {
     "g7_p23_f1_x_m1_curve": ["report", "-p", "23", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
     "g8_p101_f1_x_m1_curve": ["report", "-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
     "g9_p11_f1_x11_m1_curve": ["report", "-p", "11", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
+    "g10_p2_f1_x32_m1_curve": ["report", "-p", "2", "-f", "1", "-R", "1", "-e", "5", "-m", "1", "--curve"],
 }
 
 
@@ -320,7 +321,7 @@ def _run_cli_capture(argv):
 
 
 def test_criterion_10_determinism_goldens():
-    """Nine pinned reports byte-identical: in-process and across two fresh runs."""
+    """Ten pinned reports byte-identical: in-process and across two fresh runs."""
     assert GOLDEN_DIR.is_dir()
     for name, argv in GOLDEN_INPUTS.items():
         pinned = (GOLDEN_DIR / f"{name}.json").read_bytes()

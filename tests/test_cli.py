@@ -257,6 +257,7 @@ GOLDEN_ARGV = {
     "g7_p23_f1_x_m1_curve": ["-p", "23", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
     "g8_p101_f1_x_m1_curve": ["-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"],
     "g9_p11_f1_x11_m1_curve": ["-p", "11", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--curve"],
+    "g10_p2_f1_x32_m1_curve": ["-p", "2", "-f", "1", "-R", "1", "-e", "5", "-m", "1", "--curve"],
 }
 
 
@@ -309,7 +310,7 @@ def test_count_check_raises_under_python_O():
         "from wildinv.addpoly import AdditivePoly\n"
         "from wildinv.errors import TheoremViolation\n"
         "from wildinv.ff import field_create\n"
-        "counts._distribution_odd = lambda p, n, B, q: ({0: 1}, 0)\n"
+        "counts._classify = lambda p, n, B, q: ({0: 1}, 0)\n"
         "try:\n"
         "    counts.value_distribution(AdditivePoly.from_ints(field_create(3, 1), [0, 1]), 2)\n"
         "except TheoremViolation:\n"
@@ -540,6 +541,39 @@ def test_negative_max_k_exits_2_with_a_json_error(tmp_path, optimize):
         assert code == 2 and err == "", argv
         assert json.loads(out) == {"error": f"max_k must be >= 0, got {want}"}, argv
     assert zero_code == 0 and json.loads(zero_out)["counts"] == []
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_oversized_max_k_exits_2_before_any_form_is_classified(tmp_path, optimize):
+    # N_10000 over F_3 has about 4,772 digits, more than Python converts to a
+    # string by default; the refusal comes before the first form is
+    # classified, from a flag or an input file
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"p": 3, "f": 1, "R": "1", "e": 1, "m": 1, "flags": {"curve": True, "max_k": 10000}}))
+    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"]
+    cases = [
+        ["report", *poly, "--curve", "--max-k", "10000"],
+        ["report", "--input", str(path)],
+        ["count", *poly, "--max-k", "10000"],
+    ]
+    script = (
+        "from wildinv import counts\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('a form was classified')\n"
+        "counts._classify = refuse\n"
+    ) + _FLAG_ERROR_SCRIPT
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", script, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    for argv, (code, out, err) in zip(cases, json.loads(r.stdout), strict=True):
+        assert code == 2 and err == "", argv
+        assert json.loads(out) == {
+            "error": f"max_k = 10000 is too large: N_10000 could have more than {sys.get_int_max_str_digits()} digits"
+        }, argv
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -197,7 +197,7 @@ def test_value_distribution_memo_returns_fresh_dicts():
     first.clear()
     assert value_distribution(R, 3) == want
     assert value_distribution(R, 3) is not value_distribution(R, 3)
-    assert counts._DISTRIBUTION_CACHE[(R, 3)] == want
+    assert counts._DISTRIBUTION_CACHE[(R, 3)][0] == want
 
 
 def test_value_distribution_is_computed_once_per_r_and_k(monkeypatch):
@@ -217,10 +217,36 @@ def test_exhaust_check_runs_before_the_memo_stores(monkeypatch):
 
     R = poly(3, 1, [0, 1])
     monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
-    monkeypatch.setattr(counts, "_distribution_odd", lambda p, n, B, q: ({0: 1}, 0))
+    monkeypatch.setattr(counts, "_classify", lambda p, n, B, q: ({0: 1}, 0))
     with pytest.raises(TheoremViolation):
         value_distribution(R, 2)
     assert counts._DISTRIBUTION_CACHE == {}
+
+
+def test_the_largest_admitted_max_k_passes_the_digit_check():
+    # the pre-flight check admits K only when q^K + 2g q^{K/2}, a bound on
+    # N_K, fits in the digits Python converts, and refuses K + 1 only when
+    # q^{K+1} does not; tested on the bounds, without counting
+    import sys
+
+    from wildinv import counts
+
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this Python converts ints of any length")
+    R = poly(3, 1, [0, 1])
+    g = genus(R)
+
+    def admitted(K):
+        try:
+            counts.check_max_k(R, K)
+        except ValidationError:
+            return False
+        return True
+
+    assert admitted(9000) and not admitted(10000)
+    K = next(K for K in range(10000, 0, -1) if admitted(K))
+    assert 3 ** K + 2 * g * 3 ** ((K + 1) // 2) < 10 ** digits <= 3 ** (K + 1)
 
 
 def test_psi_l_coefficients_are_ints():
@@ -652,6 +678,100 @@ def test_point_counts_match_brute_force_on_random_curves(case):
 
 
 # ---------------------------------------------------------------------------
+# the classifier against enumeration of Q(x) = sum q_i x_i^2 + sum_{i<j} B_ij x_i x_j
+
+
+def _enumerated(p, B, qvec):
+    """{t: #{x in F_p^n : Q(x) = t}}, one coordinate at a time:
+    Q(x', a) = Q(x') + a (sum_{i<m} B_im x_i + q_m a)."""
+    points = [((), 0)]
+    for m, q in enumerate(qvec):
+        grown = []
+        for x, v in points:
+            lin = sum(B[i][m] * xi for i, xi in enumerate(x))
+            grown.extend((x + (a,), v + a * (lin + q * a)) for a in range(p))
+        points = grown
+    out = dict.fromkeys(range(p), 0)
+    for _, v in points:
+        out[v % p] += 1
+    return out
+
+
+def _form(p, qvec, upper):
+    """The polar matrix with B_ii = 2 q_i and the given B_ij, i < j."""
+    n = len(qvec)
+    B = [[2 * qvec[i] % p if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), b in upper.items():
+        B[i][j] = B[j][i] = b
+    return B
+
+
+def _check_classify(p, B, qvec):
+    from wildinv import counts, linalg
+
+    got = counts._classify(p, len(qvec), B, qvec)
+    assert got == (_enumerated(p, B, qvec), len(linalg.nullspace(B, p)))
+    return got
+
+
+_ENUMERABLE = {2: 12, 3: 7, 5: 5, 7: 4}  # the largest n with p^n <= 4096
+
+
+@st.composite
+def _forms(draw):
+    """(p, B, qvec) with p^n <= 4096: dense, sparse (a radical is likely) or,
+    for p odd, with a zero diagonal, so that the first steps split planes."""
+    p = draw(st.sampled_from(sorted(_ENUMERABLE)))
+    n = draw(st.integers(1, _ENUMERABLE[p]))
+    shape = draw(st.sampled_from(["dense", "sparse", "zero diagonal"]))
+    entry = st.integers(0, p - 1)
+    if shape == "sparse":
+        entry = st.sampled_from([0, 0, 0, 1, p - 1])
+    qvec = [0] * n if shape == "zero diagonal" and p != 2 else draw(st.lists(entry, min_size=n, max_size=n))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i + 1, n)}
+    return p, _form(p, qvec, upper), qvec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forms())
+def test_classify_matches_enumeration(form):
+    # value counts and radical dimension against the p^n values of Q and the
+    # nullspace of B; neither depends on the congruence reduction
+    _check_classify(*form)
+
+
+# (p, qvec, {(i, j): B_ij for i < j}, value counts, radical dimension)
+_CLASSIFY_CASES = {
+    "zero form": (3, [0, 0, 0], {}, {0: 27, 1: 0, 2: 0}, 3),
+    "odd rank": (5, [1, 2, 3, 0], {}, {0: 125, 1: 150, 2: 100, 3: 100, 4: 150}, 1),
+    "p odd, zero diagonal": (3, [0, 0, 0, 0], {(0, 1): 1, (2, 3): 2, (0, 3): 1}, {0: 33, 1: 24, 2: 24}, 0),
+    "p = 2, Arf 1": (2, [1, 1, 0, 0], {(0, 1): 1, (2, 3): 1, (1, 2): 1}, {0: 6, 1: 10}, 0),
+    "p = 2, Q nonzero on the radical": (2, [0, 0, 1], {(0, 1): 1}, {0: 4, 1: 4}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASSIFY_CASES))
+def test_classify_on_each_kind_of_step(name):
+    p, qvec, upper, want, rad = _CLASSIFY_CASES[name]
+    assert _check_classify(p, _form(p, qvec, upper), qvec) == (want, rad)
+
+
+@pytest.mark.parametrize(
+    "p,B,qvec",
+    [
+        (3, [[2, 1], [1, 0]], [0, 0]),  # B_00 = 2 but Q(e_0) = 0
+        (5, [[0]], [1]),
+        (2, [[1, 0], [0, 0]], [1, 0]),  # an odd diagonal at p = 2
+    ],
+)
+def test_classify_refuses_a_polar_matrix_inconsistent_with_q(p, B, qvec):
+    from wildinv import counts
+
+    with pytest.raises(TheoremViolation, match="2 Q"):
+        counts._classify(p, len(qvec), B, qvec)
+
+
+# ---------------------------------------------------------------------------
 # the form in a normal basis against the form in the canonical field
 
 
@@ -659,10 +779,7 @@ def _classified(data):
     """(value distribution, radical dimension) of _form_data's output."""
     from wildinv import counts
 
-    p, n, B, qvec = data
-    if p == 2:
-        return counts._distribution_char2(n, B, qvec)
-    return counts._distribution_odd(p, n, B, qvec)
+    return counts._classify(*data)
 
 
 # every (p, n = fk) with p odd dividing an even n <= 20, and three n = 2
