@@ -18,8 +18,8 @@ SIZE_GUARD_BITS = 40
 
 
 class Context:
-    """Ambient field together with the kernel space of R and alpha, the
-    canonical root of unity of order d_Rm."""
+    """Ambient field together with the kernel space of R, the splitting degree
+    of E over F_q and alpha, the canonical root of unity of order d_Rm."""
 
     __slots__ = (
         "R",
@@ -31,6 +31,7 @@ class Context:
         "e",
         "d_R",
         "d_Rm",
+        "splitting_degree",
         "kernel_elems",
         "kernel_rows",
         "alpha",
@@ -132,7 +133,8 @@ def build_context(
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
     E = addpoly.e_poly(R)
-    M = required_degree(R, m) if degree is None else degree
+    s = addpoly.splitting_degree(E)
+    M = _least_degree(R, d_R, s) if degree is None else degree
     _guard(p, M)
     ambient, kernel_elems = addpoly.split_kernel(E, M)
 
@@ -156,6 +158,7 @@ def build_context(
         e=e,
         d_R=d_R,
         d_Rm=d_Rm,
+        splitting_degree=s,
         kernel_elems=kernel_elems,
         kernel_rows=[b.as_vector() for b in kernel_elems],
         alpha=alpha,
@@ -166,8 +169,11 @@ def build_context(
 def required_degree(R: addpoly.AdditivePoly, m: int) -> int:
     """The ambient degree build_context would use before any gamma extension."""
     validate_input(R, m)
-    d_R = addpoly.scaling_order(R)
-    s = addpoly.splitting_degree(addpoly.e_poly(R))
+    return _least_degree(R, addpoly.scaling_order(R), addpoly.splitting_degree(addpoly.e_poly(R)))
+
+
+def _least_degree(R, d_R, s):
+    """Least degree over F_p of a field holding ker E (in F_{q^s}) and mu_{d_R}."""
     return lcm(R.base.n * s, multiplicative_order(R.p, d_R))
 
 

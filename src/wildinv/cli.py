@@ -230,6 +230,8 @@ def run(argv) -> int:
             return 0
 
         if cmd == "rootsystem":
+            if any(not c.is_zero() for c in R.coeffs[:-1]):
+                raise ValidationError("R is not a monomial")
             _emit({"root_system": rootsys.monomial_summary(args.p, args.f, args.e, R.coeffs[-1], args.m)[1]})
             return 0
 

@@ -28,6 +28,11 @@ power sums are the traces to Q of those of L(psi_1), and Newton's identities
 over the integers give its coefficients; every division must be exact, which
 is checked, not assumed. Small curves are cross-checked against Newton's
 identities on all 2g direct counts.
+
+Supersingularity, every lambda^2 / q a root of unity, needs no search for
+cyclotomic factors: the monic D(z) = prod (z - lambda^2 / q) has only roots
+of unity as roots exactly when it is integral and all its roots lie on the
+unit circle (Kronecker), and the exact Weil test decides the latter.
 """
 
 import math
@@ -536,57 +541,24 @@ def _psi_l_coefficients(R, c):
 # Supersingularity: eigenvalue ratios must be roots of unity (exact test)
 
 
-_CYCLOTOMIC_CACHE = {}
-
-
-def cyclotomic_polynomial(n: int) -> list:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
-    if n in _CYCLOTOMIC_CACHE:
-        return list(_CYCLOTOMIC_CACHE[n])
-    phi = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            phi = _exact_quotient(phi, cyclotomic_polynomial(d))
-            if phi is None:
-                raise TheoremViolation("integer polynomial division must be exact")
-    _CYCLOTOMIC_CACHE[n] = tuple(phi)
-    return phi
+def _ratio_polynomial_is_integral(Z: ZetaNumerator) -> bool:
+    """Whether D(z) = prod (z - lambda^2 / q), which is monic, lies in Z[z]."""
+    q, A = Z.q, Z.coeffs[::-1]  # A(x) = prod (x - lambda)
+    # C(y) with roots lambda^2: A(x) A(-x) = C(x^2)
+    prod = poly.mul(A, [c * (-1) ** i for i, c in enumerate(A)])
+    if any(prod[1::2]):
+        raise TheoremViolation("A(x) A(-x) must be even")
+    C = prod[::2]
+    if C[-1] != 1:
+        raise TheoremViolation("the squared eigenvalue polynomial must be monic")
+    # D(z) = C(q z) / q^{2g}
+    return all(c * q ** j % q ** (2 * Z.g) == 0 for j, c in enumerate(C))
 
 
 def check_supersingular(Z: ZetaNumerator) -> bool:
-    """All lambda^2 / q roots of unity: the monic integer polynomial with those
-    roots must be a product of cyclotomic polynomials (Kronecker)."""
-    g, q = Z.g, Z.q
-    # A(x) = prod (x - lambda): reversed coefficient order
-    A = list(reversed(Z.coeffs))
-    # C(y) with roots lambda^2: A(x) A(-x) = C(x^2)
-    prod = poly.mul(A, [c * (-1) ** i for i, c in enumerate(A)])
-    if any(c for c in prod[1::2]):
-        raise TheoremViolation("A(x) A(-x) must be even")
-    C = prod[::2]
-    # D(z) with roots lambda^2 / q: D(z) = C(q z) / q^{2g}
-    D = []
-    for j, cj in enumerate(C):
-        num = cj * q ** j
-        if num % q ** (2 * g) != 0:
-            return False
-        D.append(num // q ** (2 * g))
-    if D[-1] != 1:
-        raise TheoremViolation("the squared eigenvalue polynomial must be monic")
-    # strip cyclotomic factors until nothing is left
-    deg = len(D) - 1
-    n = 1
-    remaining = D
-    # phi(n) >= sqrt(n/2), so factors of degree <= deg have n <= 2 deg^2 + 1
-    while len(remaining) > 1 and n <= 2 * deg * deg + 2:
-        phi = cyclotomic_polynomial(n)
-        while len(phi) <= len(remaining):
-            quotient = _exact_quotient(remaining, phi)
-            if quotient is None:
-                break
-            remaining = quotient
-        n += 1
-    return len(remaining) == 1 and remaining[0] == 1
+    """All lambda^2 / q roots of unity, decided exactly (Kronecker, see the
+    module docstring): D(z) must be integral and every |lambda|^2 must be q."""
+    return _ratio_polynomial_is_integral(Z) and Z.weil_bounds_ok()
 
 
 def _newton_check_runs(R: addpoly.AdditivePoly) -> bool:
@@ -604,10 +576,9 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
     for L(psi_1), 2g when the Newton cross-check runs, and direct_k, the
     largest k counted directly. Raises AmbientGuardError when F_{q^top} has
     more than 2^CURVE_FIELD_BITS_BOUND elements, or when the work in
-    Z[zeta_p], estimated as (2g (p - 1))^2 / 2 coordinate products, exceeds
-    CYC_PRODUCT_BOUND. The estimate bounds that work from above, up to lower
-    order terms: L(psi_1) and its power sums up to 2g take about
-    (p - 1)^3 p^{2e} coordinate products.
+    Z[zeta_p] exceeds CYC_PRODUCT_BOUND coordinate products: the power sums
+    of L(psi_1) up to 2g take 2g p^e products of p - 1 coordinates by p - 1,
+    (p - 1)^3 p^{2e} in all.
     """
     g = genus(R)
     p = R.p
@@ -622,7 +593,7 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
             f"the curve section needs F_{p}^{R.base.n * top}, beyond the "
             f"2^{CURVE_FIELD_BITS_BOUND}-element curve field guard"
         )
-    products = (2 * g * (p - 1)) ** 2 // 2
+    products = (p - 1) ** 3 * p ** (2 * R.p_degree)
     if products > CYC_PRODUCT_BOUND:
         raise AmbientGuardError(
             f"L(psi_1) and its power sums in Z[zeta_{p}] are estimated at "
@@ -691,6 +662,7 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     g = genus(R)
     kmax = max_k if max_k is not None else 2 * g
     top = check_curve_work(R, 0 if frobenius is not None else kmax)
+    check_max_k(R, kmax)  # the default 2g too, once the guard has passed
     L1 = psi_l_polynomial(R, 1)
     Z = _zeta_from_psi_1(R, L1)
     sign = Z.functional_equation_sign()
@@ -715,6 +687,7 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
         "zeta_numerator": Z.coeffs,
         "functional_equation_sign": sign,
         "weil_bounds_ok": weil,
-        "supersingular": check_supersingular(Z),
+        # the Weil bounds hold, so Kronecker leaves integrality to decide
+        "supersingular": _ratio_polynomial_is_integral(Z),
         "psi_L_degrees": [L1.degree] * (R.p - 1),
     }

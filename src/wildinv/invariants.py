@@ -276,6 +276,8 @@ def full_report(
     if curve:
         counts.check_max_k(R, max_k)
         counts.check_curve_work(R)
+        if max_k is None:
+            counts.check_max_k(R, 2 * counts.genus(R))  # the default count list ends at N_2g
 
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)

@@ -9,8 +9,6 @@ a canonical signature.
 
 from operator import mul
 
-from .errors import TheoremViolation
-
 
 def rref(A, p):
     """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
@@ -114,17 +112,6 @@ def mat_pow(A, k, p):
         B = mat_mul(B, B, p)
         k >>= 1
     return out
-
-
-def mat_order(A, p, cap=10 ** 6):
-    """Multiplicative order of an invertible matrix mod p."""
-    I = identity(len(A))
-    M = B = [[x % p for x in row] for row in A]
-    for k in range(1, cap + 1):
-        if M == I:
-            return k
-        M = mat_mul(M, B, p)
-    raise TheoremViolation("matrix order exceeds cap")
 
 
 def coords_in_rows(B, v, p):

@@ -127,7 +127,11 @@ def _module_from_context(context) -> SymplecticModule:
     T = addpoly.action_matrix(B, lambda x: context.alpha * x, F)
     S = addpoly.action_matrix(B, lambda x: x.frobenius(context.base.n), F)
     _check_module_axioms(gram, T, S, context)
-    r = lcm(linalg.mat_order(S, p), multiplicative_order(context.base.order, context.d_Rm))
+    # S^k = 1 exactly when ker E lies in F_{q^k}, so S has order s, the
+    # splitting degree of E over F_q
+    if linalg.mat_pow(S, context.splitting_degree, p) != linalg.identity(dim):
+        raise TheoremViolation("the q-Frobenius must fix ker E at the splitting degree of E")
+    r = lcm(context.splitting_degree, multiplicative_order(context.base.order, context.d_Rm))
     return SymplecticModule(p, dim, gram, T, S, context.d_Rm, r, context)
 
 

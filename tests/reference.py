@@ -33,6 +33,16 @@ counts.Cyc's basis, the reference for counts.character_sum; the zeta numerator a
 product in Z[zeta_p] of the p - 1 Galois conjugates of L(psi_1), or of any
 list of character L-polynomials; the reference for counts' route through the
 traced power sums of L(psi_1).
+
+cyclotomic_polynomial, supersingular_by_cyclotomic_factors: Phi_n by exact
+division of x^n - 1, and the supersingularity test that strips cyclotomic
+factors from D(z) = prod (z - lambda^2 / q), as counts had it; the
+reference for counts.check_supersingular, which applies Kronecker's theorem
+through integrality and the Weil test instead.
+
+matrix_order: the multiplicative order of a matrix mod p by repeated
+products, as linalg had it; the reference for the module's sigma order,
+which sympmod reads from the splitting degree of E.
 """
 
 import itertools
@@ -43,7 +53,7 @@ from wildinv import addpoly, ff, poly
 from wildinv.counts import Cyc, PsiLPolynomial
 from wildinv.ambient import _scalar
 from wildinv.errors import TheoremViolation, ValidationError
-from wildinv.linalg import coords_in_rows, transpose
+from wildinv.linalg import coords_in_rows, identity, mat_mul, transpose
 from wildinv.numth import multiplicative_order, prime_factors
 from wildinv.rootsys import invariants
 
@@ -324,3 +334,62 @@ def zeta_from_conjugates(L1):
     """Z = prod_{c=1}^{p-1} sigma_c(L(psi_1)), multiplied out in Z[zeta_p]."""
     conjugates = [PsiLPolynomial(L1.p, c, [galois(cf, c) for cf in L1.coeffs]) for c in range(2, L1.p)]
     return psi_l_product([L1, *conjugates])
+
+
+_CYCLOTOMIC = {}
+
+
+def cyclotomic_polynomial(n):
+    """Integer coefficients of Phi_n, constant term first: x^n - 1 divided
+    by every Phi_d with d | n, d < n."""
+    if n not in _CYCLOTOMIC:
+        phi = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                phi, r = poly.divmod(phi, cyclotomic_polynomial(d))
+                if r:
+                    raise TheoremViolation("integer polynomial division must be exact")
+        _CYCLOTOMIC[n] = tuple(phi)
+    return list(_CYCLOTOMIC[n])
+
+
+def _totient(n):
+    for ell in prime_factors(n):
+        n = n // ell * (ell - 1)
+    return n
+
+
+def supersingular_by_cyclotomic_factors(Z):
+    """All lambda^2 / q roots of unity: D(z) = prod (z - lambda^2 / q) must
+    be integral and, once every Phi_n that fits is stripped as often as it
+    divides, nothing must be left (Kronecker)."""
+    g, q, A = Z.g, Z.q, Z.coeffs[::-1]
+    C = poly.mul(A, [c * (-1) ** i for i, c in enumerate(A)])[::2]  # A(x) A(-x) = C(x^2)
+    if any(c * q ** j % q ** (2 * g) for j, c in enumerate(C)):
+        return False
+    remaining = [c * q ** j // q ** (2 * g) for j, c in enumerate(C)]
+    deg = len(remaining) - 1
+    # phi(n) >= sqrt(n/2), so factors of degree <= deg have n <= 2 deg^2 + 1
+    for n in range(1, 2 * deg * deg + 3):
+        if len(remaining) == 1:
+            break
+        if _totient(n) >= len(remaining):
+            continue
+        phi = cyclotomic_polynomial(n)
+        while len(phi) <= len(remaining):
+            quotient, r = poly.divmod(remaining, phi)
+            if r:
+                break
+            remaining = quotient
+    return remaining == [1]
+
+
+def matrix_order(A, p, cap=10 ** 6):
+    """Multiplicative order of an invertible matrix mod p, by repeated products."""
+    I = identity(len(A))
+    M = B = [[x % p for x in row] for row in A]
+    for k in range(1, cap + 1):
+        if M == I:
+            return k
+        M = mat_mul(M, B, p)
+    raise TheoremViolation("matrix order exceeds cap")

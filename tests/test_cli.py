@@ -727,3 +727,95 @@ def test_swan_refuses_a_negative_e_and_a_conductor_too_long_to_print(optimize):
         assert json.loads(doc) == {"error": message}, argv
     assert code == 0 and err == ""
     assert json.loads(out, parse_int=str) == {"swan": str(2 ** 14284 + 1)}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_rootsystem_refuses_a_non_monomial_r(optimize):
+    # the root system is that of a_e x^{p^e}; for x + x^3 it used to print
+    # the type-A system of x^3 and exit 0, while report said "R is not a
+    # monomial"; the refusal comes before any root-system field is built
+    script = (
+        "from wildinv import rootsys\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('a root system was built')\n"
+        "rootsys.monomial_root_system = refuse\n"
+    ) + _FLAG_ERROR_SCRIPT
+    poly = ["-p", "3", "-f", "1", "-e", "1", "-m", "1"]
+    cases = [["rootsystem", *poly, "-R", "1;1"], ["rootsystem", "-p", "3", "-f", "2", "-R", "1;0,1", "-e", "1", "-m", "2"]]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", script, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    for argv, (code, out, err) in zip(cases, json.loads(r.stdout), strict=True):
+        assert code == 2 and err == "", argv
+        assert json.loads(out) == {"error": "R is not a monomial"}, argv
+    code, out = cap(["rootsystem", *poly, "-R", "0;1"])
+    assert code == 0 and json.loads(out)["root_system"]["type"] == "A"
+
+
+def test_curve_guard_admits_p127_at_e0_with_the_same_bytes_twice():
+    # (p - 1)^3 = 2.0e6 coordinate products in Z[zeta_127], far below the
+    # 10^8 bound; the former estimate (2g (p - 1))^2 / 2 = 1.3e8 refused it
+    argv = ["report", "-p", "127", "-f", "1", "-R", "1", "-e", "0", "-m", "1", "--curve"]
+    outs = []
+    for _ in range(2):
+        r = subprocess.run([sys.executable, "-m", "wildinv", *argv], capture_output=True, env=_module_env(), timeout=60)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    curve = json.loads(outs[0])["curve"]
+    assert curve["genus"] == 63 and curve["supersingular"] is True
+    assert len(curve["counts"]) == 126
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_curve_guard_refuses_before_any_form_is_built(optimize):
+    # p = 10007 at e = 0 (about 10^12 coordinate products), and count at
+    # p = 101 (F_101^100, counted directly)
+    script = (
+        "from wildinv import counts\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('a form was built')\n"
+        "counts._form_data = refuse\n"
+    ) + _FLAG_ERROR_SCRIPT
+    poly = ["-f", "1", "-R", "1", "-e", "0", "-m", "1"]
+    cases = [["report", "-p", "10007", *poly, "--curve"], ["count", "-p", "101", *poly], ["report", "-p", "467", *poly, "--curve"]]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", script, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    for argv, (code, out, err) in zip(cases, json.loads(r.stdout), strict=True):
+        assert code == 2 and err == "", argv
+        assert "guard" in json.loads(out)["error"], argv
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_default_count_list_too_long_to_print_exits_2(optimize):
+    # p = 463, f = 4 passes the curve guards, but N_462 would have about
+    # 4,930 digits, past Python's default int-to-string limit: the default
+    # max_k = 2g is refused before any form is built, not in the JSON output
+    script = (
+        "from wildinv import counts\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('a form was built')\n"
+        "counts._form_data = refuse\n"
+    ) + _FLAG_ERROR_SCRIPT
+    cases = [["report", "-p", "463", "-f", "4", "-R", "1", "-e", "0", "-m", "1", "--curve"]]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-X", "int_max_str_digits=4300", "-c", script, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    [(code, out, err)] = json.loads(r.stdout)
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "max_k = 462 is too large: N_462 could have more than 4300 digits"}

@@ -10,7 +10,6 @@ from wildinv.counts import (
     character_sum,
     check_supersingular,
     curve_summary,
-    cyclotomic_polynomial,
     genus,
     point_count,
     psi_l_polynomial,
@@ -20,7 +19,14 @@ from wildinv.counts import (
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
 
-from reference import galois, psi_l_product, root_power, zeta_from_conjugates
+from reference import (
+    cyclotomic_polynomial,
+    galois,
+    psi_l_product,
+    root_power,
+    supersingular_by_cyclotomic_factors,
+    zeta_from_conjugates,
+)
 
 
 def poly(p, f, ints):
@@ -144,6 +150,60 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == [1, 1]
     assert cyclotomic_polynomial(4) == [1, 0, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+
+
+@st.composite
+def _zeta_numerators(draw):
+    """A ZetaNumerator of one of three kinds: prod Phi_n(s T) with q = s^2,
+    half the time multiplied by some 1 - a T + q T^2; c_j drawn for j <= g
+    with c_{2g-j} = eps q^{g-j} c_j imposed, eps = +-1 (c_g = 0 for eps = -1);
+    or a lambda-polynomial from Weil-type factors (`_random_weil_case`)."""
+    import random
+
+    kind = draw(st.sampled_from(["cyclotomic", "functional", "weil"]))
+    if kind == "weil":
+        q, P, _ = _random_weil_case(random.Random(draw(st.integers(0, 2 ** 32))))
+        return ZetaNumerator(q, (len(P) - 1) // 2, P)
+    if kind == "functional":
+        q, g, eps = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])), draw(st.integers(1, 4)), draw(st.sampled_from([1, -1]))
+        c = [1] + [draw(st.integers(-2 * q ** j, 2 * q ** j)) for j in range(1, g + 1)]
+        if eps == -1:
+            c[g] = 0
+        return ZetaNumerator(q, g, c + [eps * q ** (g - j) * c[j] for j in range(g - 1, -1, -1)])
+    s = draw(st.integers(2, 5))
+    Z = [1]
+    for n in draw(st.lists(st.integers(1, 30), min_size=1, max_size=3)):
+        Z = _poly_mul(Z, [c * s ** j for j, c in enumerate(cyclotomic_polynomial(n))])
+    if len(Z) % 2 == 0:
+        Z = _poly_mul(Z, [1, s])  # Phi_2(s T), so the degree is even
+    if draw(st.booleans()):
+        Z = _poly_mul(Z, [1, -draw(st.integers(-2 * s, 2 * s)), s * s])
+    return ZetaNumerator(s * s, (len(Z) - 1) // 2, [c * Z[0] for c in Z])  # Z[0] = +-1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zeta_numerators())
+def test_check_supersingular_matches_the_cyclotomic_factor_search(Z):
+    # Kronecker through integrality and the Weil test against stripping
+    # cyclotomic factors from D(z) = prod (z - lambda^2 / q)
+    assert check_supersingular(Z) == supersingular_by_cyclotomic_factors(Z)
+
+
+def test_check_supersingular_on_cyclotomic_products_times_an_elliptic_factor():
+    seen = set()
+    # every Phi_n(s T) product is supersingular; with 1 - a T + q T^2 it is
+    # exactly when a^2 / q is 0, 1, 2, 3 or 4
+    for n in range(1, 25):
+        for s in (2, 3):
+            Z = [c * s ** j for j, c in enumerate(cyclotomic_polynomial(n))]
+            if len(Z) % 2 == 0:
+                Z = _poly_mul(Z, [1, s])
+            for a in range(-2 * s, 2 * s + 1):
+                W = _poly_mul(Z, [1, -a, s * s])
+                got = check_supersingular(ZetaNumerator(s * s, (len(W) - 1) // 2, [c * W[0] for c in W]))
+                assert got == (a * a in (0, s * s, 2 * s * s, 3 * s * s, 4 * s * s)), (n, s, a)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_curve_summary_q9():
@@ -535,6 +595,31 @@ def test_curve_guard_admits_the_benchmark_inputs():
     for p, f, e in [(5, 1, 2), (3, 2, 3), (2, 1, 6)]:
         R = parse_additive_poly("1", p, f, e)
         counts.check_curve_work(R, 2 * genus(R))
+
+
+def test_the_product_guard_refuses_nothing_the_former_estimate_admitted():
+    # the former estimate (2g (p - 1))^2 / 2 is at least the present
+    # (p - 1)^3 p^{2e} for p >= 3 and half of it for p = 2, where both admit
+    # e <= 13; at e = 0 the bound 10^8 now admits every p <= 463
+    from wildinv import counts
+    from wildinv.errors import AmbientGuardError
+    from wildinv.numth import is_prime
+
+    checked = newly = 0
+    for p in [q for q in range(2, 480) if is_prime(q)]:
+        for f in (1, 2, 3) if p < 50 else (1,):
+            for e in range(0 if p > 2 else 1, 4):
+                R = poly(p, f, [0] * e + [1])
+                former = (2 * genus(R) * (p - 1)) ** 2 // 2 <= counts.CYC_PRODUCT_BOUND
+                try:
+                    counts.check_curve_work(R)
+                except AmbientGuardError as exc:
+                    assert not former or "field guard" in str(exc), (p, f, e)
+                    assert (e, f) != (0, 1) or p > 463, p
+                    continue
+                checked += 1
+                newly += not former
+    assert checked > 100 and newly > 50
 
 
 # ---------------------------------------------------------------------------

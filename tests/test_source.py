@@ -57,3 +57,44 @@ def test_every_private_name_is_used_in_the_library():
         if not any(n == name and not (f == file and first <= line <= last) for n, f, line in used)
     ]
     assert not orphans, orphans
+
+
+def _readers(path, library):
+    """(name, file, line) for the names a file reads from the library: every
+    attribute load, the names it imports from wildinv, and, in the library's
+    own files (library=True), every name load; a test's own function of the
+    same name as a library one is no reader of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store) and library:
+            yield node.id, path, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, path, node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.level if library else (node.module or "").startswith("wildinv")):
+            yield from ((alias.name, path, node.lineno) for alias in node.names)
+
+
+def test_every_public_name_has_a_reader():
+    # a public top-level function or class of src/ that nothing in src/,
+    # tests/ or demos/ reads outside its own definition is an orphan; the
+    # package's re-exports in __init__.py do not count as readers
+    root = SRC.parent.parent
+    defined = [
+        (node.name, path, node.lineno, node.end_lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    used = {}
+    for folder in (SRC, root / "tests", root / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            if path != SRC / "__init__.py":
+                for name, file, line in _readers(path, library=folder == SRC):
+                    used.setdefault(name, []).append((file, line))
+    assert len(defined) >= 140
+    orphans = [
+        f"{path.name}:{first} {name}"
+        for name, path, first, last in defined
+        if not any(not (file == path and first <= line <= last) for file, line in used.get(name, ()))
+    ]
+    assert not orphans, orphans

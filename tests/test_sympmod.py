@@ -906,3 +906,93 @@ def test_module_build_stays_within_its_field_product_budget(monkeypatch, p, e):
     M = build(AdditivePoly.monomial(field_create(p, 1), e), 1)
     assert M.dim == 2 * e
     assert len(calls) <= MUL_BUDGET[p, e] * 1.1, len(calls)
+
+
+# ---------------------------------------------------------------------------
+# the sigma order from the splitting degree of E
+
+
+def _sigma_order_reference(M):
+    """lcm of the order of S by repeated products and ord_{d_Rm}(q); 1 for
+    the zero module."""
+    from math import lcm
+
+    from reference import matrix_order
+
+    if not M.dim:
+        return 1
+    return lcm(matrix_order(M.S, M.p), multiplicative_order(M.context.base.order, M.d))
+
+
+def test_sigma_order_matches_the_matrix_order_on_the_goldens():
+    from wildinv.cli import parse_additive_poly
+
+    from test_acceptance import GOLDEN_INPUTS
+
+    seen = 0
+    for argv in GOLDEN_INPUTS.values():
+        flags = dict(zip(argv[1:-1:2], argv[2::2]))
+        R = parse_additive_poly(flags["-R"], int(flags["-p"]), int(flags["-f"]), int(flags["-e"]))
+        M = build(R, int(flags["-m"]))
+        assert M.r == _sigma_order_reference(M), argv
+        seen += M.dim > 0
+    assert seen == 8
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_sigma_order_matches_the_matrix_order_on_random_modules(data):
+    from wildinv.errors import AmbientGuardError
+
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, data.draw(st.integers(1, 2)))
+    R = data.draw(_small_additive(F, 2))
+    m = data.draw(st.sampled_from([m for m in range(1, 9) if m % p]))
+    try:
+        M = build(R, m)
+    except AmbientGuardError:
+        assume(False)
+    assert M.r == _sigma_order_reference(M)
+
+
+_SPLITTING_PATCH = """
+import sys
+from wildinv import addpoly, sympmod
+from wildinv.addpoly import AdditivePoly
+from wildinv.errors import TheoremViolation
+from wildinv.ff import field_create
+
+R = AdditivePoly.from_ints(field_create(2, 1), [0, 1])
+real = addpoly.splitting_degree
+s = real(addpoly.e_poly(R))
+addpoly.splitting_degree = lambda f: real(f) + 1
+try:
+    sympmod.build(R, 1)
+except TheoremViolation as exc:
+    print(s, exc)
+else:
+    print(s, "no violation")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_frobenius_order_check_raises_on_a_wrong_splitting_degree(optimize):
+    # x^2 over F_2 has s = 2 and d_R = 3, so the ambient degree lcm(s + 1,
+    # ord_2(3)) = 6 still splits E; S^{s+1} = S is not the identity, so a
+    # splitting degree one too large must fail the S^s = 1 check, also
+    # under python -O
+    import subprocess
+    import sys
+
+    from test_cli import _module_env
+
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _SPLITTING_PATCH],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    s, message = r.stdout.strip().split(" ", 1)
+    assert s == "2"
+    assert message == "the q-Frobenius must fix ker E at the splitting degree of E"
