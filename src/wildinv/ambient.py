@@ -7,11 +7,12 @@ lcm of the required degrees; a size guard rejects p^M beyond 2^40, which is
 far above anything the constructions here need.
 """
 
+from functools import reduce
 from math import lcm
 
 from . import addpoly, ff
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
-from .linalg import coords_in_rows
+from .linalg import coords_in_rows, mat_add, mat_vec
 from .numth import multiplicative_order
 
 SIZE_GUARD_BITS = 40
@@ -62,15 +63,14 @@ class Context:
 
     def omega(self, x, y) -> int:
         """Antisymmetrized pairing, a prime-field scalar."""
-        return _scalar(self.pairing.eval(x, y) - self.pairing.eval(y, x))
+        return _scalar((self.pairing.eval(x, y) - self.pairing.eval(y, x)).coords)
 
     def gram(self, elems):
-        """Matrix of omega on elems, from the antisymmetric table d_ab = c_ab - c_ba.
+        """Matrix of omega on elems, at one field product per pair and term.
 
-        omega(x, y) = sum_b D_b(x) y^{p^b} with D_b(x) = sum_a d_ab x^{p^a},
-        so each element's D_b are formed once and an entry above the
-        diagonal costs one product per b. omega is alternating: the diagonal
-        is zero and the entries below it are the negated ones above.
+        The values come from _omega_values, each checked to be a scalar on
+        every coordinate. omega is alternating: the diagonal is zero and the
+        entries below it are the negated ones above.
         """
         n = len(elems)
         if not n:
@@ -78,33 +78,60 @@ class Context:
         F = elems[0].field
         if any(x.field is not F for x in elems):
             raise ValidationError("pairing arguments in different fields")
-        d = {}
-        for (a, b), c in self.pairing.terms.items():
-            d[a, b] = d.get((a, b), 0) + c
-            d[b, a] = d.get((b, a), 0) - c
-        rows = {}  # b -> [(a, d_ab)] over the nonzero d_ab, embedded in F
-        for (a, b), c in d.items():
-            if not c.is_zero():
-                rows.setdefault(b, []).append((a, c if c.field is F else ff.embed(c, F)))
-        exps = {a for row in rows.values() for a, _ in row} | set(rows)
-        powers = [{k: x.frobenius(k) for k in exps} for x in elems]
-        p = F.p
         gram = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            xp = powers[i]
-            D = {b: sum((c * xp[a] for a, c in row), F.zero()) for b, row in rows.items()}
-            for j in range(i + 1, n):
-                yp = powers[j]
-                w = _scalar(sum((v * yp[b] for b, v in D.items()), F.zero()))
-                gram[i][j] = w
-                gram[j][i] = (-w) % p
+        if self.e == 0:  # the table is empty
+            return gram
+        R = self.R_amb if F is self.ambient else self.R.embed_to(F)
+        p = F.p
+        for (i, j), w in _omega_values(R, elems).items():
+            gram[i][j] = _scalar(w)
+            gram[j][i] = (-gram[i][j]) % p
         return gram
 
 
-def _scalar(v) -> int:
-    if any(v.coords[1:]):
+def _omega_values(R, elems):
+    """Coordinates of omega(x_i, x_j) for i < j, for any elements of R's base.
+
+    With T_k = sum_{j<k} Frob^j the table of addpoly.pairing_poly is
+    f(x, y) = -sum_{i<e} T_{e-i}(a_i x^{p^i} y) - T_e(x R(y)), and its i = 0
+    term cancels in omega(x, y) = f(x, y) - f(y, x), so
+    omega(x, y) = -sum_t T_{k_t}(u_t(x) v_t(y) - u_t(y) v_t(x)) over the terms
+    (k, u, v) = (e, id, R) and (e - i, a_i Frob^i, id) for 0 < i < e with
+    a_i != 0. Each difference is (u(x) - u(y))(v(x) + v(y)) - u(x) v(x)
+    + u(y) v(y), so once the diagonal products are made a pair costs one
+    product per term, and the sum over the terms is one product with the
+    stacked matrix [T_{k_1} ... T_{k_t}].
+    """
+    F, e = R.base, R.p_degree
+    p = F.p
+    # a_i x^{p^i} for every nonzero a_i; their sum is R(x)
+    scaled = [{i: c * x.frobenius(i) for i, c in enumerate(R.coeffs) if c} for x in elems]
+    terms = [(e, elems, [sum(s.values(), F.zero()) for s in scaled])]
+    terms += [(e - i, [s[i] for s in scaled], elems) for i in range(1, e) if R.coeffs[i]]
+    stacked = [[] for _ in range(F.n)]
+    for k, _, _ in terms:
+        T = reduce(lambda A, B: mat_add(A, B, p), (F.frobenius_matrix(j) for j in range(k)))
+        for row, t in zip(stacked, T):
+            row.extend(t)
+
+    # omega(x_i, x_j) = S(D_i - D_j - P_ij) with P_ij = (u(x_i) - u(x_j))(v(x_i) + v(x_j))
+    # and D_i = u(x_i) v(x_i) per term, S the stacked matrix
+    diag = [[(u[i] * v[i]).coords for _, u, v in terms] for i in range(len(elems))]
+    out = {}
+    for i, di in enumerate(diag):
+        for j in range(i + 1, len(elems)):
+            vec = []
+            for (_, u, v), a, b in zip(terms, di, diag[j]):
+                P = ((u[i] - u[j]) * (v[i] + v[j])).coords
+                vec += [x - y - z for x, y, z in zip(a, b, P)]
+            out[i, j] = mat_vec(stacked, vec, p)
+    return out
+
+
+def _scalar(coords) -> int:
+    if any(coords[1:]):
         raise TheoremViolation("pairing values must be scalars")
-    return v.coords[0]
+    return coords[0]
 
 
 def validate_input(R: addpoly.AdditivePoly, m: int):

@@ -44,8 +44,12 @@ def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
     out = Fraction(m * (p ** e + 1), d_R)
     if out.denominator != 1:
         raise TheoremViolation("the Swan conductor must be an integer")
-    if digits and out >= 10 ** digits:
-        raise ValidationError(too_long)
+    if digits:
+        # 10^digits has floor(digits log2 10) + 1 bits, so the bit length
+        # settles the comparison unless it is within 2 of digits log2 10
+        bits, bound = out.numerator.bit_length(), digits * math.log2(10)
+        if bits > bound + 2 or (bits > bound - 2 and out >= 10 ** digits):
+            raise ValidationError(too_long)
     return out
 
 

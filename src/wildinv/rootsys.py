@@ -169,7 +169,10 @@ def monomial_root_system(p: int, f: int, e: int, a_e, m: int):
     val = -(a_e ** (-(p ** e - 1)))
     beta_sub, _ = ff.norm_trace(val, e1)
     beta = ff.embed(beta_sub, joint)
-    W = RootSystem(alpha, beta, f)
+    # alpha is the canonical root of order exactly d, and embedding keeps
+    # orders, so only beta's order is computed, in its own subfield
+    W = RootSystem.__new__(RootSystem)
+    W._set(alpha, beta, f, d, ff.element_order(beta_sub))
 
     inv = invariants(W)
     a_formula = 2 * e // e1

@@ -267,7 +267,7 @@ def gram_from_pairing_values(ctx, elems):
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = _scalar(P[i][j] - P[j][i])
+            w = _scalar((P[i][j] - P[j][i]).coords)
             gram[i][j] = w
             gram[j][i] = (-w) % p
     return gram

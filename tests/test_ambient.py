@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from wildinv import ambient
 from wildinv.addpoly import AdditivePoly, evaluate
-from wildinv.errors import AmbientGuardError
-from wildinv.ff import artin_schreier_root, field_create
+from wildinv.errors import AmbientGuardError, TheoremViolation
+from wildinv.ff import artin_schreier_root, embed, field_create
 
 
 def _needs_extension_on_the_full_span(R, kernel_elems):
@@ -153,15 +153,104 @@ def test_gram_matches_the_pairing_values_reference_for_p_2(coeffs, m):
 
 
 def test_gram_raises_on_a_non_scalar_table(monkeypatch):
-    # the scalar check survives python -O: x y^p - x^p y is not a scalar on
-    # the generator and 1 of F_9
-    from wildinv.addpoly import PairingTable
-    from wildinv.errors import TheoremViolation
-
+    # the scalar check survives python -O. gram reads R_amb: scaling it by
+    # the generator g of the ambient scales omega by g, which is not a
+    # scalar on a kernel pair with omega != 0, while pairs of scalars still
+    # pair to 0
     F9 = field_create(3, 2)
     ctx = ambient.build_context(AdditivePoly(F9, [F9.zero(), F9.one()]), 1)
-    F = ctx.ambient
-    monkeypatch.setattr(ctx, "pairing", PairingTable(F9, {(0, 1): F9.one()}))
+    F, kb = ctx.ambient, ctx.kernel_elems
+    assert F.n > 1 and any(any(row) for row in ctx.gram(kb))
+    monkeypatch.setattr(ctx, "R_amb", ctx.R_amb.scale(F.gen()))
     with pytest.raises(TheoremViolation, match="scalars"):
-        ctx.gram([F.gen(), F.one()])
+        ctx.gram(kb)
     assert ctx.gram([F.one(), F.constant(2)]) == [[0, 0], [0, 0]]
+
+
+# ---------------------------------------------------------------------------
+# The Gram matrix from x R(y) - y R(x) under partial Frobenius traces against
+# the pairing table, on kernel elements and on any others
+
+
+@st.composite
+def _dense_or_sparse_contexts(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    coord = st.lists(st.integers(0, p - 1), min_size=F.n, max_size=F.n)
+    e = draw(st.integers(1, {2: 3, 3: 2, 5: 1, 7: 1}[p]))
+    sparse = draw(st.booleans())
+    low = [[0] * F.n if sparse and draw(st.booleans()) else draw(coord) for _ in range(e)]
+    R = AdditivePoly(F, [F.el(c) for c in low + [draw(coord.filter(any))]])
+    m = draw(st.sampled_from([m for m in range(1, 9) if m % p]))
+    try:
+        return ambient.build_context(R, m)
+    except AmbientGuardError:
+        assume(False)
+
+
+def _omega_matrix(ctx, xs):
+    return [[ctx.omega(x, y) for y in xs] for x in xs]
+
+
+def _or_violation(fn, *args):
+    try:
+        return fn(*args)
+    except TheoremViolation:
+        return TheoremViolation
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_or_sparse_contexts(), st.randoms(use_true_random=False), st.booleans())
+def test_gram_matches_pairwise_omega_on_kernel_and_other_elements(ctx, rng, extend):
+    # omega goes through the pairing table; the identity is algebraic, so the
+    # values agree on every coordinate for any elements, in the ambient or
+    # in a degree-2 extension of it (R embedded straight from its base, so
+    # for f = 2 the embedded kernel need not pair to scalars)
+    F, p, kb = ctx.ambient, ctx.ambient.p, ctx.kernel_elems
+    kernel = kb + [ctx.kernel_vector_to_element([rng.randrange(p) for _ in kb]) for _ in range(2)]
+    assert ctx.gram(kernel) == _omega_matrix(ctx, kernel)
+    others = [F.el([rng.randrange(p) for _ in range(F.n)]) for _ in range(4)]
+    if extend and p ** (2 * F.n) <= 2 ** 24:
+        G = field_create(p, 2 * F.n)
+        others = [embed(x, G) for x in kernel + others] + [G.el([rng.randrange(p) for _ in range(G.n)])]
+    assert _or_violation(ctx.gram, others) == _or_violation(_omega_matrix, ctx, others)
+    table = ctx.pairing
+    want = {
+        (i, j): list((table.eval(x, y) - table.eval(y, x)).coords)
+        for i, x in enumerate(others)
+        for j, y in enumerate(others)
+        if i < j
+    }
+    assert ambient._omega_values(ctx.R.embed_to(others[0].field), others) == want
+
+
+@pytest.mark.parametrize(
+    "p, f, coeffs, m, want",
+    [
+        (2, 1, [(0,)] * 5 + [(1,)], 1, 65),  # p2e5: n = 10, one term
+        (2, 2, [(0, 0), (1, 0), (0, 0), (1, 0)], 1, 54),  # g5's R: n = 6, two terms
+        (3, 2, [(1, 2), (2, 1), (1, 1)], 2, 32),  # dense: n = 4, two terms
+    ],
+)
+def test_gram_makes_one_field_product_per_pair_and_term(monkeypatch, p, f, coeffs, m, want):
+    # n (n - 1) / 2 + n products per term, plus a_i x^{p^i} for every
+    # nonzero a_i, whose sum is R(x); one product per exponent and pair
+    # would make several times as many
+    from wildinv import ff
+
+    F = field_create(p, f)
+    R = AdditivePoly(F, [F.el(c) for c in coeffs])
+    ctx = ambient.build_context(R, m)
+    n, e = ctx.dim, R.p_degree
+    nonzero = [i for i, c in enumerate(R.coeffs) if c]
+    terms = 1 + sum(0 < i < e for i in nonzero)
+    calls = []
+    real = ff.Field._mul
+
+    def counting(field, a, b):
+        calls.append(field.n)
+        return real(field, a, b)
+
+    monkeypatch.setattr(ff.Field, "_mul", counting)
+    ctx.gram(ctx.kernel_elems)
+    assert len(calls) == terms * (n * (n - 1) // 2 + n) + n * len(nonzero) == want
