@@ -6,6 +6,7 @@ division with remainder always exists, which is the engine behind every
 decomposition question in this library.
 """
 
+from functools import reduce
 from math import gcd
 
 from . import ff, poly
@@ -269,83 +270,115 @@ def twisted_scaling_order(R: AdditivePoly, m: int) -> int:
     return d // gcd(d, m)
 
 
-class PairingTable:
-    """The biadditive pairing of R as a finite list of monomials c x^{p^a} y^{p^b}.
+def _pairing_terms(R: AdditivePoly) -> list:
+    """The pairing of R as f_R(x, y) = -sum T_k(c x^{p^i} y^{p^j}) over the
+    returned (k, c, i, j), with T_k = sum_{t<k} Frob^t.
 
-    F_p-bilinear in each slot; its antisymmetrization on the root space of the
-    E-polynomial takes values in the prime field.
+    This is -sum_{i<e} T_{e-i}(a_i x^{p^i} y) - T_e(x R(y)): the terms
+    (e - i, a_i, i, 0) for a_i != 0 with i < e and (e, a_i, 0, i) for
+    a_i != 0, the two i = 0 terms collected into one. Every view of the
+    pairing below reads this list. f_R is biadditive, and on ker E its
+    antisymmetrization omega takes values in the prime field.
     """
-
-    __slots__ = ("base", "terms")
-
-    def __init__(self, base, terms):
-        self.base = base
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.terms
-
-    def eval(self, x, y):
-        """pairing(x, y), each Frobenius power of x and y computed once."""
-        F = x.field
-        if y.field is not F:
-            raise ValidationError("pairing arguments in different fields")
-        xp = {a: x.frobenius(a) for a, _ in self.terms}
-        yp = {b: y.frobenius(b) for _, b in self.terms}
-        return sum(
-            ((c if c.field is F else ff.embed(c, F)) * xp[a] * yp[b] for (a, b), c in self.terms.items()),
-            F.zero(),
-        )
-
-    def pth_power_terms(self):
-        """Term dict of table^p (exponents shift by one, coefficients by Frobenius)."""
-        return {(a + 1, b + 1): c.frobenius(1) for (a, b), c in self.terms.items()}
-
-    def as_additive_in_x(self, y):
-        """Fix the second slot: an additive polynomial in x over y's field."""
-        F = y.field
-        amax = max((a for (a, b) in self.terms), default=0)
-        out = [F.zero()] * (amax + 1)
-        for (a, b), c in self.terms.items():
-            cc = c if c.field is F else ff.embed(c, F)
-            out[a] = out[a] + cc * y.frobenius(b)
-        return AdditivePoly(F, out)
-
-
-def pairing_poly(R: AdditivePoly) -> PairingTable:
-    """The table -sum_{i<e} ( sum_{j<e-i} (a_i x^{p^i} y)^{p^j} + (x R(y))^{p^i} )."""
-    if R.is_zero():
-        raise ValidationError("R must be nonzero")
     e = R.p_degree
-    base = R.base
     terms = {}
+    for i, a in enumerate(R.coeffs):
+        if a:
+            if i < e:
+                terms[e - i, i, 0] = a
+            terms[e, 0, i] = terms.get((e, 0, i), R.base.zero()) + a
+    return [(k, c, i, j) for (k, i, j), c in terms.items() if k and c]
 
-    def put(a, b, c):
-        if (a, b) in terms:
-            terms[(a, b)] = terms[(a, b)] + c
-        else:
-            terms[(a, b)] = c
 
-    for i in range(e):
-        ai = R.coeff(i)
-        if not ai.is_zero():
-            for j in range(e - i):
-                put(i + j, j, -ai.frobenius(j))
-        for k, ak in enumerate(R.coeffs):
-            if not ak.is_zero():
-                put(i, k + i, -ak.frobenius(i))
-    return PairingTable(base, terms)
+def _orbit(w, k):
+    """w, w^p, ..., w^{p^{k-1}}: the summands of T_k(w)."""
+    out = [w]
+    for _ in range(k - 1):
+        out.append(out[-1].frobenius(1))
+    return out
+
+
+def pairing_poly(R: AdditivePoly) -> dict:
+    """The pairing expanded into monomials: {(a, b): c} for c x^{p^a} y^{p^b}."""
+    out = {}
+    for k, c, i, j in _pairing_terms(R):
+        for t, w in enumerate(_orbit(c, k)):
+            out[i + t, j + t] = out.get((i + t, j + t), R.base.zero()) - w
+    return {ab: c for ab, c in out.items() if c}
 
 
 def pairing_value(R: AdditivePoly, x, y):
-    return pairing_poly(R).eval(x, y)
+    """f_R(x, y) for x, y in one extension of R's base, one T_k per distinct k."""
+    F = x.field
+    if y.field is not F:
+        raise ValidationError("pairing arguments in different fields")
+    sums = {}
+    for k, c, i, j in _pairing_terms(R.embed_to(F)):
+        sums[k] = sums.get(k, F.zero()) + c * x.frobenius(i) * y.frobenius(j)
+    return -sum((w for k, s in sums.items() for w in _orbit(s, k)), F.zero())
+
+
+def pairing_in_x(R: AdditivePoly, y) -> AdditivePoly:
+    """x -> f_R(x, y), an additive polynomial over y's field."""
+    F = y.field
+    terms = _pairing_terms(R.embed_to(F))
+    out = [F.zero()] * max((i + k for k, _, i, _ in terms), default=0)
+    for k, c, i, j in terms:
+        for t, w in enumerate(_orbit(c * y.frobenius(j), k)):
+            out[i + t] = out[i + t] - w
+    return AdditivePoly(F, out)
+
+
+def omega_values(R: AdditivePoly, elems) -> dict:
+    """Coordinates of omega(x_i, x_j) = f_R(x_i, x_j) - f_R(x_j, x_i) for
+    i < j, for any elements of R's base.
+
+    A term with i = j is symmetric and cancels. Every other term carries its
+    Frobenius in one slot; grouped by k and by that slot, a group adds
+    -T_k(u(x) v(y) - u(y) v(x)) with (u, v) = (sum c Frob^i, id), or
+    (id, sum c Frob^j) for the y slot. Each difference is
+    (u(x) - u(y))(v(x) + v(y)) - u(x) v(x) + u(y) v(y), so once the
+    diagonal products are made a pair costs one product per group, and the
+    sum over the groups is one product with the stacked matrix
+    [T_{k_1} ... T_{k_t}].
+    """
+    F = R.base
+    p = F.p
+    # a group lists its terms c Frob^h as indices into keys, so a c x^{p^h}
+    # that two groups carry is made once per element
+    groups, keys = {}, {}
+    for k, c, i, j in _pairing_terms(R):
+        if i != j:
+            groups.setdefault((k, j > 0), []).append(keys.setdefault((c, i + j), len(keys)))
+    scaled = [[c * x.frobenius(h) for c, h in keys] for x in elems]
+    sides = []
+    for (k, y_slot), g in groups.items():
+        w = [sum((s[t] for t in g), F.zero()) for s in scaled]
+        sides.append((k, elems, w) if y_slot else (k, w, elems))
+    stacked = [[] for _ in range(F.n)]
+    for k, _, _ in sides:
+        T = reduce(lambda A, B: mat_add(A, B, p), (F.frobenius_matrix(t) for t in range(k)))
+        for row, t in zip(stacked, T):
+            row.extend(t)
+
+    # omega(x_i, x_j) = S(D_i - D_j - P_ij) with P_ij = (u(x_i) - u(x_j))(v(x_i) + v(x_j))
+    # and D_i = u(x_i) v(x_i) per group, S the stacked matrix
+    diag = [[(u[i] * v[i]).coords for _, u, v in sides] for i in range(len(elems))]
+    out = {}
+    for i, di in enumerate(diag):
+        for j in range(i + 1, len(elems)):
+            vec = []
+            for (_, u, v), a, b in zip(sides, di, diag[j]):
+                P = ((u[i] - u[j]) * (v[i] + v[j])).coords
+                vec += [x - y - z for x, y, z in zip(a, b, P)]
+            out[i, j] = mat_vec(stacked, vec, p)
+    return out
 
 
 def pairing_identity_residual(R: AdditivePoly) -> dict:
     """Exact residual of f^p - f + x^{p^e} E(y) - x R(y) - y R(x); empty iff the
     defining identity of the pairing holds term for term."""
     e = R.p_degree
-    base = R.base
     table = pairing_poly(R)
     acc = {}
 
@@ -356,9 +389,8 @@ def pairing_identity_residual(R: AdditivePoly) -> dict:
         if acc[key].is_zero():
             del acc[key]
 
-    for (a, b), c in table.pth_power_terms().items():
-        put(a, b, c)
-    for (a, b), c in table.terms.items():
+    for (a, b), c in table.items():
+        put(a + 1, b + 1, c.frobenius(1))
         put(a, b, -c)
     E = e_poly(R)
     for j, c in enumerate(E.coeffs):
@@ -638,7 +670,6 @@ def classical_is_irreducible(coeffs) -> bool:
 
 __all__ = [
     "AdditivePoly",
-    "PairingTable",
     "evaluate",
     "compose",
     "right_divmod",
@@ -648,6 +679,8 @@ __all__ = [
     "twisted_scaling_order",
     "pairing_poly",
     "pairing_value",
+    "pairing_in_x",
+    "omega_values",
     "pairing_identity_residual",
     "mu_scaling",
     "kernel_poly",

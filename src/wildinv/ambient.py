@@ -7,12 +7,11 @@ lcm of the required degrees; a size guard rejects p^M beyond 2^40, which is
 far above anything the constructions here need.
 """
 
-from functools import reduce
 from math import lcm
 
 from . import addpoly, ff
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
-from .linalg import coords_in_rows, mat_add, mat_vec
+from .linalg import coords_in_rows
 from .numth import multiplicative_order
 
 SIZE_GUARD_BITS = 40
@@ -36,7 +35,6 @@ class Context:
         "kernel_elems",
         "kernel_rows",
         "alpha",
-        "pairing",
     )
 
     def __init__(self, **kw):
@@ -63,14 +61,14 @@ class Context:
 
     def omega(self, x, y) -> int:
         """Antisymmetrized pairing, a prime-field scalar."""
-        return _scalar((self.pairing.eval(x, y) - self.pairing.eval(y, x)).coords)
+        return self.gram([x, y])[0][1]
 
     def gram(self, elems):
-        """Matrix of omega on elems, at one field product per pair and term.
+        """Matrix of omega on elems, at one field product per pair and group.
 
-        The values come from _omega_values, each checked to be a scalar on
-        every coordinate. omega is alternating: the diagonal is zero and the
-        entries below it are the negated ones above.
+        The values come from addpoly.omega_values, each checked to be a
+        scalar on every coordinate. omega is alternating: the diagonal is
+        zero and the entries below it are the negated ones above.
         """
         n = len(elems)
         if not n:
@@ -79,53 +77,11 @@ class Context:
         if any(x.field is not F for x in elems):
             raise ValidationError("pairing arguments in different fields")
         gram = [[0] * n for _ in range(n)]
-        if self.e == 0:  # the table is empty
-            return gram
         R = self.R_amb if F is self.ambient else self.R.embed_to(F)
-        p = F.p
-        for (i, j), w in _omega_values(R, elems).items():
+        for (i, j), w in addpoly.omega_values(R, elems).items():
             gram[i][j] = _scalar(w)
-            gram[j][i] = (-gram[i][j]) % p
+            gram[j][i] = (-gram[i][j]) % F.p
         return gram
-
-
-def _omega_values(R, elems):
-    """Coordinates of omega(x_i, x_j) for i < j, for any elements of R's base.
-
-    With T_k = sum_{j<k} Frob^j the table of addpoly.pairing_poly is
-    f(x, y) = -sum_{i<e} T_{e-i}(a_i x^{p^i} y) - T_e(x R(y)), and its i = 0
-    term cancels in omega(x, y) = f(x, y) - f(y, x), so
-    omega(x, y) = -sum_t T_{k_t}(u_t(x) v_t(y) - u_t(y) v_t(x)) over the terms
-    (k, u, v) = (e, id, R) and (e - i, a_i Frob^i, id) for 0 < i < e with
-    a_i != 0. Each difference is (u(x) - u(y))(v(x) + v(y)) - u(x) v(x)
-    + u(y) v(y), so once the diagonal products are made a pair costs one
-    product per term, and the sum over the terms is one product with the
-    stacked matrix [T_{k_1} ... T_{k_t}].
-    """
-    F, e = R.base, R.p_degree
-    p = F.p
-    # a_i x^{p^i} for every nonzero a_i; their sum is R(x)
-    scaled = [{i: c * x.frobenius(i) for i, c in enumerate(R.coeffs) if c} for x in elems]
-    terms = [(e, elems, [sum(s.values(), F.zero()) for s in scaled])]
-    terms += [(e - i, [s[i] for s in scaled], elems) for i in range(1, e) if R.coeffs[i]]
-    stacked = [[] for _ in range(F.n)]
-    for k, _, _ in terms:
-        T = reduce(lambda A, B: mat_add(A, B, p), (F.frobenius_matrix(j) for j in range(k)))
-        for row, t in zip(stacked, T):
-            row.extend(t)
-
-    # omega(x_i, x_j) = S(D_i - D_j - P_ij) with P_ij = (u(x_i) - u(x_j))(v(x_i) + v(x_j))
-    # and D_i = u(x_i) v(x_i) per term, S the stacked matrix
-    diag = [[(u[i] * v[i]).coords for _, u, v in terms] for i in range(len(elems))]
-    out = {}
-    for i, di in enumerate(diag):
-        for j in range(i + 1, len(elems)):
-            vec = []
-            for (_, u, v), a, b in zip(terms, di, diag[j]):
-                P = ((u[i] - u[j]) * (v[i] + v[j])).coords
-                vec += [x - y - z for x, y, z in zip(a, b, P)]
-            out[i, j] = mat_vec(stacked, vec, p)
-    return out
 
 
 def _scalar(coords) -> int:
@@ -165,7 +121,6 @@ def build_context(
     _guard(p, M)
     ambient, kernel_elems = addpoly.split_kernel(E, M)
 
-    pairing = addpoly.pairing_poly(R)
     if need_gamma and e >= 1:
         # gamma coordinates solve y^p - y = b R(b); one degree-p extension
         # makes every absolute trace vanish, so at most one enlargement
@@ -189,7 +144,6 @@ def build_context(
         kernel_elems=kernel_elems,
         kernel_rows=[b.as_vector() for b in kernel_elems],
         alpha=alpha,
-        pairing=pairing,
     )
 
 

@@ -46,9 +46,6 @@ class GroupContext:
         if not self.gamma0[0].is_zero():
             raise TheoremViolation("the reference gamma of beta = 0 must be 0")
 
-    def pairing_value(self, x, y):
-        return self.ctx.pairing.eval(x, y)
-
     def omega(self, x, y):
         return self.ctx.omega(x, y)
 
@@ -120,7 +117,7 @@ def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     a = g1.alpha * g2.alpha
     ab2 = g1.alpha * g2.beta
     b = g1.beta + ab2
-    c = g1.gamma + g2.gamma + ctx.pairing_value(g1.beta, ab2)
+    c = g1.gamma + g2.gamma + addpoly.pairing_value(ctx.ctx.R_amb, g1.beta, ab2)
     return GroupElement(ctx, a, b, c)
 
 
@@ -128,7 +125,7 @@ def inverse(g: GroupElement) -> GroupElement:
     ctx = g.ctx
     ai = g.alpha.inverse()
     b = -(ai * g.beta)
-    c = -g.gamma + ctx.pairing_value(g.beta, g.beta)
+    c = -g.gamma + addpoly.pairing_value(ctx.ctx.R_amb, g.beta, g.beta)
     out = GroupElement(ctx, ai, b, c, check=False)
     if multiply(g, out) != ctx.identity():
         raise TheoremViolation("g times its inverse must be the identity")
@@ -172,7 +169,7 @@ def _index_tables(ctx: GroupContext):
 
     basis = ctx.ctx.kernel_elems
     # A[l] has column k = pairing(b_k, b_l)
-    A = [linalg.transpose([ctx.pairing_value(b, c).coords for b in basis]) for c in basis]
+    A = [linalg.transpose([addpoly.pairing_value(ctx.ctx.R_amb, b, c).coords for b in basis]) for c in basis]
     G0 = [g.coords for g in ctx.gamma0]
     delta = []
     for i, u in enumerate(U):

@@ -67,14 +67,14 @@ class IsotropicDatum:
     gamma: object
 
     @classmethod
-    def make(cls, R_amb: addpoly.AdditivePoly, pairing, beta):
+    def make(cls, R_amb: addpoly.AdditivePoly, beta):
         p = beta.field.p
         if p == 2:
             raise ValidationError("quotient steps need p odd")
         if beta.is_zero():
             raise ValidationError("datum needs a nonzero kernel vector")
         half = pow(2, -1, p)
-        gamma = pairing.eval(beta, beta) * half
+        gamma = addpoly.pairing_value(R_amb, beta, beta) * half
         datum = cls(beta=beta, gamma=gamma)
         if gamma ** p - gamma != beta * addpoly.evaluate(R_amb, beta):
             raise TheoremViolation("symmetric gamma fails its Artin-Schreier equation")
@@ -90,7 +90,7 @@ class QuotientStep:
     P1: addpoly.AdditivePoly
 
 
-def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum) -> QuotientStep:
+def single_quotient(R_amb: addpoly.AdditivePoly, datum: IsotropicDatum) -> QuotientStep:
     """One degree-p descent along the cyclic subgroup of the datum.
 
     Returns (u, Delta0, P1) with x R(x) = u P1(u) + Delta0^p - Delta0 checked
@@ -111,9 +111,7 @@ def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum)
     u = addpoly.AdditivePoly(F, [-(beta ** (p - 1)), F.one()])
 
     # P = beta^{-p} ( -beta R + beta^{1-p} R(beta) x^p + gamma((x/beta)^p + x/beta) - pairing(x, beta) )
-    fxb = pairing.as_additive_in_x(beta)
-    if fxb.base is not F:
-        fxb = fxb.embed_to(F)
+    fxb = addpoly.pairing_in_x(R_amb, beta)
     Rb = addpoly.evaluate(R_amb, beta)
     terms = R_amb.scale(-beta)
     terms = terms + addpoly.AdditivePoly(F, [F.zero(), binv ** (p - 1) * Rb])
@@ -139,7 +137,7 @@ def single_quotient(R_amb: addpoly.AdditivePoly, pairing, datum: IsotropicDatum)
     return QuotientStep(u=u, delta0=delta0, P1=P1)
 
 
-def push_element(step: QuotientStep, pairing_P1, beta2, gamma2):
+def push_element(step: QuotientStep, beta2, gamma2):
     """Image (u(beta'), gamma' - Delta0(beta')) of a commuting datum downstairs.
 
     The pushed pair satisfies the symmetric-gamma condition for P1 and its
@@ -151,7 +149,7 @@ def push_element(step: QuotientStep, pairing_P1, beta2, gamma2):
     ng = gamma2 - poly.horner(step.delta0, beta2)
     if not addpoly.evaluate(addpoly.e_poly(step.P1), nb).is_zero():
         raise TheoremViolation("pushed vector must be in the descended kernel space")
-    if pairing_P1.eval(nb, nb) != ng + ng:
+    if addpoly.pairing_value(step.P1, nb, nb) != ng + ng:
         raise TheoremViolation("pushed gamma fails the symmetric condition")
     if ng ** p - ng != nb * addpoly.evaluate(step.P1, nb):
         raise TheoremViolation("pushed gamma fails its Artin-Schreier equation")
@@ -190,39 +188,30 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
         raise ValidationError("U must be nonzero")
     if not (U.t_stable and U.s_stable and U.isotropic):
         raise ValidationError("U must be a totally isotropic stable submodule")
-    F = ctx.ambient
-    pairing = ctx.pairing
 
     betas = U.field_elements()
-    data = [IsotropicDatum.make(ctx.R_amb, pairing, b) for b in betas]
+    data = [IsotropicDatum.make(ctx.R_amb, b) for b in betas]
     if any(any(row) for row in ctx.gram(betas)):
         raise ValidationError("submodule is not totally isotropic")
 
     R_cur = ctx.R_amb
-    pairing_cur = pairing
-    r = addpoly.AdditivePoly.identity(F)
+    r = addpoly.AdditivePoly.identity(ctx.ambient)
     delta = []
     while data:
         datum, rest = data[0], data[1:]
-        step = single_quotient(R_cur, pairing_cur, datum)
-        pairing_next = addpoly.pairing_poly(step.P1) if step.P1.p_degree >= 1 else None
+        step = single_quotient(R_cur, datum)
         new_data = []
         for d2 in rest:
-            if pairing_cur.eval(datum.beta, d2.beta) != pairing_cur.eval(d2.beta, datum.beta):
+            b1, b2 = datum.beta, d2.beta
+            if addpoly.pairing_value(R_cur, b1, b2) != addpoly.pairing_value(R_cur, b2, b1):
                 raise TheoremViolation("descent data stopped commuting")
-            nb, ng = push_element(
-                step,
-                pairing_next if pairing_next is not None else _zero_pairing(F),
-                d2.beta,
-                d2.gamma,
-            )
+            nb, ng = push_element(step, d2.beta, d2.gamma)
             if nb.is_zero():
                 raise TheoremViolation("independent basis vector collapsed in descent")
             new_data.append(IsotropicDatum(beta=nb, gamma=ng))
         delta = poly.add(delta, compose_additive(step.delta0, r))
         r = addpoly.compose(step.u, r)
         R_cur = step.P1
-        pairing_cur = pairing_next
         data = new_data
 
     out = InductionData(r=r, R1=R_cur, delta=delta, e_prime=R_cur.p_degree)
@@ -233,10 +222,6 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
         raise TheoremViolation("descent must lower the p-degree by dim U")
     _check_kernel_facts(ctx, out, U)
     return out
-
-
-def _zero_pairing(F):
-    return addpoly.PairingTable(F, {})
 
 
 def _check_kernel_facts(ctx, out, U):

@@ -259,9 +259,11 @@ def root_of_unity_generator_in_the_whole_field(F, d):
 
 def gram_from_pairing_values(ctx, elems):
     """omega on elems from the whole matrix of pairing values P[i][j] =
-    pairing(x_i, x_j), each entry summed over every term of the table."""
+    pairing(x_i, x_j), each entry summed over every monomial of
+    addpoly.pairing_poly."""
     F, p, n = elems[0].field, elems[0].field.p, len(elems)
-    terms = [(a, b, c if c.field is F else ff.embed(c, F)) for (a, b), c in ctx.pairing.terms.items()]
+    table = addpoly.pairing_poly(ctx.R)
+    terms = [(a, b, c if c.field is F else ff.embed(c, F)) for (a, b), c in table.items()]
     xp = [{k: x.frobenius(k) for a, b, _ in terms for k in (a, b)} for x in elems]
     P = [[sum((c * u[a] * v[b] for a, b, c in terms), F.zero()) for v in xp] for u in xp]
     gram = [[0] * n for _ in range(n)]

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wildinv.addpoly import (
@@ -22,6 +22,7 @@ from wildinv.addpoly import (
     kernel_poly,
     mu_scaling,
     pairing_identity_residual,
+    pairing_in_x,
     pairing_poly,
     pairing_value,
     right_divmod,
@@ -32,7 +33,8 @@ from wildinv.addpoly import (
     twisted_scaling_order,
 )
 from wildinv.errors import ValidationError
-from wildinv.ff import field_create, roots_of_unity
+from wildinv.ambient import required_degree
+from wildinv.ff import embed, field_create, roots_of_unity
 from wildinv.linalg import mat_vec, rref
 
 from test_ambient import _contexts
@@ -181,14 +183,14 @@ def test_pairing_e1_closed_form():
     F5 = field_create(5, 1)
     a0, a1 = F5.constant(2), F5.constant(3)
     T = pairing_poly(AdditivePoly(F5, [a0, a1]))
-    assert T.terms[(0, 0)] == -(a0 + a0)
-    assert T.terms[(0, 1)] == -a1
-    assert set(T.terms) == {(0, 0), (0, 1)}
+    assert T[(0, 0)] == -(a0 + a0)
+    assert T[(0, 1)] == -a1
+    assert set(T) == {(0, 0), (0, 1)}
 
 
 def test_pairing_zero_when_e0():
     F3 = field_create(3, 1)
-    assert pairing_poly(AdditivePoly.from_ints(F3, [2])).is_zero()
+    assert pairing_poly(AdditivePoly.from_ints(F3, [2])) == {}
 
 
 def test_pairing_identity_exact():
@@ -211,6 +213,38 @@ def test_pairing_bilinear():
         x, y, z = (random_element(F9, rng) for _ in range(3))
         assert pairing_value(R, x + z, y) == pairing_value(R, x, y) + pairing_value(R, z, y)
         assert pairing_value(R, x, y + z) == pairing_value(R, x, y) + pairing_value(R, x, z)
+
+
+@st.composite
+def _pairing_cases(draw):
+    # dense or sparse R, e = 0 included, and x, y from the base field, the
+    # ambient of R or a degree-2 extension of that ambient
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    F = field_create(p, draw(st.integers(1, 2)))
+    coord = st.lists(st.integers(0, p - 1), min_size=F.n, max_size=F.n)
+    e = draw(st.integers(0, {2: 3, 3: 2, 5: 1, 7: 1}[p]))
+    sparse = draw(st.booleans())
+    low = [[0] * F.n if sparse and draw(st.booleans()) else draw(coord) for _ in range(e)]
+    R = AdditivePoly(F, [F.el(c) for c in low + [draw(coord.filter(any))]])
+    M = F.n if p == 2 and e == 0 else required_degree(R, 1)
+    degree = draw(st.sampled_from((F.n, M, 2 * M)))
+    assume(p ** degree <= 2 ** 24)
+    G = field_create(p, degree)
+    x, y = (G.el(draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))) for _ in range(2))
+    return R, x, y
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_pairing_cases())
+def test_pairing_value_and_pairing_in_x_match_the_monomial_expansion(case):
+    # pairing_value and pairing_in_x each read the term list; the reference
+    # sums c x^{p^a} y^{p^b} over the monomials of pairing_poly
+    R, x, y = case
+    G = x.field
+    terms = [(a, b, c if c.field is G else embed(c, G)) for (a, b), c in pairing_poly(R).items()]
+    want = sum((c * x.frobenius(a) * y.frobenius(b) for a, b, c in terms), G.zero())
+    assert pairing_value(R, x, y) == want
+    assert evaluate(pairing_in_x(R, y), x) == want
 
 
 def test_mu_scaling():

@@ -29,10 +29,10 @@ def test_single_quotient_shape_and_identity():
     R, M, wit = imprimitive_module()
     ctx = M.context
     beta = wit.field_elements()[0]
-    datum = IsotropicDatum.make(ctx.R_amb, ctx.pairing, beta)
+    datum = IsotropicDatum.make(ctx.R_amb, beta)
     # the symmetric gamma satisfies its Artin-Schreier equation by construction
     assert datum.gamma ** 3 - datum.gamma == beta * evaluate(ctx.R_amb, beta)
-    step = single_quotient(ctx.R_amb, ctx.pairing, datum)
+    step = single_quotient(ctx.R_amb, datum)
     assert step.P1.p_degree == ctx.e - 1
     assert not step.delta0 or step.delta0[0].is_zero()
     # the defining identity, re-assembled here from scratch
@@ -48,8 +48,8 @@ def test_single_quotient_kills_datum():
     R, M, wit = imprimitive_module()
     ctx = M.context
     beta = wit.field_elements()[0]
-    datum = IsotropicDatum.make(ctx.R_amb, ctx.pairing, beta)
-    step = single_quotient(ctx.R_amb, ctx.pairing, datum)
+    datum = IsotropicDatum.make(ctx.R_amb, beta)
+    step = single_quotient(ctx.R_amb, datum)
     assert evaluate(step.u, beta).is_zero()
 
 
@@ -57,15 +57,11 @@ def test_push_element_central_image():
     R, M, wit = imprimitive_module()
     ctx = M.context
     beta = wit.field_elements()[0]
-    datum = IsotropicDatum.make(ctx.R_amb, ctx.pairing, beta)
-    step = single_quotient(ctx.R_amb, ctx.pairing, datum)
-    from wildinv.addpoly import pairing_poly
-
-    pairing_p1 = pairing_poly(step.P1) if step.P1.p_degree >= 1 else None
+    datum = IsotropicDatum.make(ctx.R_amb, beta)
+    step = single_quotient(ctx.R_amb, datum)
     # pushing the datum itself gives image with u(beta) = 0
-    if pairing_p1 is not None:
-        nb, ng = push_element(step, pairing_p1, datum.beta, datum.gamma)
-        assert nb.is_zero()
+    nb, ng = push_element(step, datum.beta, datum.gamma)
+    assert nb.is_zero()
 
 
 def test_iterated_quotient_single_line():
@@ -162,8 +158,8 @@ def test_linear_defect_check_raises(monkeypatch):
     ctx = M.context
     make = IsotropicDatum.make
 
-    def off_by_one(R_amb, pairing, beta):
-        d = make(R_amb, pairing, beta)
+    def off_by_one(R_amb, beta):
+        d = make(R_amb, beta)
         return IsotropicDatum(beta=d.beta, gamma=d.gamma + 1)
 
     monkeypatch.setattr(quotient.IsotropicDatum, "make", off_by_one)

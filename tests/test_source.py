@@ -98,3 +98,46 @@ def test_every_public_name_has_a_reader():
         if not any(not (file == path and first <= line <= last) for file, line in used.get(name, ()))
     ]
     assert not orphans, orphans
+
+
+def test_every_name_in_all_is_bound_in_its_module():
+    # a stale __all__ entry, such as a class that was removed, fails only
+    # when `from module import *` runs; a name counts as bound when the
+    # module defines, assigns or imports it at the top level
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        exported = [
+            ast.literal_eval(node.value)
+            for node in body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ]
+        if not exported:
+            continue
+        bound = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Assign):
+                bound.update(t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name for alias in node.names)
+        missing = [name for name in exported[0] if name not in bound]
+        assert not missing, (path.name, missing)
+        checked += 1
+    assert checked >= 2
+
+
+def test_only_addpoly_reads_the_monomial_expansion_of_the_pairing():
+    # pairing_poly expands f_R into monomials for the identity check and the
+    # tests; every other view of the pairing reads addpoly's term list, so
+    # no report path builds the expansion (the re-export in __init__.py is
+    # no reader)
+    readers = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("addpoly.py", "__init__.py")
+        for name, _, line in _readers(path, library=True)
+        if name == "pairing_poly"
+    ]
+    assert not readers, readers

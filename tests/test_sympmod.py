@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wildinv import ff, invariants, sympmod
-from wildinv.addpoly import AdditivePoly, compose
+from wildinv.addpoly import AdditivePoly, compose, pairing_value
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
 from wildinv.linalg import cyclic_closure, identity, mat_pow, rank, rref
@@ -456,30 +456,28 @@ def test_perp_dimension_check_raises(m_q9, monkeypatch):
 
 def test_omega_scalar_check_raises(m_q9, monkeypatch):
     # Context.omega's check that the pairing is a scalar is a raise, so it
-    # survives python -O
+    # survives python -O. omega reads R_amb: scaling it by the generator g
+    # of the ambient scales omega by g, which is no scalar on a kernel pair
+    # with omega != 0
     ctx = m_q9.context
     assert ctx.ambient.n > 1
-
-    class NonScalarPairing:
-        def eval(self, x, y):
-            return x * x * y
-
-    monkeypatch.setattr(ctx, "pairing", NonScalarPairing())
-    g = ctx.ambient.gen()
+    b0, b1 = ctx.kernel_elems
+    assert ctx.omega(b0, b1) != 0
+    monkeypatch.setattr(ctx, "R_amb", ctx.R_amb.scale(ctx.ambient.gen()))
     with pytest.raises(TheoremViolation, match="scalars"):
-        ctx.omega(g, ctx.ambient.one())
+        ctx.omega(b0, b1)
 
 
 @pytest.mark.parametrize("p,f,ints,m", WITNESS_CASES)
 def test_gram_matches_the_pointwise_pairing(p, f, ints, m):
-    # the gram sums D_b(x) y^{p^b} over the antisymmetric table d_ab =
-    # c_ab - c_ba; Context.omega evaluates the table itself on each order of
-    # one pair
+    # the gram comes from the grouped partial traces of omega_values; the
+    # reference evaluates f_R itself on each order of one pair
     M = build(AdditivePoly.from_ints(field_create(p, f), ints), m)
-    ctx = M.context
+    R = M.context.R
     for i, x in enumerate(M.basis):
         for j, y in enumerate(M.basis):
-            assert M.gram[i][j] == ctx.omega(x, y)
+            w = (pairing_value(R, x, y) - pairing_value(R, y, x)).coords
+            assert not any(w[1:]) and M.gram[i][j] == w[0]
 
 
 def _orbit_walk_bound(M):
