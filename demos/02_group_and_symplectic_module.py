@@ -2,7 +2,7 @@
 # The extra-special group of an additive polynomial and the symplectic module
 # its commutators cut out on the kernel space.
 
-from wildinv import AdditivePoly, analyze, build, commutator, field_create, multiply, omega
+from wildinv import AdditivePoly, analyze, build, commutator, field_create, multiply
 from wildinv.espgroup import GroupContext
 from wildinv.linalg import mat_mul, transpose
 
@@ -32,9 +32,9 @@ print("Frobenius action S:\n", M.S)
 
 # the commutator pairing and the module pairing are the same numbers
 b0, b1 = M.basis
-print("\nomega(b0, b1) =", omega(M, b0, b1))
+print("\nomega(b0, b1) =", M.context.omega(b0, b1))
 print("commutator gamma between lifted basis vectors matches:",
-      ctx.omega(b0, b1) == omega(M, b0, b1))
+      ctx.context.omega(b0, b1) == M.context.omega(b0, b1))
 
 # both actions preserve the pairing: A^t G A = G for A = T, S (matrices are
 # lists of int rows)

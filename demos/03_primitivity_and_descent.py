@@ -29,7 +29,7 @@ M2 = build(R, 2)
 ok, witness = completely_anisotropic(M2)
 print("m = 2:", "anisotropic" if ok else f"witness line, basis {witness.field_elements()}")
 
-f1, f2, _ = decomposition_witness(R, 2, module=M2)
+f1, f2, _ = decomposition_witness(M2)
 print("skew factorization of E: outer", f1, " inner", f2)
 
 # the descent datum rewrites x R(x) through the degree-3 map r and produces

@@ -5,7 +5,7 @@
 from wildinv import build, classify, field_create, monomial_root_system
 from wildinv.addpoly import AdditivePoly
 from wildinv.rootsys import matches_module, nu_label
-from wildinv.sympmod import anisotropic_of, build_pair, direct_sum
+from wildinv.sympmod import build_pair, completely_anisotropic, direct_sum
 
 # a monomial input pins a pair (alpha, beta) of roots of unity up to twist;
 # the five integer invariants decide which symplectic type the module has
@@ -32,7 +32,7 @@ for a in range(1, p):
     R1 = AdditivePoly.from_ints(Fp, [0, 1])
     R2 = AdditivePoly.from_ints(Fp, [0, a])
     A, B = build_pair(R1, 1, R2, 7)
-    anis = anisotropic_of(direct_sum(A, B))
+    anis, _ = completely_anisotropic(direct_sum(A, B))
     symbol = pow(-a % p, (p - 1) // 2, p)
     symbol = 1 if symbol == 1 else -1
     print(f"  a={a}: (-a/p) = {symbol:+d}  direct sum "

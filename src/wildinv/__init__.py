@@ -63,7 +63,6 @@ from .sympmod import (
     decomposition_witness,
     direct_sum,
     minimal_imprimitive_unramified_degree,
-    omega,
     perp,
     restrict_frobenius,
 )

@@ -1,10 +1,11 @@
 """One working field per computation.
 
 Every group/module computation over (R, m) happens inside a single field
-F_{p^M} chosen large enough for the kernel of the E-polynomial, the scaling
-roots of unity, and (when asked) the Artin-Schreier coordinates. M is the
-lcm of the required degrees; a size guard rejects p^M beyond 2^40, which is
-far above anything the constructions here need.
+F_{p^M} chosen large enough for the kernel of the E-polynomial and the scaling
+roots of unity; M is the lcm of the required degrees, or a multiple of it
+the caller gives (espgroup's Artin-Schreier coordinates). A size guard
+rejects p^M beyond 2^40, which is far above anything the constructions here
+need.
 """
 
 from math import lcm
@@ -101,9 +102,7 @@ def validate_input(R: addpoly.AdditivePoly, m: int):
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
 
 
-def build_context(
-    R: addpoly.AdditivePoly, m: int, need_gamma: bool = False, degree: int = None
-) -> Context:
+def build_context(R: addpoly.AdditivePoly, m: int, degree: int = None) -> Context:
     """Assemble the ambient field and canonical data for (R, m).
 
     The ambient is F_{p^degree} when a degree is given (it must split the
@@ -112,7 +111,6 @@ def build_context(
     validate_input(R, m)
     base = R.base
     p = base.p
-    e = R.p_degree
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
     E = addpoly.e_poly(R)
@@ -120,15 +118,6 @@ def build_context(
     M = _least_degree(R, d_R, s) if degree is None else degree
     _guard(p, M)
     ambient, kernel_elems = addpoly.split_kernel(E, M)
-
-    if need_gamma and e >= 1:
-        # gamma coordinates solve y^p - y = b R(b); one degree-p extension
-        # makes every absolute trace vanish, so at most one enlargement
-        if _needs_artin_schreier_extension(R, kernel_elems):
-            M *= p
-            _guard(p, M)
-            ambient, kernel_elems = addpoly.split_kernel(E, M)
-
     alpha = ff.canonical_root_of_unity(ambient, d_Rm)
     return Context(
         R=R,
@@ -137,7 +126,7 @@ def build_context(
         ambient=ambient,
         R_amb=R.embed_to(ambient),
         E_amb=E.embed_to(ambient),
-        e=e,
+        e=R.p_degree,
         d_R=d_R,
         d_Rm=d_Rm,
         splitting_degree=s,
@@ -148,7 +137,7 @@ def build_context(
 
 
 def required_degree(R: addpoly.AdditivePoly, m: int) -> int:
-    """The ambient degree build_context would use before any gamma extension."""
+    """The ambient degree build_context uses when no degree is given."""
     validate_input(R, m)
     return _least_degree(R, addpoly.scaling_order(R), addpoly.splitting_degree(addpoly.e_poly(R)))
 
@@ -166,13 +155,3 @@ def _guard(p, M):
             f"ambient field F_{p}^{M} exceeds the 2^{SIZE_GUARD_BITS} size guard"
         )
 
-
-def _needs_artin_schreier_extension(R, kernel_elems):
-    """Does y^p - y = x R(x) lack a root for some x in the span of kernel_elems?
-
-    It has one iff Q(x) = Tr(x R(x)) vanishes. On ker E the pairing identity
-    x R(y) + y R(x) = f(x, y)^p - f(x, y) makes the polar form of Q trace
-    zero, so Q(sum c_i b_i) = sum c_i^2 Q(b_i): Q vanishes on the span iff
-    it vanishes on the basis.
-    """
-    return any(ff.artin_schreier_root(x * addpoly.evaluate(R, x)) is None for x in kernel_elems)

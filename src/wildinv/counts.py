@@ -42,7 +42,6 @@ from fractions import Fraction
 from . import addpoly, ff, linalg, poly
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
 
-BRUTE_FORCE_GUARD = 2 ** 20
 PSI_SLACK = 2  # L(psi_c) is expanded this far past its degree p^e
 # Z is cross-checked against Newton's identities on all 2g direct counts
 # while q^{2g} stays within this bound
@@ -258,26 +257,6 @@ def point_counts(R: addpoly.AdditivePoly, kmax: int) -> list:
     return [point_count(R, k) for k in range(1, kmax + 1)]
 
 
-def brute_force_count(R: addpoly.AdditivePoly, k: int) -> int:
-    """Direct double loop over (y, x); the small-field oracle."""
-    base = R.base
-    n = base.n * k
-    if base.p ** n > BRUTE_FORCE_GUARD:
-        raise ValidationError("field too large for brute-force enumeration")
-    F = ff.field_create(base.p, n)
-    Rk = R.embed_to(F)
-    count = 0
-    values = {}
-    for x in F.elements():
-        t = x * addpoly.evaluate(Rk, x)
-        values.setdefault(t, 0)
-        values[t] += 1
-    for y in F.elements():
-        t = y ** base.p - y
-        count += values.get(t, 0)
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Zeta numerator
 
@@ -325,8 +304,8 @@ class ZetaNumerator:
             return False
         q, P = self.q, self.coeffs[::-1]
         if sign == -1:
-            P = _exact_quotient(P, [-q, 0, 1])
-            if P is None:
+            P, r = poly.divmod(P, [-q, 0, 1])
+            if r:
                 raise TheoremViolation("a functional equation of sign -1 needs the factor x^2 - q")
         h = (len(P) - 1) // 2
         # x^-h P(x) = b_0 + sum_k b_k (x^k + (q/x)^k) with b_k = P[h + k],
@@ -361,15 +340,6 @@ def _sturm_count(f, a, b):
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
     return changes(a) - changes(b)
-
-
-def _exact_quotient(a, b):
-    """a / b for integer polynomials and a monic b, or None when b does not
-    divide a; the quotient by a monic b is integral, and so is every step."""
-    if b[-1] != 1:
-        raise TheoremViolation("integer polynomial division needs a monic divisor")
-    q, r = poly.divmod(a, b)
-    return None if r else q
 
 
 def _newton_exp(sums, one, divide):

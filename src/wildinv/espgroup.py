@@ -15,59 +15,64 @@ from .errors import TheoremViolation, ValidationError
 
 
 class GroupContext:
-    """Everything needed for exact group arithmetic over (R, m)."""
+    """Everything needed for exact group arithmetic over (R, m): the field
+    data of build_context, and what the group adds to it."""
 
     def __init__(self, R, m=1):
-        ctx = build_context(R, m, need_gamma=True)
-        self.ctx = ctx
-        self.R = R
-        self.m = m
-        self.ambient = ctx.ambient
-        self.d_R = ctx.d_R
-        self.d_Rm = ctx.d_Rm
-        self.e = ctx.e
-        self.mu = ff.roots_of_unity(ctx.ambient, ctx.d_R)  # mu_{d_R}, canonical order
-        self.p = ctx.ambient.p
+        context = build_context(R, m)
+        # gamma coordinates solve y^p - y = b R(b); one degree-p extension
+        # makes every absolute trace vanish, so at most one enlargement
+        if _needs_artin_schreier_extension(R, context.kernel_elems):
+            context = build_context(R, m, degree=R.p * context.ambient.n)
+        self.context = context
+        self.mu = ff.roots_of_unity(context.ambient, context.d_R)  # mu_{d_R}, canonical order
         # full kernel space enumerated by basis coordinates (mixed radix order)
-        p, dim = self.p, 2 * self.e
-        self.beta_coords = list(itertools.product(range(p), repeat=dim))
-        self.betas = [ctx.kernel_vector_to_element(c) for c in self.beta_coords]
-        self.beta_index = {b: i for i, b in enumerate(self.betas)}
+        self.beta_coords = list(itertools.product(range(R.p), repeat=2 * context.e))
+        self.betas = [context.kernel_vector_to_element(c) for c in self.beta_coords]
         # one gamma per beta (deterministic linear solve); index 0 is beta = 0
         if not self.betas[0].is_zero():
             raise TheoremViolation("the first kernel vector must be zero")
         self.gamma0 = []
         for b in self.betas:
-            t = b * addpoly.evaluate(ctx.R_amb, b)
-            g = ff.artin_schreier_root(t)
+            g = ff.artin_schreier_root(b * addpoly.evaluate(context.R_amb, b))
             if g is None:
                 raise TheoremViolation("ambient was built to contain gamma coordinates")
             self.gamma0.append(g)
         if not self.gamma0[0].is_zero():
             raise TheoremViolation("the reference gamma of beta = 0 must be 0")
 
-    def omega(self, x, y):
-        return self.ctx.omega(x, y)
-
     def identity(self):
-        return GroupElement(self, self.ambient.one(), self.ambient.zero(), self.ambient.zero())
+        F = self.context.ambient
+        return GroupElement(self, F.one(), F.zero(), F.zero())
 
     def element(self, alpha, beta, gamma):
         return GroupElement(self, alpha, beta, gamma)
 
     def h_elements(self):
         """All of the alpha = 1 subgroup, |.| = p^{2e+1}, in canonical order."""
-        one = self.ambient.one()
+        one = self.context.ambient.one()
         out = []
         for i, b in enumerate(self.betas):
             g0 = self.gamma0[i]
-            for c in range(self.p):
+            for c in range(self.context.ambient.p):
                 out.append(GroupElement(self, one, b, g0 + c, check=False))
         return out
 
     def q_size(self, restricted=False):
-        d = self.d_Rm if restricted else self.d_R
-        return d * self.p ** (2 * self.e + 1)
+        c = self.context
+        d = c.d_Rm if restricted else c.d_R
+        return d * c.ambient.p ** (2 * c.e + 1)
+
+
+def _needs_artin_schreier_extension(R, kernel_elems):
+    """Does y^p - y = x R(x) lack a root for some x in the span of kernel_elems?
+
+    It has one iff Q(x) = Tr(x R(x)) vanishes. On ker E the pairing identity
+    x R(y) + y R(x) = f(x, y)^p - f(x, y) makes the polar form of Q trace
+    zero, so Q(sum c_i b_i) = sum c_i^2 Q(b_i): Q vanishes on the span iff
+    it vanishes on the basis.
+    """
+    return any(ff.artin_schreier_root(x * addpoly.evaluate(R, x)) is None for x in kernel_elems)
 
 
 class GroupElement:
@@ -81,16 +86,16 @@ class GroupElement:
         self.beta = beta
         self.gamma = gamma
         if check:
-            p = ctx.p
-            if alpha ** ctx.d_R != ctx.ambient.one():
+            c = ctx.context
+            if alpha ** c.d_R != c.ambient.one():
                 raise ValidationError("alpha is not a scaling root of unity")
-            if not addpoly.evaluate(ctx.ctx.E_amb, beta).is_zero():
+            if not addpoly.evaluate(c.E_amb, beta).is_zero():
                 raise ValidationError("beta is not in the kernel space")
-            if gamma ** p - gamma != beta * addpoly.evaluate(ctx.ctx.R_amb, beta):
+            if gamma ** c.ambient.p - gamma != beta * addpoly.evaluate(c.R_amb, beta):
                 raise ValidationError("gamma fails its Artin-Schreier equation")
 
     def in_h(self):
-        return self.alpha == self.ctx.ambient.one()
+        return self.alpha == self.ctx.context.ambient.one()
 
     def tuple(self):
         return (self.alpha, self.beta, self.gamma)
@@ -117,7 +122,7 @@ def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     a = g1.alpha * g2.alpha
     ab2 = g1.alpha * g2.beta
     b = g1.beta + ab2
-    c = g1.gamma + g2.gamma + addpoly.pairing_value(ctx.ctx.R_amb, g1.beta, ab2)
+    c = g1.gamma + g2.gamma + addpoly.pairing_value(ctx.context.R_amb, g1.beta, ab2)
     return GroupElement(ctx, a, b, c)
 
 
@@ -125,7 +130,7 @@ def inverse(g: GroupElement) -> GroupElement:
     ctx = g.ctx
     ai = g.alpha.inverse()
     b = -(ai * g.beta)
-    c = -g.gamma + addpoly.pairing_value(ctx.ctx.R_amb, g.beta, g.beta)
+    c = -g.gamma + addpoly.pairing_value(ctx.context.R_amb, g.beta, g.beta)
     out = GroupElement(ctx, ai, b, c, check=False)
     if multiply(g, out) != ctx.identity():
         raise TheoremViolation("g times its inverse must be the identity")
@@ -136,18 +141,11 @@ def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """g1 g2 g1^{-1} g2^{-1}; for alpha = 1 this is central with scalar gamma."""
     out = multiply(multiply(g1, g2), multiply(inverse(g1), inverse(g2)))
     if g1.in_h() and g2.in_h():
-        if out.alpha != g1.ctx.ambient.one() or not out.beta.is_zero():
+        if out.alpha != g1.ctx.context.ambient.one() or not out.beta.is_zero():
             raise TheoremViolation("commutator in H must be central")
         if any(c != 0 for c in out.gamma.coords[1:]):
             raise TheoremViolation("commutator gamma must be scalar")
     return out
-
-
-def frobenius_twist(g: GroupElement) -> GroupElement:
-    """The generator of the outer Z-action: coordinatewise inverse q-Frobenius."""
-    ctx = g.ctx
-    k = (-ctx.R.base.n) % ctx.ambient.n
-    return GroupElement(ctx, g.alpha.frobenius(k), g.beta.frobenius(k), g.gamma.frobenius(k))
 
 
 ENUMERATION_GUARD = 10 ** 6
@@ -161,15 +159,18 @@ def _index_tables(ctx: GroupContext):
     tables are filled from exact field arithmetic, then everything downstream
     is plain integer work.
     """
-    p, dim = ctx.p, 2 * ctx.e
+    c = ctx.context
+    p, dim = c.ambient.p, 2 * c.e
     U = ctx.beta_coords
     # mixed radix index of coordinatewise sums
     weights = [p ** (dim - 1 - k) for k in range(dim)]
     add_idx = [[sum((a + b) % p * w for a, b, w in zip(u, v, weights)) for v in U] for u in U]
 
-    basis = ctx.ctx.kernel_elems
     # A[l] has column k = pairing(b_k, b_l)
-    A = [linalg.transpose([addpoly.pairing_value(ctx.ctx.R_amb, b, c).coords for b in basis]) for c in basis]
+    A = [
+        linalg.transpose([addpoly.pairing_value(c.R_amb, b, b_l).coords for b in c.kernel_elems])
+        for b_l in c.kernel_elems
+    ]
     G0 = [g.coords for g in ctx.gamma0]
     delta = []
     for i, u in enumerate(U):
@@ -188,7 +189,7 @@ def _index_tables(ctx: GroupContext):
 
 def analyze(ctx: GroupContext) -> dict:
     """Center, commutator subgroup and the extra-special verdict, by enumeration."""
-    p, e = ctx.p, ctx.e
+    p, e = ctx.context.ambient.p, ctx.context.e
     size = p ** (2 * e + 1)
     if size > ENUMERATION_GUARD:
         raise ValidationError(f"group of size {size} exceeds the enumeration guard")

@@ -134,7 +134,7 @@ def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
     is reported without a descent datum.
     """
     M = sympmod.build(R, m)
-    found = sympmod.decomposition_witness(R, m, module=M)
+    found = sympmod.decomposition_witness(M)
     if found is None:
         if M.d <= 2 and M.dim > 0:
             t = sympmod.minimal_imprimitive_unramified_degree(M, _anisotropic=True)
@@ -292,7 +292,7 @@ def full_report(
     verdict = primitivity(R, m)
     M = verdict.module
 
-    if oracle and M.dim > 0 and M.p ** M.dim <= 4000:
+    if oracle and M.dim > 0 and M.p ** M.dim <= sympmod.ORACLE_BOUND:
         subs = sympmod.all_stable_submodules(M)
         oracle_fail = any(s.isotropic for s in subs)
         if oracle_fail != (verdict.kind == "imprimitive"):

@@ -83,15 +83,3 @@ def multiplicative_order(a: int, d: int) -> int:
         if k > d:
             raise TheoremViolation("order search exceeded modulus")
     return k
-
-
-def v2(n: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("v2(0) is infinite")
-    n = abs(n)
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v

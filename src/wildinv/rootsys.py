@@ -291,21 +291,7 @@ def matches_module(M, W: RootSystem) -> bool:
     return False
 
 
-def nu_label(type_label: str, doubled: bool = False) -> str:
-    """Primary-module label: unique structure for B/C, ambiguous single A,
-    and the doubled anisotropic type-A configuration."""
-    if type_label in ("B", "C"):
-        return "(M(W),0)"
-    if type_label == "A":
-        return "(M(W),2)" if doubled else "n/a"
-    return "n/a"
-
-
-def detect_doubled_type_a(W1: RootSystem, W2: RootSystem, direct_sum_anisotropic: bool):
-    """The doubled type-A configuration: equal-orbit type-A summands whose
-    direct sum stays completely anisotropic."""
-    t1, _ = classify(W1)
-    t2, _ = classify(W2)
-    if t1 == "A" and t2 == "A" and direct_sum_anisotropic and same_root_system(W1, W2):
-        return "(M(W),2)"
-    return "n/a"
+def nu_label(type_label: str) -> str:
+    """Primary-module label: the unique structure for types B and C; a single
+    type-A summand is ambiguous."""
+    return "(M(W),0)" if type_label in ("B", "C") else "n/a"

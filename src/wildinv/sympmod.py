@@ -16,9 +16,12 @@ from math import gcd, lcm
 from operator import mul
 
 from . import addpoly, ff, linalg
-from .ambient import build_context
+from .ambient import build_context, required_degree
 from .errors import TheoremViolation, ValidationError
 from .numth import multiplicative_order
+
+# all_stable_submodules walks the whole subspace lattice, so only p^dim up to this
+ORACLE_BOUND = 4000
 
 
 class SymplecticModule:
@@ -148,17 +151,8 @@ def _check_module_axioms(gram, T, S, context):
         raise TheoremViolation("twisting relation S T S^-1 = T^q fails")
 
 
-def omega(M: SymplecticModule, v, w) -> int:
-    """Pairing of two kernel-space field elements, as an integer mod p."""
-    return M.context.omega(v, w)
-
-
 # ---------------------------------------------------------------------------
 # Anisotropy
-
-
-def cyclic_submodule(M, coords) -> Submodule:
-    return Submodule(M, linalg.cyclic_closure(coords, [M.T, M.S], M.p))
 
 
 def _scaling_blocks(T, p):
@@ -250,11 +244,6 @@ def completely_anisotropic(M):
     return (w is None), w
 
 
-def anisotropic_of(M) -> bool:
-    """Verdict only, for module-like objects (sums, restrictions)."""
-    return _least_isotropic_cyclic(M) is None
-
-
 def all_stable_submodules(M):
     """Exhaustive oracle: every nonzero proper T,S-stable subspace.
 
@@ -264,7 +253,7 @@ def all_stable_submodules(M):
     then every value of the entries right of a pivot outside pivot columns.
     """
     p, dim = M.p, M.dim
-    if p ** dim > 4000:
+    if p ** dim > ORACLE_BOUND:
         raise ValidationError("subspace lattice too large for the exhaustive oracle")
     out = []
     for rank in range(1, dim):
@@ -282,13 +271,12 @@ def all_stable_submodules(M):
     return sorted(out, key=Submodule.signature)
 
 
-def decomposition_witness(R: addpoly.AdditivePoly, m: int, module: SymplecticModule = None):
+def decomposition_witness(M: SymplecticModule):
     """A decomposition E = f1 o f2 with f2 scaling-equivariant and isotropic
     kernel, or None. The kernel of f2 is the witness of the cyclic scan; the
     factors are verified by exact right division, rationality and the scaling
     congruence.
     """
-    M = module if module is not None else build(R, m)
     found = _least_isotropic_cyclic(M)
     if found is None:
         return None
@@ -329,18 +317,12 @@ def perp(M, sub: Submodule) -> Submodule:
 
 
 def build_pair(R1, m1, R2, m2):
-    """Two modules in one common ambient field, so their scaling roots agree."""
-    d1 = addpoly.twisted_scaling_order(R1, m1)
-    d2 = addpoly.twisted_scaling_order(R2, m2)
-    if d1 != d2:
+    """Two modules in one common ambient field, so their scaling roots agree;
+    each is built once, at the lcm of the degrees the two need."""
+    if addpoly.twisted_scaling_order(R1, m1) != addpoly.twisted_scaling_order(R2, m2):
         raise ValidationError("direct summands need equal twisted scaling orders")
-    M1 = build(R1, m1)
-    M2 = build(R2, m2)
-    if M1.ambient is not M2.ambient:
-        deg = lcm(M1.ambient.n, M2.ambient.n)
-        M1 = _module_from_context(build_context(R1, m1, degree=deg))
-        M2 = _module_from_context(build_context(R2, m2, degree=deg))
-    return M1, M2
+    deg = lcm(required_degree(R1, m1), required_degree(R2, m2))
+    return tuple(_module_from_context(build_context(R, m, degree=deg)) for R, m in ((R1, m1), (R2, m2)))
 
 
 def direct_sum(M1: SymplecticModule, M2: SymplecticModule) -> SymplecticModule:

@@ -43,6 +43,12 @@ through integrality and the Weil test instead.
 matrix_order: the multiplicative order of a matrix mod p by repeated
 products, as linalg had it; the reference for the module's sigma order,
 which sympmod reads from the splitting degree of E.
+
+brute_force_count, frobenius_twist, detect_doubled_type_a, v2: helpers
+that only tests read: the point count of y^p - y = x R(x) by a double loop
+over the field (the small-field oracle for counts.point_count), the outer
+Z-action on the group of (alpha, beta, gamma), the doubled type-A label of
+a direct sum of two monomial modules, and the 2-adic valuation.
 """
 
 import itertools
@@ -54,8 +60,9 @@ from wildinv.counts import Cyc, PsiLPolynomial
 from wildinv.ambient import _scalar
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.linalg import coords_in_rows, identity, mat_mul, transpose
+from wildinv.espgroup import GroupElement
 from wildinv.numth import multiplicative_order, prime_factors
-from wildinv.rootsys import invariants
+from wildinv.rootsys import classify, invariants, same_root_system
 
 
 def poly_roots(coeffs, F):
@@ -395,3 +402,49 @@ def matrix_order(A, p, cap=10 ** 6):
             return k
         M = mat_mul(M, B, p)
     raise TheoremViolation("matrix order exceeds cap")
+
+
+BRUTE_FORCE_GUARD = 2 ** 20
+
+
+def brute_force_count(R, k):
+    """Affine points of y^p - y = x R(x) over F_{q^k} by a double loop over
+    (y, x); the small-field oracle."""
+    base = R.base
+    n = base.n * k
+    if base.p ** n > BRUTE_FORCE_GUARD:
+        raise ValidationError("field too large for brute-force enumeration")
+    F = ff.field_create(base.p, n)
+    Rk = R.embed_to(F)
+    values = {}
+    for x in F.elements():
+        t = x * addpoly.evaluate(Rk, x)
+        values[t] = values.get(t, 0) + 1
+    return sum(values.get(y ** base.p - y, 0) for y in F.elements())
+
+
+def frobenius_twist(g):
+    """The generator of the outer Z-action: coordinatewise inverse q-Frobenius."""
+    c = g.ctx.context
+    k = (-c.base.n) % c.ambient.n
+    return GroupElement(g.ctx, g.alpha.frobenius(k), g.beta.frobenius(k), g.gamma.frobenius(k))
+
+
+def detect_doubled_type_a(W1, W2, direct_sum_anisotropic):
+    """The doubled type-A configuration: equal-orbit type-A summands whose
+    direct sum stays completely anisotropic."""
+    if classify(W1)[0] == classify(W2)[0] == "A" and direct_sum_anisotropic and same_root_system(W1, W2):
+        return "(M(W),2)"
+    return "n/a"
+
+
+def v2(n):
+    """2-adic valuation of a nonzero integer."""
+    if n == 0:
+        raise ValueError("v2(0) is infinite")
+    n = abs(n)
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return v

@@ -21,9 +21,8 @@ from wildinv.addpoly import AdditivePoly
 from wildinv.ambient import required_degree
 from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.ff import field_create
-from wildinv.numth import v2
 
-from reference import psi_l_product
+from reference import psi_l_product, v2
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -152,7 +151,7 @@ def criterion4_results():
         M = sympmod.build(R, m)
         anis, witness = sympmod.completely_anisotropic(M)
         oracle = sympmod.all_stable_submodules(M)
-        dec = sympmod.decomposition_witness(R, m, module=M)
+        dec = sympmod.decomposition_witness(M)
         results.append((R, m, M, anis, witness, oracle, dec))
     return results
 
@@ -200,7 +199,7 @@ def test_criterion_5_legendre_example():
             assert addpoly.twisted_scaling_order(R2, m2) == p + 1
             A, B = sympmod.build_pair(R1, 1, R2, m2)
             DS = sympmod.direct_sum(A, B)
-            anis = sympmod.anisotropic_of(DS)
+            anis = sympmod.completely_anisotropic(DS)[0]
             legendre_minus_a = pow(-a % p, (p - 1) // 2, p)
             assert anis == (legendre_minus_a == p - 1), (p, a)
     took = time.time() - t0

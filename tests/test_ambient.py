@@ -1,5 +1,6 @@
-"""ambient: the Artin-Schreier extension test from the kernel basis against
-the full span, and the polar-form fact that makes the basis enough."""
+"""ambient: the context's Gram matrix and kernel coordinates, and, on its
+kernel basis, espgroup's Artin-Schreier extension test against the full span
+with the polar-form fact that makes the basis enough."""
 
 import itertools
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wildinv import ambient
+from wildinv import ambient, espgroup
 from wildinv.addpoly import AdditivePoly, evaluate, omega_values, pairing_value
 from wildinv.errors import AmbientGuardError, TheoremViolation
 from wildinv.ff import artin_schreier_root, embed, field_create
@@ -42,7 +43,7 @@ def _contexts(draw):
 @given(_contexts())
 def test_basis_artin_schreier_verdict_matches_the_full_span(ctx):
     want = _needs_extension_on_the_full_span(ctx.R, ctx.kernel_elems)
-    assert ambient._needs_artin_schreier_extension(ctx.R, ctx.kernel_elems) == want
+    assert espgroup._needs_artin_schreier_extension(ctx.R, ctx.kernel_elems) == want
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -54,7 +55,7 @@ def test_polar_form_has_trace_zero_on_kernel_pairs(ctx):
     for x, y in itertools.combinations_with_replacement(kb, 2):
         assert artin_schreier_root(x * evaluate(R, y) + y * evaluate(R, x)) is not None
     if ctx.ambient.p > 2:
-        assert not ambient._needs_artin_schreier_extension(R, kb)
+        assert not espgroup._needs_artin_schreier_extension(R, kb)
 
 
 @pytest.mark.parametrize(
@@ -70,10 +71,26 @@ def test_artin_schreier_verdict_examples(p, f, coeffs, m, needs):
     R = AdditivePoly(F, [F.el(c) for c in coeffs])
     ctx = ambient.build_context(R, m)
     assert _needs_extension_on_the_full_span(R, ctx.kernel_elems) == needs
-    assert ambient._needs_artin_schreier_extension(R, ctx.kernel_elems) == needs
-    # the gamma context grows the ambient by a factor p exactly when needed
-    gamma = ambient.build_context(R, m, need_gamma=True)
-    assert gamma.ambient.n == ctx.ambient.n * (p if needs else 1)
+    assert espgroup._needs_artin_schreier_extension(R, ctx.kernel_elems) == needs
+    # the group's context is the one built at p times the least degree
+    # exactly when needed, and else the least one
+    gamma = espgroup.GroupContext(R, m).context
+    wide = ambient.build_context(R, m, degree=p * ctx.ambient.n)
+    assert (_context_data(gamma) == _context_data(wide)) == needs
+    assert (_context_data(gamma) == _context_data(ctx)) == (not needs)
+
+
+def _context_data(ctx):
+    return (
+        ctx.ambient.p,
+        ctx.ambient.n,
+        [b.coords for b in ctx.kernel_elems],
+        ctx.kernel_rows,
+        ctx.alpha.coords,
+        ctx.splitting_degree,
+        ctx.d_R,
+        ctx.d_Rm,
+    )
 
 
 def test_kernel_vector_to_element_matches_the_field_sum():

