@@ -34,7 +34,7 @@ print("skew factorization of E: outer", f1, " inner", f2)
 
 # the descent datum rewrites x R(x) through the degree-3 map r and produces
 # the smaller polynomial R1, with every identity checked symbolically
-ind = iterated_quotient(R, 2, witness)
+ind = iterated_quotient(witness)
 print("\ndescent map r:", ind.r)
 print("descended polynomial R1:", ind.R1)
 print("correction Delta terms:", nonzero_terms(ind.delta))

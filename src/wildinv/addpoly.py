@@ -133,9 +133,8 @@ class AdditivePoly:
             return self
         return AdditivePoly(field, [ff.embed(c, field) for c in self.coeffs])
 
-    def operator_matrix(self, field=None):
-        """Matrix of f as an F_p-linear operator on the given field."""
-        F = field or self.base
+    def operator_matrix(self, F):
+        """Matrix of f as an F_p-linear operator on the field F."""
         f = self.embed_to(F)
         n = F.n
         p = F.p

@@ -6,8 +6,7 @@ Q(x) = Tr(x R(x)) on F_{q^k}: fibers of the cover have size p exactly on the
 trace-zero locus. The distribution is computed exactly by classifying Q with
 one symmetric congruence reduction for every p, which splits off lines,
 hyperbolic or Arf-1 planes and the radical, so counts over F_{q^k} cost
-O((fk)^3) instead of O(q^k); a brute force enumeration loop is kept as the
-independent oracle for small fields.
+O((fk)^3) instead of O(q^k).
 The classification is an isometry invariant, so Q may be written in any
 F_p-basis of F_{q^k}. When R's coefficients lie in F_p, Q is a circulant in
 a normal basis, given by R's coefficients and the traces Tr(beta beta^{p^d})
@@ -539,20 +538,22 @@ def _newton_check_runs(R: addpoly.AdditivePoly) -> bool:
     return two_g * R.base.n <= 64 and R.base.order ** two_g <= NEWTON_CHECK_BOUND
 
 
-def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
+def check_curve_work(R: addpoly.AdditivePoly, max_k: int = None):
     """Pre-flight guard of a curve summary, before any field is built.
 
-    Returns top, the largest k whose form the summary builds: p^e + PSI_SLACK
-    for L(psi_1), 2g when the Newton cross-check runs, and direct_k, the
-    largest k counted directly. Raises AmbientGuardError when F_{q^top} has
+    Returns (kmax, top): kmax = max_k, or 2g by default, and top the largest
+    k whose form the summary builds, p^e + PSI_SLACK for L(psi_1) or 2g when
+    the Newton cross-check runs. `check_max_k` runs on max_k first and on
+    kmax last; between them, AmbientGuardError is raised when F_{q^top} has
     more than 2^CURVE_FIELD_BITS_BOUND elements, or when the work in
     Z[zeta_p] exceeds CYC_PRODUCT_BOUND coordinate products: the power sums
     of L(psi_1) up to 2g take 2g p^e products of p - 1 coordinates by p - 1,
     (p - 1)^3 p^{2e} in all.
     """
+    check_max_k(R, max_k)
     g = genus(R)
     p = R.p
-    top = max(p ** R.p_degree + PSI_SLACK, direct_k)
+    top = p ** R.p_degree + PSI_SLACK
     if _newton_check_runs(R):
         top = max(top, 2 * g)
     q = R.base.order
@@ -570,7 +571,9 @@ def check_curve_work(R: addpoly.AdditivePoly, direct_k: int = 0) -> int:
             f"{products:.2e} coordinate products, beyond the "
             f"{CYC_PRODUCT_BOUND:.0e} curve product guard"
         )
-    return top
+    kmax = 2 * g if max_k is None else max_k
+    check_max_k(R, kmax)
+    return kmax, top
 
 
 def check_max_k(R: addpoly.AdditivePoly, max_k: int) -> None:
@@ -623,16 +626,11 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     must also equal the numerator Newton's identities give from the direct
     counts N_1..N_{2g}. Z must satisfy its functional equation and the Weil
     bounds, and its power sums must give the direct counts for
-    k <= p^e + PSI_SLACK. Without frobenius the counts are counted directly.
-    Given the matrix S of the q-Frobenius on the module ker E, the counts are
-    read from Z's power sums, and every radical of a polar form built is
-    checked against ker(S^k - 1).
+    k <= p^e + PSI_SLACK. The counts N_1..N_{max_k} are read from Z's power
+    sums. Given the matrix S of the q-Frobenius on the module ker E, every
+    radical of a polar form built is also checked against ker(S^k - 1).
     """
-    check_max_k(R, max_k)
-    g = genus(R)
-    kmax = max_k if max_k is not None else 2 * g
-    top = check_curve_work(R, 0 if frobenius is not None else kmax)
-    check_max_k(R, kmax)  # the default 2g too, once the guard has passed
+    kmax, top = check_curve_work(R, max_k)
     L1 = psi_l_polynomial(R, 1)
     Z = _zeta_from_psi_1(R, L1)
     sign = Z.functional_equation_sign()
@@ -646,14 +644,11 @@ def curve_summary(R: addpoly.AdditivePoly, max_k: int = None, frobenius=None) ->
     near = R.p ** R.p_degree + PSI_SLACK
     if counts_from_zeta(Z, near) != point_counts(R, near):
         raise TheoremViolation("the power sums of Z disagree with the direct counts")
-    if frobenius is None:
-        counts = point_counts(R, kmax)
-    else:
+    if frobenius is not None:
         _check_radicals(R, frobenius, top)
-        counts = counts_from_zeta(Z, kmax)
     return {
-        "counts": counts,
-        "genus": g,
+        "counts": counts_from_zeta(Z, kmax),
+        "genus": Z.g,
         "zeta_numerator": Z.coeffs,
         "functional_equation_sign": sign,
         "weil_bounds_ok": weil,

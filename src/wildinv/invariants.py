@@ -145,7 +145,7 @@ def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
     f1, f2, witness = found
     induction = None
     if R.p != 2:
-        induction = quotient.iterated_quotient(R, m, witness)
+        induction = quotient.iterated_quotient(witness)
     return PrimitivityResult(
         kind="imprimitive",
         module=M,
@@ -278,10 +278,7 @@ def full_report(
     if p == 2 and e == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
     if curve:
-        counts.check_max_k(R, max_k)
-        counts.check_curve_work(R)
-        if max_k is None:
-            counts.check_max_k(R, 2 * counts.genus(R))  # the default count list ends at N_2g
+        counts.check_curve_work(R, max_k)
 
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
@@ -321,7 +318,7 @@ def full_report(
 
     curve_data = None
     if curve:
-        # counts read from Z; the module's Frobenius checks every polar radical
+        # the module's Frobenius checks every polar radical
         curve_data = counts.curve_summary(R, max_k=max_k, frobenius=M.S)
 
     return Report(

@@ -171,17 +171,18 @@ class InductionData:
         return self.r.degree
 
 
-def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
+def iterated_quotient(U) -> InductionData:
     """Descend along a nonzero totally isotropic stable submodule U.
 
-    U is a sympmod Submodule (its module was built from (R, m)); the basis is
-    taken in canonical row order. All invariants of the returned datum are
-    verified symbolically: the defining identity, rationality over the base,
-    reducedness of r, scaling equivariance, and divisibility of the scaling
-    orders.
+    U is a sympmod Submodule of a module built from (R, m), which are read
+    from its context; the basis is taken in canonical row order. All
+    invariants of the returned datum are verified symbolically: the defining
+    identity, rationality over the base, reducedness of r, scaling
+    equivariance, and divisibility of the scaling orders.
     """
-    M = U.module
-    ctx = M.context
+    ctx = U.module.context
+    if ctx is None:
+        raise ValidationError("descent needs a module built from (R, m), not a direct sum")
     if ctx.ambient.p == 2:
         raise ValidationError("descent needs p odd")
     if U.dim == 0:
@@ -215,7 +216,7 @@ def iterated_quotient(R: addpoly.AdditivePoly, m: int, U) -> InductionData:
         data = new_data
 
     out = InductionData(r=r, R1=R_cur, delta=delta, e_prime=R_cur.p_degree)
-    ok, reasons = verify_morphism(R, out.R1, out.r, out.delta, m)
+    ok, reasons = verify_morphism(ctx.R, out.R1, out.r, out.delta, ctx.m)
     if not ok:
         raise TheoremViolation(f"descent datum failed verification: {reasons}")
     if out.e_prime != ctx.e - U.dim:

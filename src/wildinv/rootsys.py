@@ -268,6 +268,8 @@ def matches_module(M, W: RootSystem) -> bool:
     scaling check does not depend on the translate and is made once.
     """
     ctx = M.context
+    if ctx is None:
+        raise ValidationError("module comparison needs a module built from (R, m), not a direct sum")
     if any(not c.is_zero() for c in ctx.R.coeffs[:-1]):
         raise ValidationError("module comparison applies to monomial R only")
     inv = invariants(W)

@@ -47,18 +47,24 @@ class SymplecticModule:
         self.context = context
 
     @property
+    def _kernel_context(self):
+        if self.context is None:
+            raise ValidationError("a direct sum has no kernel context, so no field elements")
+        return self.context
+
+    @property
     def ambient(self):
-        return self.context.ambient
+        return self._kernel_context.ambient
 
     @property
     def basis(self):
-        return self.context.kernel_elems
+        return self._kernel_context.kernel_elems
 
     def element(self, coords):
-        return self.context.kernel_vector_to_element(coords)
+        return self._kernel_context.kernel_vector_to_element(coords)
 
     def coords(self, x):
-        return self.context.element_to_kernel_vector(x)
+        return self._kernel_context.element_to_kernel_vector(x)
 
     def zero_module(self):
         return self.dim == 0

@@ -170,7 +170,7 @@ def test_criterion_4_route_equivalence(criterion4_results):
             f1, f2, sub = dec
             assert addpoly.compose(f1, f2) == M.context.E_amb, (R, m)
             assert sub.signature() == witness.signature() and f2.p_degree == witness.dim, (R, m)
-            ind = quotient.iterated_quotient(R, m, witness)
+            ind = quotient.iterated_quotient(witness)
             ok, reasons = quotient.verify_morphism(R, ind.R1, ind.r, ind.delta, m)
             assert ok, f"descent route failed at (R={R}, m={m}): {reasons}"
     took = time.time() - t0
@@ -235,7 +235,7 @@ def test_criterion_7_quotient_identities(criterion4_results):
     for R, m, M, anis, witness, *_ in criterion4_results:
         if anis:
             continue
-        ind = quotient.iterated_quotient(R, m, witness)
+        ind = quotient.iterated_quotient(witness)
         ok, reasons = quotient.verify_morphism(R, ind.R1, ind.r, ind.delta, m)
         assert ok, reasons
         assert ind.R1.degree == R.p ** ind.e_prime

@@ -261,6 +261,33 @@ GOLDEN_ARGV = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_ARGV if n.endswith("_curve")))
+def test_count_prints_the_curve_section_of_the_golden(name):
+    # count and report --curve read the counts from Z by one route: count's
+    # output is the golden's curve section, byte for byte
+    from pathlib import Path
+
+    golden = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    code, out = cap(["count", *GOLDEN_ARGV[name][:-1]])
+    assert code == 0, out
+    assert out == json.dumps(golden["curve"], indent=2, sort_keys=True) + "\n"
+
+
+def test_count_builds_only_the_forms_of_the_zeta_numerator(monkeypatch):
+    # p2e1: top = p^e + 2 = 4 (the Newton check needs 2g = 2 only); a count
+    # list to N_200 is read from Z, with no form on F_2^k for k > 4
+    from wildinv import counts
+
+    calls = []
+    real = counts._form_data
+    monkeypatch.setattr(counts, "_form_data", lambda R, k: calls.append(k) or real(R, k))
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    code, out = cap(["count", "-p", "2", "-f", "1", "-R", "1", "-e", "1", "-m", "1", "--max-k", "200"])
+    assert code == 0, out
+    assert sorted(set(calls)) == [1, 2, 3, 4]
+    assert len(json.loads(out)["counts"]) == 200
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
 def test_report_under_python_O_matches_golden(name):
     # python -O strips assert statements; the report, and every check behind
@@ -403,7 +430,7 @@ def test_curve_guard_returns_at_once():
     code, out = cap(["report", "-p", "3", "-f", "1", "-R", "1", "-e", "5", "-m", "1", "--curve"])
     assert code == 2
     assert "guard" in json.loads(out)["error"]
-    code, out = cap(["count", "-p", "101", "-f", "1", "-R", "1", "-e", "0", "-m", "1"])
+    code, out = cap(["count", "-p", "3", "-f", "1", "-R", "1", "-e", "5", "-m", "1"])
     assert code == 2
     assert "guard" in json.loads(out)["error"]
     assert time.perf_counter() - t0 < 2
@@ -773,8 +800,8 @@ def test_curve_guard_admits_p127_at_e0_with_the_same_bytes_twice():
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 def test_curve_guard_refuses_before_any_form_is_built(optimize):
-    # p = 10007 at e = 0 (about 10^12 coordinate products), and count at
-    # p = 101 (F_101^100, counted directly)
+    # p = 10007 at e = 0 (about 10^12 coordinate products), from report and
+    # from count, which share one pre-flight
     script = (
         "from wildinv import counts\n"
         "def refuse(*args):\n"
@@ -782,7 +809,7 @@ def test_curve_guard_refuses_before_any_form_is_built(optimize):
         "counts._form_data = refuse\n"
     ) + _FLAG_ERROR_SCRIPT
     poly = ["-f", "1", "-R", "1", "-e", "0", "-m", "1"]
-    cases = [["report", "-p", "10007", *poly, "--curve"], ["count", "-p", "101", *poly], ["report", "-p", "467", *poly, "--curve"]]
+    cases = [["report", "-p", "10007", *poly, "--curve"], ["count", "-p", "10007", *poly], ["report", "-p", "467", *poly, "--curve"]]
     r = subprocess.run(
         [sys.executable, *(["-O"] if optimize else []), "-c", script, json.dumps(cases)],
         capture_output=True,

@@ -66,7 +66,7 @@ def test_push_element_central_image():
 
 def test_iterated_quotient_single_line():
     R, M, wit = imprimitive_module()
-    ind = iterated_quotient(R, 2, wit)
+    ind = iterated_quotient(wit)
     assert ind.e_prime == 0
     assert ind.r.degree == 3
     assert ind.index == 3
@@ -82,7 +82,7 @@ def test_iterated_quotient_lagrangian():
     M = build(R, 5)
     ok, wit = completely_anisotropic(M)
     assert not ok and wit.dim == 2
-    ind = iterated_quotient(R, 5, wit)
+    ind = iterated_quotient(wit)
     assert ind.e_prime == 0 and ind.r.degree == 9
     ok2, reasons = verify_morphism(R, ind.R1, ind.r, ind.delta, 5)
     assert ok2, reasons
@@ -97,7 +97,7 @@ def test_kernel_containments():
     # the preimage space of the descended kernel sits inside the
     # witness's orthogonal complement
     R, M, wit = imprimitive_module()
-    ind = iterated_quotient(R, 2, wit)
+    ind = iterated_quotient(wit)
     E1 = e_poly(ind.R1).embed_to(M.ambient)
     import itertools
 
@@ -118,7 +118,7 @@ def test_kernel_containments():
 
 def test_verify_morphism_negative_controls():
     R, M, wit = imprimitive_module()
-    ind = iterated_quotient(R, 2, wit)
+    ind = iterated_quotient(wit)
     F = ind.r.base
     bad = poly.add(ind.delta, [F.zero(), F.one()])
     ok, reasons = verify_morphism(R, ind.R1, ind.r, bad, 2)
@@ -135,7 +135,7 @@ def test_p2_rejected():
     ok, wit = completely_anisotropic(M)
     assert not ok
     with pytest.raises(ValidationError):
-        iterated_quotient(R, 1, wit)
+        iterated_quotient(wit)
 
 
 def test_non_isotropic_input_rejected():
@@ -145,7 +145,7 @@ def test_non_isotropic_input_rejected():
     full = M.submodule(np.eye(M.dim, dtype=np.int64))
     assert not full.isotropic
     with pytest.raises(ValidationError):
-        iterated_quotient(R, 2, full)
+        iterated_quotient(full)
 
 
 def test_linear_defect_check_raises(monkeypatch):
@@ -155,7 +155,6 @@ def test_linear_defect_check_raises(monkeypatch):
     from wildinv.errors import TheoremViolation
 
     R, M, wit = imprimitive_module()
-    ctx = M.context
     make = IsotropicDatum.make
 
     def off_by_one(R_amb, beta):
@@ -164,4 +163,12 @@ def test_linear_defect_check_raises(monkeypatch):
 
     monkeypatch.setattr(quotient.IsotropicDatum, "make", off_by_one)
     with pytest.raises(TheoremViolation, match="linear defect"):
-        iterated_quotient(ctx.R, 2, wit)
+        iterated_quotient(wit)
+
+
+def test_iterated_quotient_refuses_a_direct_sum():
+    from test_sympmod import x3_sum_with_witness
+
+    _, wit = x3_sum_with_witness()
+    with pytest.raises(ValidationError, match="direct sum"):
+        iterated_quotient(wit)

@@ -168,6 +168,15 @@ def test_nu_labels_and_doubled_detection():
     assert detect_doubled_type_a(W1, W2, True) == "(M(W),2)"
 
 
+def test_matches_module_refuses_a_direct_sum():
+    from test_sympmod import x3_sum_with_witness
+
+    DS, _ = x3_sum_with_witness()
+    W, _ = monomial_root_system(3, 1, 1, 1, 1)  # any W: the module is refused first
+    with pytest.raises(ValidationError, match="direct sum"):
+        matches_module(DS, W)
+
+
 def _matches_on_every_vector(M, W):
     # the definition, on all p^dim - 1 nonzero kernel vectors
     import itertools

@@ -220,6 +220,32 @@ def test_direct_sums_do_not_nest():
         direct_sum(A, direct_sum(A, B))
 
 
+def x3_sum_with_witness():
+    """The sum of two copies of x^3 over F_9 at m = 2, and its isotropic
+    witness: a module with no kernel context and a submodule of it."""
+    F9 = field_create(3, 2)
+    R = AdditivePoly(F9, [F9.zero(), F9.one()])
+    DS = direct_sum(*build_pair(R, 2, R, 2))
+    ok, wit = completely_anisotropic(DS)
+    assert not ok and DS.context is None
+    return DS, wit
+
+
+def test_a_direct_sum_has_no_field_elements():
+    DS, wit = x3_sum_with_witness()
+    with pytest.raises(ValidationError, match="direct sum"):
+        wit.field_elements()
+    for read in (lambda: DS.ambient, lambda: DS.basis, lambda: DS.coords(field_create(3, 2).one())):
+        with pytest.raises(ValidationError, match="direct sum"):
+            read()
+
+
+def test_decomposition_witness_refuses_a_direct_sum():
+    DS, _ = x3_sum_with_witness()
+    with pytest.raises(ValidationError, match="direct sum"):
+        decomposition_witness(DS)
+
+
 def test_build_pair_builds_each_summand_once_at_the_common_degree(monkeypatch):
     # x^3 + x^9 and x^3 + 2 x^9 over F_3 need F_3^18 and F_3^9: each summand
     # is built once, at 18, and is the module of its context there
