@@ -10,7 +10,7 @@ from functools import reduce
 from math import gcd
 
 from . import ff, poly
-from .errors import TheoremViolation, ValidationError
+from .errors import AmbientGuardError, TheoremViolation, ValidationError
 from .linalg import (
     cyclic_closure,
     identity,
@@ -482,15 +482,17 @@ def splitting_degree(f: AdditivePoly) -> int:
     lead_inv = coeffs[-1].inverse()
     low = [c * lead_inv for c in coeffs[:-1]]  # tau^e = -sum low_i tau^i mod g
     one = [F.one()] + [F.zero()] * (len(low) - 1)
-    r = one
-    for N in range(1, n0 * 10000):
+    r, cap = one, 10000
+    for N in range(1, n0 * cap):
         top = r[-1].frobenius(1)
         r = [F.zero()] + [c.frobenius(1) for c in r[:-1]]
         if not top.is_zero():
             r = [x - top * y for x, y in zip(r, low)]
         if N % n0 == 0 and r == one:
             return N // n0
-    raise TheoremViolation("splitting degree search exceeded cap")
+    raise AmbientGuardError(
+        f"the splitting degree is at least {cap}, so the kernel lies past the structural cap F_p^{ff.MAX_DEGREE}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,17 @@ def _scalar(coords) -> int:
     return coords[0]
 
 
+def check_p_degree(e: int):
+    """0 <= 2e <= ff.MAX_DEGREE: ker E has p^{2e} elements, so every field
+    that holds it has degree at least 2e over F_p."""
+    if e < 0:
+        raise ValidationError("e must be >= 0")
+    if 2 * e > ff.MAX_DEGREE:
+        raise ValidationError(f"e = {e} is too large: ker E needs a field of degree 2e > {ff.MAX_DEGREE}")
+
+
 def validate_input(R: addpoly.AdditivePoly, m: int):
+    """The one admission check of an input (R, m), for every caller."""
     if R.is_zero():
         raise ValidationError("R must be a nonzero additive polynomial")
     if m < 1:
@@ -100,6 +110,7 @@ def validate_input(R: addpoly.AdditivePoly, m: int):
         raise ValidationError(f"m = {m} must be prime to p = {R.p}")
     if R.p == 2 and R.p_degree == 0:
         raise ValidationError("the pair (p, e) = (2, 0) is excluded")
+    check_p_degree(R.p_degree)
 
 
 def build_context(R: addpoly.AdditivePoly, m: int, degree: int = None) -> Context:
@@ -114,7 +125,7 @@ def build_context(R: addpoly.AdditivePoly, m: int, degree: int = None) -> Contex
     d_R = addpoly.scaling_order(R)
     d_Rm = addpoly.twisted_scaling_order(R, m)
     E = addpoly.e_poly(R)
-    s = addpoly.splitting_degree(E)
+    s = _guarded_splitting_degree(R, E)
     M = _least_degree(R, d_R, s) if degree is None else degree
     _guard(p, M)
     ambient, kernel_elems = addpoly.split_kernel(E, M)
@@ -139,7 +150,16 @@ def build_context(R: addpoly.AdditivePoly, m: int, degree: int = None) -> Contex
 def required_degree(R: addpoly.AdditivePoly, m: int) -> int:
     """The ambient degree build_context uses when no degree is given."""
     validate_input(R, m)
-    return _least_degree(R, addpoly.scaling_order(R), addpoly.splitting_degree(addpoly.e_poly(R)))
+    return _least_degree(R, addpoly.scaling_order(R), _guarded_splitting_degree(R, addpoly.e_poly(R)))
+
+
+def _guarded_splitting_degree(R, E):
+    """addpoly.splitting_degree(E), searched only when ker E fits the size
+    guard: it has p^{2e} elements, and the ambient holds it."""
+    p, two_e = R.p, 2 * R.p_degree
+    if two_e * (p.bit_length() - 1) > SIZE_GUARD_BITS or p ** two_e > 2 ** SIZE_GUARD_BITS:
+        raise AmbientGuardError(f"ker E has {p}^{two_e} elements, beyond the 2^{SIZE_GUARD_BITS} size guard")
+    return addpoly.splitting_degree(E)
 
 
 def _least_degree(R, d_R, s):

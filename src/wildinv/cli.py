@@ -13,16 +13,7 @@ import sys
 from . import addpoly, ambient, counts, ff, invariants, rootsys, sympmod
 from .errors import TheoremViolation, ValidationError
 
-SUBCOMMANDS = (
-    "report",
-    "primitivity",
-    "swan",
-    "quotient",
-    "rootsystem",
-    "count",
-    "anisotropy",
-    "prime",
-)
+SUBCOMMANDS = ("report", "primitivity", "swan", "quotient", "rootsystem", "count", "anisotropy", "prime")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -30,11 +21,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True))
-    sys.stdout.write("\n")
 
 
 def parse_coefficient(tok: str, base):
@@ -52,8 +38,10 @@ def parse_coefficient(tok: str, base):
 
 def parse_additive_poly(text: str, p: int, f: int, e: int) -> addpoly.AdditivePoly:
     """-R string to a polynomial: full low-to-high list "c_0;...;c_e", or the
-    monomial shorthand of a single entry meaning a_e when e >= 1."""
+    monomial shorthand of a single entry meaning a_e when e >= 1. The range
+    of e is checked before any list of e + 1 coefficients is built."""
     base = ff.field_create(p, f)
+    ambient.check_p_degree(e)
     entries = [t for t in text.split(";") if t.strip()]
     if not entries:
         raise ValidationError("empty R")
@@ -73,15 +61,17 @@ def parse_additive_poly(text: str, p: int, f: int, e: int) -> addpoly.AdditivePo
     return R
 
 
-def _input_args(sub):
-    sub.add_argument("-p", type=int, required=True, help="prime")
-    sub.add_argument("-f", type=int, required=True, help="q = p^f")
-    sub.add_argument("-R", type=str, required=True, help="coefficients c_0;...;c_e (monomial shorthand: a single entry is a_e)")
-    sub.add_argument("-e", type=int, required=True, help="top p-power degree of R")
-    sub.add_argument("-m", type=int, required=True, help="twist integer, prime to p")
+def _input_args(sub, required=True):
+    sub.add_argument("-p", type=int, required=required, help="prime")
+    sub.add_argument("-f", type=int, required=required, help="q = p^f")
+    sub.add_argument("-R", type=str, required=required, help="coefficients c_0;...;c_e (monomial shorthand: a single entry is a_e)")
+    sub.add_argument("-e", type=int, required=required, help="top p-power degree of R")
+    sub.add_argument("-m", type=int, required=required, help="twist integer, prime to p")
 
 
 def _load_input_file(path):
+    """(R, m, flags) from a JSON input file; flags holds at most curve,
+    oracle and max_k, the keyword arguments of invariants.full_report."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -114,11 +104,111 @@ def _load_input_file(path):
     max_k = flags.get("max_k")
     if max_k is not None and type(max_k) is not int:
         raise ValidationError("input file flag 'max_k' must be an integer or null")
-    return spec, flags
+    if isinstance(rspec, str) and rspec.lstrip().startswith("q="):
+        # the canonical text form carries its own field and degree
+        R = addpoly.parse_additive_poly_text(rspec)
+        if (R.base.p, R.base.n, R.p_degree) != (spec["p"], spec["f"], spec["e"]):
+            raise ValidationError("text-form R disagrees with the declared p, f, e")
+    else:
+        R = parse_additive_poly(rspec if isinstance(rspec, str) else ";".join(rspec), spec["p"], spec["f"], spec["e"])
+    return R, spec["m"], flags
 
 
-def _poly_from_args(args):
-    return parse_additive_poly(args.R, args.p, args.f, args.e)
+def _report(R, m, **flags):
+    return invariants.full_report(R.base.p, R.base.n, list(R.coeffs), m, **flags).to_json()
+
+
+def _primitivity(R, m):
+    return invariants._verdict_json(invariants.primitivity(R, m))
+
+
+def _anisotropy(R, m):
+    M = sympmod.build(R, m)
+    anis, wit = sympmod.completely_anisotropic(M)
+    return {
+        "dim": M.dim,
+        "d": M.d,
+        "completely_anisotropic": anis,
+        "witness_basis": None if wit is None else [ff.format_element(x) for x in wit.field_elements()],
+    }
+
+
+def _quotient(R, m):
+    res = invariants.primitivity(R, m)
+    if res.kind != "imprimitive":
+        return {"verdict": res.kind, "induction": None}
+    doc = invariants._verdict_json(res)
+    # p = 2 has a witness but no descent datum
+    return {"verdict": "imprimitive", "induction": doc.get("induction"), "witness_basis": doc.get("witness_basis")}
+
+
+def _rootsystem(R, m):
+    if any(not c.is_zero() for c in R.coeffs[:-1]):
+        raise ValidationError("R is not a monomial")
+    return {"root_system": rootsys.monomial_summary(R.p, R.base.n, R.p_degree, R.coeffs[-1], m)[1]}
+
+
+def _count(R, m, max_k):
+    return counts.curve_summary(R, max_k=max_k)
+
+
+def _prime(R, m):
+    E = addpoly.e_poly(R)
+    doc = {"e_poly_prime": addpoly.is_prime(E)}
+    # the transport route applies when d_R = p^t + 1 with f | t; d_R = 1
+    # gives x = 0, which no power of p reaches
+    k, x = 0, addpoly.scaling_order(R) - 1
+    while x and x % R.p == 0:
+        x //= R.p
+        k += 1
+    if x == 1 and k >= 1 and k % R.base.n == 0:
+        try:
+            cs = addpoly.coeff_transport(E, k)
+        except ValidationError:
+            return doc
+        doc["transport"] = {
+            "t": k,
+            "irreducible": addpoly.classical_is_irreducible(cs),
+            "reciprocal": addpoly.is_reciprocal(cs),
+        }
+        # reducible transport always certifies a decomposition;
+        # the converse only binds within the p^t-power subring
+        if not doc["transport"]["irreducible"] and doc["e_poly_prime"]:
+            raise TheoremViolation("a reducible transport must make E composite")
+    return doc
+
+
+# the document of each subcommand that takes (R, m), with its further flags
+_DOCUMENTS = {"report": _report, "primitivity": _primitivity, "quotient": _quotient, "rootsystem": _rootsystem,
+              "count": _count, "anisotropy": _anisotropy, "prime": _prime}
+
+
+def _document(cmd, argv):
+    """Parse one subcommand's flags, admit (R, m) and compute its document."""
+    parser = _ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
+    if cmd == "swan":
+        for flag in ("-p", "-e", "-dR", "-m"):
+            parser.add_argument(flag, type=int, required=True)
+        args = parser.parse_args(argv)
+        return {"swan": int(invariants.swan_conductor(args.p, args.e, args.dR, args.m))}
+    _input_args(parser, required=cmd != "report")
+    if cmd == "report":
+        parser.add_argument("--input", type=str, default=None, help="JSON input file")
+        parser.add_argument("--curve", action="store_true")
+        parser.add_argument("--oracle", action="store_true")
+    if cmd in ("report", "count"):
+        parser.add_argument("--max-k", type=int, default=None)
+    flags = vars(parser.parse_args(argv))
+    path = flags.pop("input", None)
+    p, f, text, e, m = (flags.pop(k) for k in ("p", "f", "R", "e", "m"))
+    if path:
+        R, m, flags = _load_input_file(path)
+    elif None in (p, f, text, e, m):
+        raise ValidationError("report needs -p -f -R -e -m or --input")
+    else:
+        R = parse_additive_poly(text, p, f, e)
+    ambient.validate_input(R, m)
+    return _DOCUMENTS[cmd](R, m, **flags)
 
 
 def run(argv) -> int:
@@ -129,152 +219,19 @@ def run(argv) -> int:
     if cmd not in SUBCOMMANDS:
         sys.stderr.write(f"unknown subcommand {cmd!r}\n{_usage()}")
         return 1
-    parser = _ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
     try:
-        if cmd == "swan":
-            parser.add_argument("-p", type=int, required=True)
-            parser.add_argument("-e", type=int, required=True)
-            parser.add_argument("-dR", type=int, required=True)
-            parser.add_argument("-m", type=int, required=True)
-            args = parser.parse_args(argv[1:])
-            sw = invariants.swan_conductor(args.p, args.e, args.dR, args.m)
-            _emit({"swan": int(sw)})
-            return 0
-
-        if cmd == "report":
-            parser.add_argument("--input", type=str, default=None, help="JSON input file")
-            parser.add_argument("-p", type=int)
-            parser.add_argument("-f", type=int)
-            parser.add_argument("-R", type=str)
-            parser.add_argument("-e", type=int)
-            parser.add_argument("-m", type=int)
-            parser.add_argument("--curve", action="store_true")
-            parser.add_argument("--max-k", type=int, default=None)
-            parser.add_argument("--oracle", action="store_true")
-            args = parser.parse_args(argv[1:])
-            if args.input:
-                spec, flags = _load_input_file(args.input)
-                rspec = spec["R"]
-                if isinstance(rspec, str) and rspec.lstrip().startswith("q="):
-                    # the canonical text form carries its own field and degree
-                    R = addpoly.parse_additive_poly_text(rspec)
-                    if (R.base.p, R.base.n, R.p_degree) != (spec["p"], spec["f"], spec["e"]):
-                        raise ValidationError("text-form R disagrees with the declared p, f, e")
-                else:
-                    R = parse_additive_poly(
-                        rspec if isinstance(rspec, str) else ";".join(rspec),
-                        spec["p"],
-                        spec["f"],
-                        spec["e"],
-                    )
-                m, max_k = spec["m"], flags.get("max_k")
-                curve, oracle = flags.get("curve", False), flags.get("oracle", False)
-            else:
-                if None in (args.p, args.f, args.R, args.e, args.m):
-                    raise ValidationError("report needs -p -f -R -e -m or --input")
-                R = _poly_from_args(args)
-                m, max_k, curve, oracle = args.m, args.max_k, args.curve, args.oracle
-            rep = invariants.full_report(
-                R.base.p,
-                R.base.n,
-                list(R.coeffs),
-                m,
-                curve=curve,
-                max_k=max_k,
-                oracle=oracle,
-            )
-            _emit(rep.to_json())
-            return 0
-
-        _input_args(parser)
-        if cmd == "count":
-            parser.add_argument("--max-k", type=int, default=None)
-        args = parser.parse_args(argv[1:])
-        R = _poly_from_args(args)
-        if cmd in ("count", "prime"):
-            ambient.validate_input(R, args.m)
-
-        if cmd == "primitivity":
-            res = invariants.primitivity(R, args.m)
-            _emit(invariants._verdict_json(res))
-            return 0
-
-        if cmd == "anisotropy":
-            M = sympmod.build(R, args.m)
-            anis, wit = sympmod.completely_anisotropic(M)
-            doc = {
-                "dim": M.dim,
-                "d": M.d,
-                "completely_anisotropic": anis,
-                "witness_basis": None
-                if wit is None
-                else [ff.format_element(x) for x in wit.field_elements()],
-            }
-            _emit(doc)
-            return 0
-
-        if cmd == "quotient":
-            res = invariants.primitivity(R, args.m)
-            if res.kind != "imprimitive":
-                _emit({"verdict": res.kind, "induction": None})
-                return 0
-            doc = invariants._verdict_json(res)
-            _emit(
-                {
-                    "verdict": "imprimitive",
-                    # p = 2 has a witness but no descent datum
-                    "induction": doc.get("induction"),
-                    "witness_basis": doc.get("witness_basis"),
-                }
-            )
-            return 0
-
-        if cmd == "rootsystem":
-            if any(not c.is_zero() for c in R.coeffs[:-1]):
-                raise ValidationError("R is not a monomial")
-            _emit({"root_system": rootsys.monomial_summary(args.p, args.f, args.e, R.coeffs[-1], args.m)[1]})
-            return 0
-
-        if cmd == "count":
-            _emit(counts.curve_summary(R, max_k=args.max_k))
-            return 0
-
-        if cmd == "prime":
-            E = addpoly.e_poly(R)
-            doc = {"e_poly_prime": addpoly.is_prime(E)}
-            # the transport route applies when d_R = p^t + 1 with f | t; d_R = 1
-            # gives x = 0, which no power of p reaches
-            k, x = 0, addpoly.scaling_order(R) - 1
-            while x and x % R.p == 0:
-                x //= R.p
-                k += 1
-            if x == 1 and k >= 1 and k % args.f == 0:
-                try:
-                    cs = addpoly.coeff_transport(E, k)
-                except ValidationError:
-                    cs = None
-                if cs is not None:
-                    doc["transport"] = {
-                        "t": k,
-                        "irreducible": addpoly.classical_is_irreducible(cs),
-                        "reciprocal": addpoly.is_reciprocal(cs),
-                    }
-                    # reducible transport always certifies a decomposition;
-                    # the converse only binds within the p^t-power subring
-                    if not doc["transport"]["irreducible"] and doc["e_poly_prime"]:
-                        raise TheoremViolation("a reducible transport must make E composite")
-            _emit(doc)
-            return 0
-
-        raise AssertionError("unreachable")
+        doc, code = _document(cmd, argv[1:]), 0
     except ValidationError as exc:
-        _emit({"error": str(exc)})
-        return 2
+        doc, code = {"error": str(exc)}, 2
     except TheoremViolation as exc:
-        _emit({"error": f"internal consistency violation: {exc}"})
-        return 3
+        doc, code = {"error": f"internal consistency violation: {exc}"}, 3
     except SystemExit:  # -h: argparse has printed the help
         return 0
+    # two writes: when the reader closes stdout during the long first one,
+    # that write can return without error, and the second raises it
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write("\n")
+    return code
 
 
 def _usage() -> str:

@@ -560,8 +560,10 @@ def check_curve_work(R: addpoly.AdditivePoly, max_k: int = None):
     # the exponent test refuses before q^top is formed; past it, q^top has
     # at most 2 CURVE_FIELD_BITS_BOUND bits
     if top * (q.bit_length() - 1) > CURVE_FIELD_BITS_BOUND or q ** top > 2 ** CURVE_FIELD_BITS_BOUND:
+        # top past 64 bits is p^e + PSI_SLACK, named without printing p^e
+        degree = R.base.n * top if top.bit_length() <= 64 else f"k with k = {R.base.n} ({p}^{R.p_degree} + {PSI_SLACK})"
         raise AmbientGuardError(
-            f"the curve section needs F_{p}^{R.base.n * top}, beyond the "
+            f"the curve section needs F_{p}^{degree}, beyond the "
             f"2^{CURVE_FIELD_BITS_BOUND}-element curve field guard"
         )
     products = (p - 1) ** 3 * p ** (2 * R.p_degree)

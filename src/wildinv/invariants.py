@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import addpoly, counts, ff, numth, quotient, rootsys, sympmod
+from . import addpoly, ambient, counts, ff, numth, quotient, rootsys, sympmod
 from .errors import TheoremViolation, ValidationError
 
 
@@ -30,7 +30,7 @@ def swan_conductor(p: int, e: int, d_R: int, m: int) -> Fraction:
     if e < 0:
         raise ValidationError("e must be >= 0")
     if m < 1:
-        raise ValidationError("m must be >= 1")
+        raise ValidationError("m must be a positive integer")
     if m % p == 0:
         raise ValidationError(f"m = {m} must be prime to p = {p}")
     if d_R < 1:
@@ -266,17 +266,12 @@ def full_report(
         else:
             coeffs.append(base.el(c))
     R = addpoly.AdditivePoly(base, coeffs)
-    if R.is_zero():
-        raise ValidationError("R must be nonzero")
+    ambient.validate_input(R, m)
     if len(coeffs) != len(R.coeffs):
         raise ValidationError("leading coefficient a_e must be nonzero")
-    if m < 1 or m % p == 0:
-        raise ValidationError(f"m = {m} must be a positive integer prime to p = {p}")
     if max_k is not None and max_k < 0:
         raise ValidationError(f"max_k must be >= 0, got {max_k}")
     e = R.p_degree
-    if p == 2 and e == 0:
-        raise ValidationError("the pair (p, e) = (2, 0) is excluded")
     if curve:
         counts.check_curve_work(R, max_k)
 

@@ -694,20 +694,35 @@ def test_malformed_input_files_exit_2_with_a_json_error(optimize, specs):
         assert list(json.loads(out)) == ["error"], spec
 
 
+R_SUBCOMMANDS = ("report", "primitivity", "quotient", "rootsystem", "count", "anisotropy", "prime")
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
-def test_count_prime_and_swan_refuse_an_m_that_is_not_positive_and_prime_to_p(optimize):
-    # the paper's m is a positive integer prime to p; count and prime used to
-    # print a result for m = 0, m = 3 or m = -5 at p = 3, and swan for m = 3
-    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1"]
-    cases, wanted = [], []
-    for cmd in ("count", "prime"):
-        for m, message in (("0", "m must be a positive integer"), ("-5", "m must be a positive integer"),
-                           ("3", "m = 3 must be prime to p = 3")):
-            cases.append([cmd, *poly, "-m", m])
-            wanted.append(message)
-    cases.append(["swan", "-p", "3", "-e", "1", "-dR", "4", "-m", "3"])
-    wanted.append("m = 3 must be prime to p = 3")
-    cases.append(["count", *poly, "-m", "2", "--max-k", "2"])
+def test_every_subcommand_refuses_an_m_that_is_not_positive_and_prime_to_p(optimize):
+    # the paper's m is a positive integer prime to p, and (p, e) = (2, 0) is
+    # excluded; every subcommand that takes R admits (R, m) through one check,
+    # in the words of invariants.full_report. count and prime used to print a
+    # result for m = 0, m = 3 or m = -5 at p = 3, and report, rootsystem and
+    # swan worded the same fault three ways
+    from wildinv.invariants import full_report
+
+    faults = [(["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", m], (3, 1, [0, 1], int(m))) for m in ("0", "-5", "3")]
+    faults.append((["-p", "2", "-f", "1", "-R", "1", "-e", "0", "-m", "1"], (2, 1, [1], 1)))
+    messages = []
+    for _, args in faults:
+        with pytest.raises(ValidationError) as exc:
+            full_report(*args)
+        messages.append(str(exc.value))
+    assert messages == ["m must be a positive integer"] * 2 + [
+        "m = 3 must be prime to p = 3", "the pair (p, e) = (2, 0) is excluded"
+    ]
+    with pytest.raises(ValidationError, match="^R must be a nonzero additive polynomial$"):
+        full_report(3, 1, [0, 0], 1)
+    cases = [[cmd, *argv] for cmd in R_SUBCOMMANDS for argv, _ in faults]
+    wanted = messages * len(R_SUBCOMMANDS)
+    cases += [["swan", "-p", "3", "-e", "1", "-dR", "4", "-m", m] for m in ("0", "-5", "3")]
+    wanted += messages[:3]
+    cases.append(["count", "-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "2", "--max-k", "2"])
     r = subprocess.run(
         [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
         capture_output=True,
@@ -720,6 +735,79 @@ def test_count_prime_and_swan_refuse_an_m_that_is_not_positive_and_prime_to_p(op
         assert code == 2 and err == "", argv
         assert json.loads(out) == {"error": message}, argv
     assert good_code == 0 and json.loads(good_out)["counts"] == [3, 3]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_an_e_out_of_range_or_a_kernel_past_the_guard_is_refused_before_the_work(optimize):
+    # e = -1 used to meet a coefficient-count error; e = 3000 ran the capped
+    # splitting-degree search for 5 s and ended in exit 3, e = 30000 ran for
+    # longer than 30 s, and count printed a traceback for it. 2e > 512 is now
+    # refused before any list of e + 1 coefficients is built, and a kernel
+    # with p^{2e} > 2^40 elements before the splitting-degree search
+    from wildinv import ambient, ff
+    from wildinv.invariants import full_report
+
+    too_large = "e = {} is too large: ker E needs a field of degree 2e > 512"
+    ones = ";".join(["1"] * 121)
+    refused = [
+        (["report", "-p", "3", "-f", "1", "-R", "1", "-e", "-1", "-m", "1"], "e must be >= 0"),
+        *((["report", "-p", "3", "-f", "1", "-R", "1", "-e", e, "-m", "1"], too_large.format(e)) for e in ("257", "3000", "30000")),
+        *(([cmd, "-p", "3", "-f", "1", "-R", "1", "-e", "3000", "-m", "1"], too_large.format(3000)) for cmd in R_SUBCOMMANDS[1:]),
+        (["count", "-p", "3", "-f", "1", "-R", "1", "-e", "30000", "-m", "1"], too_large.format(30000)),
+        *(([cmd, "-p", "3", "-f", "1", "-R", ones, "-e", "120", "-m", "1"], "ker E has 3^240 elements, beyond the 2^40 size guard")
+          for cmd in ("report", "primitivity", "quotient", "anisotropy")),
+    ]
+    with pytest.raises(ValidationError, match=f"^{too_large.format(257)}$"):
+        full_report(3, 1, [0] * 257 + [1], 1)
+    ambient.check_p_degree(ff.MAX_DEGREE // 2)  # the largest e admitted
+    script = (
+        "from wildinv import addpoly\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('the splitting degree was searched')\n"
+        "addpoly.splitting_degree = refuse\n"
+    ) + _FLAG_ERROR_SCRIPT
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", script, json.dumps([argv for argv, _ in refused])],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    for (argv, message), (code, out, err) in zip(refused, json.loads(r.stdout), strict=True):
+        assert code == 2 and err == "", argv
+        assert json.loads(out) == {"error": message}, argv
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_a_work_cap_or_a_huge_curve_field_is_a_validation_error(optimize):
+    # prime searches the splitting degree of E for the 121-term R up to its
+    # cap of 10000, which used to end as a theorem violation (exit 3); the
+    # curve guard used to print the degree p^e + 2 of its field, which for
+    # p = 2^61 - 1 at e = 240 has more digits than Python prints (exit 1)
+    big = str(2 ** 61 - 1)
+    cases = [
+        ["prime", "-p", "3", "-f", "1", "-R", ";".join(["1"] * 121), "-e", "120", "-m", "1"],
+        ["count", "-p", big, "-f", "1", "-R", "1", "-e", "240", "-m", "1"],
+        ["report", "-p", big, "-f", "1", "-R", "1", "-e", "240", "-m", "1", "--curve"],
+    ]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    (cap_doc, *curve_docs) = json.loads(r.stdout)
+    for argv, (code, out, err) in zip(cases, (cap_doc, *curve_docs), strict=True):
+        assert code == 2 and err == "", argv
+    assert "structural cap" in json.loads(cap_doc[1])["error"]
+    for _, out, _ in curve_docs:
+        assert json.loads(out) == {
+            "error": f"the curve section needs F_{big}^k with k = 1 ({big}^240 + 2), "
+            "beyond the 2^256-element curve field guard"
+        }
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
