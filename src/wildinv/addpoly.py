@@ -468,7 +468,9 @@ def splitting_degree(f: AdditivePoly) -> int:
     and q = p^{n0}: when r_N = tau^N mod_right g is 1 at N = n0 k. One
     remainder sequence serves every k, as r_{N+1} = (tau o r_N) mod_right g
     is a shift, a Frobenius on each coefficient and one reduction step by
-    the monic g; no extension field is built.
+    the monic g; no extension field is built. The search stops at
+    k = ff.MAX_DEGREE // n0, since a larger k needs a field past the
+    structural cap.
     """
     if f.is_zero():
         raise ValidationError("zero polynomial")
@@ -482,8 +484,8 @@ def splitting_degree(f: AdditivePoly) -> int:
     lead_inv = coeffs[-1].inverse()
     low = [c * lead_inv for c in coeffs[:-1]]  # tau^e = -sum low_i tau^i mod g
     one = [F.one()] + [F.zero()] * (len(low) - 1)
-    r, cap = one, 10000
-    for N in range(1, n0 * cap):
+    r, cap = one, ff.MAX_DEGREE // n0
+    for N in range(1, n0 * cap + 1):
         top = r[-1].frobenius(1)
         r = [F.zero()] + [c.frobenius(1) for c in r[:-1]]
         if not top.is_zero():
@@ -491,7 +493,7 @@ def splitting_degree(f: AdditivePoly) -> int:
         if N % n0 == 0 and r == one:
             return N // n0
     raise AmbientGuardError(
-        f"the splitting degree is at least {cap}, so the kernel lies past the structural cap F_p^{ff.MAX_DEGREE}"
+        f"the splitting degree is above {cap}, so the kernel lies past the structural cap F_p^{ff.MAX_DEGREE}"
     )
 
 

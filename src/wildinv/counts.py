@@ -8,14 +8,18 @@ one symmetric congruence reduction for every p, which splits off lines,
 hyperbolic or Arf-1 planes and the radical, so counts over F_{q^k} cost
 O((fk)^3) instead of O(q^k).
 The classification is an isometry invariant, so Q may be written in any
-F_p-basis of F_{q^k}. When R's coefficients lie in F_p, Q is a circulant in
-a normal basis, given by R's coefficients and the traces Tr(beta beta^{p^d})
-alone, and no extension field is built: for n = fk odd, or p = 2 with 4 not
-dividing n, a self-dual normal basis exists (Lempel and Weinberger); for p
-odd and n even, Stickelberger's discriminant theorem fixes the square class
-that the traces must have at x = -1. The remaining inputs, p = 2 with 4 | n
-and R with a coefficient outside F_p, use the power basis of the canonical
-field F_{q^k}.
+F_p-basis of F_{q^k}, and one rule picks it for every R. Write n = fk = a b
+with gcd(a, b) = 1, a the full powers in n of the primes of f (f = 1 when
+R's coefficients lie in F_p) and of 2 when p = 2 and 4 | n. Then F_{p^n} =
+F_{p^a} (x) F_{p^b}, and Q is written in the basis x^j beta^{p^l}: x
+generates the canonical F_{p^a}, the only field built, and beta is a normal
+element of F_{p^b} known only through its traces Tr(beta beta^{p^d}). These
+need no field: for b odd, or p = 2 with 4 not dividing b, a self-dual normal
+basis exists (Lempel and Weinberger); for p odd and b even, Stickelberger's
+discriminant theorem fixes the square class that the traces must have at
+x = -1. So R over F_p builds no extension field but F_{2^m}, m the 2-part
+of n, when p = 2 and 4 | n. a = 1 gives a circulant, and b = 1 the Hankel
+form of the canonical F_{q^k}.
 
 Character sums then live in the p-th cyclotomic integers, represented as
 coefficient vectors modulo 1 + x + ... + x^{p-1}. Newton's identities, written
@@ -68,21 +72,6 @@ def genus(R: addpoly.AdditivePoly) -> int:
 # Exact value distribution of Q(x) = Tr_{F_{q^k}/F_p}(x R(x))
 
 
-def _form_data(R: addpoly.AdditivePoly, k: int):
-    """Gram data of the quadratic form on F_{q^k} as an F_p-space.
-
-    Returns (p, n, B, qvec): B the polar (symmetric) matrix B(x,y) =
-    Tr(x R(y) + y R(x)), qvec the diagonal values Q(basis). The value
-    distribution and the radical are isometry invariants, so any basis will
-    do: a normal basis with no field built when R's coefficients lie in F_p
-    and its trace sequence is known (`_normal_form_data`), else the power
-    basis of the canonical field (`_field_form_data`)."""
-    n = R.base.n * k
-    if all(not any(c.coords[1:]) for c in R.coeffs) and not (R.p == 2 and n % 4 == 0):
-        return _normal_form_data(R, n)
-    return _field_form_data(R, k)
-
-
 def _normal_traces(p, n):
     """T_d = Tr(beta beta^{p^d}), d < n, for some normal element beta of
     F_{p^n}/F_p; p = 2 needs 4 not dividing n.
@@ -108,41 +97,49 @@ def _normal_traces(p, n):
     return T
 
 
-def _normal_form_data(R, n):
-    """_form_data in the normal basis b_j = beta^{p^j} of `_normal_traces`.
-
-    With x = sum_j x_j b_j and R = sum_i a_i x^{p^i}, a_i in F_p, Q(x) =
-    sum_{i,j,j'} a_i x_j x_{j'} T_{i+j'-j}: the circulant H[j][j'] =
-    h[j' - j], h[d] = sum_i a_i T_{i+d} (indices mod n), so B = H + H^T and
-    every Q(b_j) = h[0]. T must be symmetric with t(1) = sum_d T_d a nonzero
-    square and, for p odd and n even, t(-1) = sum_d (-1)^d T_d a nonsquare."""
-    p = R.p
-    T = _normal_traces(p, n)
-    if (
-        any(T[d] != T[-d] for d in range(n))
-        or _legendre(sum(T), p) != 1
-        or (p != 2 and n % 2 == 0 and _legendre(sum(T[::2]) - sum(T[1::2]), p) != -1)
-    ):
-        raise TheoremViolation("the trace sequence must belong to a normal basis")
-    a = [c.coords[0] for c in R.coeffs]
-    h = [sum(ai * T[(i + d) % n] for i, ai in enumerate(a)) for d in range(n)]
-    b = [(h[d] + h[-d]) % p for d in range(n)]
-    B = [b[n - j:] + b[:n - j] for j in range(n)]
-    return p, n, B, [h[0] % p] * n
-
-
-def _field_form_data(R: addpoly.AdditivePoly, k: int):
-    """_form_data in the power basis of the canonical F_{q^k}:
-    Tr(x^i R(x^j)) = sum_k R(x^j)_k Tr(x^{i+k}), the Hankel matrix of the
-    power traces of x times the matrix of R."""
+def _form_data(R: addpoly.AdditivePoly, k: int):
+    """Gram data (p, n, B, qvec) of Q on F_{q^k}: B the polar matrix B(x, y) =
+    Tr(x R(y) + y R(x)), qvec the values Q(basis), in the basis x^j beta^{p^l}
+    of F_{p^a} (x) F_{p^b} of the module docstring, ordered by l first. As
+    Tr(u v) = Tr(u) Tr(v) across the factors, R = sum_i a_i x^{p^i} gives
+    Tr(x^j beta^{p^l} R(x^{j'} beta^{p^{l'}})) = g_{jj'}[l' - l], g_{jj'}[d] =
+    sum_i H_i[j][j'] T_{d+i}, H_i the Hankel matrix of F_{p^a}'s power traces
+    times the matrix of a_i Frob^i. T must be symmetric with t(1) = sum_d T_d
+    a nonzero square and, for p odd and b even, t(-1) a nonsquare."""
     p = R.p
     n = R.base.n * k
-    F = ff.field_create(p, n)
+    f = R.base.n if any(any(c.coords[1:]) for c in R.coeffs) else 1
+    a, r = 1, math.gcd(n, 2 * f if p == 2 and n % 4 == 0 else f)
+    while r > 1:
+        a *= r
+        r = math.gcd(n // a, r)
+    b = n // a
+    T = _normal_traces(p, b)
+    if (
+        any(T[d] != T[-d] for d in range(b))
+        or _legendre(sum(T), p) != 1
+        or (p != 2 and b % 2 == 0 and _legendre(sum(T[::2]) - sum(T[1::2]), p) != -1)
+    ):
+        raise TheoremViolation("the trace sequence must belong to a normal basis")
+    F = ff.field_create(p, a)
     tau = F.power_traces()
-    hankel = [tau[i:i + n] for i in range(n)]
-    half = linalg.mat_mul(hankel, R.embed_to(F).operator_matrix(F), p)
-    qvec = [half[j][j] for j in range(n)]
-    return p, n, linalg.mat_add(half, linalg.transpose(half), p), qvec
+    hankel = [tau[j:j + a] for j in range(a)]
+    H = []  # (i, H_i) for each nonzero a_i
+    for i, c in enumerate(R.coeffs):
+        if c:
+            P = F.frobenius_matrix(i)
+            if f > 1:
+                P = linalg.mat_mul(F.mult_matrix(ff.embed(c, F)), P, p)
+            else:  # a_i in F_p scales the Frobenius
+                P = [[c.coords[0] * x for x in row] for row in P]
+            H.append((i, linalg.mat_mul(hankel, P, p)))
+    g = [[[sum(Hi[j][jj] * T[(d + i) % b] for i, Hi in H) % p for d in range(b)]
+          for jj in range(a)] for j in range(a)]
+    # B = half + half^T has entry g_{jj'}[d] + g_{j'j}[-d] at ((l, j), (l + d, j')):
+    # row (l, j) is the slice at a (b - l) of E_j, these entries (d < b, j' < a) twice
+    E = [[(g[j][jj][d] + g[jj][j][-d]) % p for d in range(b) for jj in range(a)] * 2 for j in range(a)]
+    B = [Ej[s:s + n] for s in range(n, 0, -a) for Ej in E]
+    return p, n, B, [g[j][j][0] for j in range(a)] * b
 
 
 def _legendre(a, p):

@@ -40,6 +40,13 @@ factors from D(z) = prod (z - lambda^2 / q), as counts had it; the
 reference for counts.check_supersingular, which applies Kronecker's theorem
 through integrality and the Weil test instead.
 
+field_form_data, circulant_form_data: the Gram data of Tr(x R(x)) as
+counts had it on its two routes, in the power basis of the canonical
+F_{q^k} (the Hankel matrix of the power traces times the matrix of R) and,
+for R over F_p, as the circulant in the normal basis of
+counts._normal_traces; the references for counts._form_data, which is the
+second when a = 1 and the first when b = 1.
+
 matrix_order: the multiplicative order of a matrix mod p by repeated
 products, as linalg had it; the reference for the module's sigma order,
 which sympmod reads from the splitting degree of E.
@@ -55,11 +62,11 @@ import itertools
 import random
 from math import lcm
 
-from wildinv import addpoly, ff, poly
+from wildinv import addpoly, counts, ff, poly
 from wildinv.counts import Cyc, PsiLPolynomial
 from wildinv.ambient import _scalar
 from wildinv.errors import TheoremViolation, ValidationError
-from wildinv.linalg import coords_in_rows, identity, mat_mul, transpose
+from wildinv.linalg import coords_in_rows, identity, mat_add, mat_mul, transpose
 from wildinv.espgroup import GroupElement
 from wildinv.numth import multiplicative_order, prime_factors
 from wildinv.rootsys import classify, invariants, same_root_system
@@ -391,6 +398,33 @@ def supersingular_by_cyclotomic_factors(Z):
                 break
             remaining = quotient
     return remaining == [1]
+
+
+def field_form_data(R, k):
+    """(p, n, B, qvec) of Tr(x R(x)) in the power basis of the canonical
+    F_{q^k}: Tr(x^i R(x^j)) = sum_k R(x^j)_k Tr(x^{i+k}), the Hankel matrix
+    of the power traces of x times the matrix of R."""
+    p = R.p
+    n = R.base.n * k
+    F = ff.field_create(p, n)
+    tau = F.power_traces()
+    hankel = [tau[i:i + n] for i in range(n)]
+    half = mat_mul(hankel, R.embed_to(F).operator_matrix(F), p)
+    qvec = [half[j][j] for j in range(n)]
+    return p, n, mat_add(half, transpose(half), p), qvec
+
+
+def circulant_form_data(R, n):
+    """(p, n, B, qvec) of Tr(x R(x)) on F_{p^n} for R with coefficients in
+    F_p, in the normal basis b_j = beta^{p^j} of counts._normal_traces(p, n):
+    H[j][j'] = h[j' - j], h[d] = sum_i a_i T_{i+d} (indices mod n), so B =
+    H + H^T and every Q(b_j) = h[0]."""
+    p = R.p
+    T = counts._normal_traces(p, n)
+    a = [c.coords[0] for c in R.coeffs]
+    h = [sum(ai * T[(i + d) % n] for i, ai in enumerate(a)) for d in range(n)]
+    b = [(h[d] + h[-d]) % p for d in range(n)]
+    return p, n, [b[n - j:] + b[:n - j] for j in range(n)], [h[0] % p] * n
 
 
 def matrix_order(A, p, cap=10 ** 6):

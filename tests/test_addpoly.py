@@ -32,9 +32,9 @@ from wildinv.addpoly import (
     splitting_degree,
     twisted_scaling_order,
 )
-from wildinv.errors import ValidationError
+from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.ambient import required_degree
-from wildinv.ff import embed, field_create, roots_of_unity
+from wildinv.ff import MAX_DEGREE, embed, field_create, roots_of_unity
 from wildinv.linalg import mat_vec, rref
 
 from test_ambient import _contexts
@@ -317,6 +317,18 @@ def test_splitting_degree():
     assert splitting_degree(AdditivePoly.monomial(F9, 3, F9.gen())) == 1
 
 
+def test_the_splitting_degree_search_stops_at_the_structural_cap():
+    # over F_2 the kernel of the linearized associate of c(t) is F_2[t]/c,
+    # the Frobenius acting as t, so the splitting degree is the order of t:
+    # (t + 1)^257 = 1 + t + t^256 + t^257 gives 512 = MAX_DEGREE, the last k
+    # searched, and the primitive t^10 + t^3 + 1 gives 1023, past the cap
+    F2 = field_create(2, 1)
+    at_cap = [1 if i in (0, 1, 256, 257) else 0 for i in range(258)]
+    assert splitting_degree(AdditivePoly.from_ints(F2, at_cap)) == MAX_DEGREE
+    with pytest.raises(AmbientGuardError, match="above 512, so the kernel lies past the structural cap"):
+        splitting_degree(AdditivePoly.from_ints(F2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]))
+
+
 def test_skew_right_gcd():
     F3 = field_create(3, 1)
     E = e_poly(AdditivePoly.from_ints(F3, [0, 1]))
@@ -522,15 +534,18 @@ def _splitting_polys(draw):
 def test_splitting_degree_matches_the_gcd_per_k_reference(f):
     # one remainder sequence tau^N mod_right g against a skew right gcd with
     # x^{q^k} - x per k; past _GCD_KMAX the reference costs too much, and the
-    # new route must then agree that no k <= _GCD_KMAX splits f
+    # new route must then agree that no k <= _GCD_KMAX splits f: it finds a
+    # larger k, or refuses one past its cap MAX_DEGREE // n0
     from reference import splitting_degree_by_gcds
 
     want = splitting_degree_by_gcds(f, _GCD_KMAX)
-    got = splitting_degree(f)
     if want is None:
-        assert got > _GCD_KMAX
+        try:
+            assert splitting_degree(f) > _GCD_KMAX
+        except AmbientGuardError as exc:
+            assert "structural cap" in str(exc) and MAX_DEGREE // f.base.n > _GCD_KMAX
     else:
-        assert got == want
+        assert splitting_degree(f) == want
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -782,9 +782,10 @@ def test_an_e_out_of_range_or_a_kernel_past_the_guard_is_refused_before_the_work
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 def test_a_work_cap_or_a_huge_curve_field_is_a_validation_error(optimize):
     # prime searches the splitting degree of E for the 121-term R up to its
-    # cap of 10000, which used to end as a theorem violation (exit 3); the
-    # curve guard used to print the degree p^e + 2 of its field, which for
-    # p = 2^61 - 1 at e = 240 has more digits than Python prints (exit 1)
+    # cap ff.MAX_DEGREE // n0 = 512, which used to end as a theorem violation
+    # (exit 3); the curve guard used to print the degree p^e + 2 of its
+    # field, which for p = 2^61 - 1 at e = 240 has more digits than Python
+    # prints (exit 1)
     big = str(2 ** 61 - 1)
     cases = [
         ["prime", "-p", "3", "-f", "1", "-R", ";".join(["1"] * 121), "-e", "120", "-m", "1"],

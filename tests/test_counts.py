@@ -20,7 +20,9 @@ from wildinv.ff import field_create
 
 from reference import (
     brute_force_count,
+    circulant_form_data,
     cyclotomic_polynomial,
+    field_form_data,
     galois,
     psi_l_product,
     root_power,
@@ -741,9 +743,9 @@ def test_weil_check_edges():
 def _brute_force_cases(draw):
     """A random R over F_{p^f} and a degree k with at most 3^8 points of
     F_{q^k} to enumerate; R's lower coefficients may vanish or not. Half the
-    draws have R's coefficients in F_p, which counts in a normal basis with
-    no field built; the others draw R over F_{p^2}, whose coefficients lie
-    in F_p only by chance."""
+    draws have R's coefficients in F_p, which counts with no extension field
+    built (but F_{2^m} at p = 2 with 4 | fk); the others draw R over F_{p^2},
+    whose coefficients lie in F_p only by chance."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     prime_field = draw(st.booleans())
     f = draw(st.integers(1, 2)) if prime_field else 2
@@ -881,33 +883,48 @@ _NORMAL_FORM_EXAMPLES = [
 ]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_normal_basis_form_matches_the_field_form(data):
-    # for R with coefficients in F_p, the circulant form built from the
-    # synthetic trace sequence classifies like the Hankel form in the
-    # canonical F_{q^k}: the same value counts and the same radical
+    # the form in the basis x^j beta^{p^l} of F_{p^a} (x) F_{p^b} classifies
+    # like the Hankel form in the canonical F_{q^k}: the same value counts and
+    # the same radical, for every n = fk (p = 2 with 4 | n too) and for R
+    # with coefficients in F_p or outside it
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    f = data.draw(st.integers(1, 2))
-    k = data.draw(st.integers(1, 20 // f).filter(lambda k: p != 2 or f * k % 4))
+    f = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 20 // f))
     e = data.draw(st.integers(1 if p == 2 else 0, 3))
-    ints = data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)) + [data.draw(st.integers(1, p - 1))]
-    _check_normal_form(p, f, k, ints)
+    width = data.draw(st.sampled_from([1, f]))
+    coord = st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(lambda c: c + [0] * (f - width))
+    coeffs = data.draw(st.lists(coord, min_size=e, max_size=e)) + [data.draw(coord.filter(any))]
+    F = field_create(p, f)
+    _check_normal_form(AdditivePoly(F, [F.el(c) for c in coeffs]), k)
 
 
 @pytest.mark.parametrize("p,f,k,ints", _NORMAL_FORM_EXAMPLES)
 def test_normal_basis_form_matches_the_field_form_where_p_divides_n(p, f, k, ints):
     assert (f * k % p == 0 and f * k % 2 == 0) or (p == 2 and f * k % 4 == 2)
-    _check_normal_form(p, f, k, ints)
+    _check_normal_form(poly(p, f, ints), k)
 
 
-def _check_normal_form(p, f, k, ints):
+def _check_normal_form(R, k):
+    # n = fk = a b, a the full powers in n of the primes of f (1 for R over
+    # F_p) and of 2 when p = 2 and 4 | n: the form classifies like the
+    # canonical field's; it is that form itself when b = 1, and the
+    # circulant in a normal basis when a = 1
     from wildinv import counts
 
-    R = poly(p, f, ints)
-    normal = counts._form_data(R, k)
-    assert _classified(normal) == _classified(counts._field_form_data(R, k))
-    assert normal == counts._normal_form_data(R, f * k)
+    n = R.base.n * k
+    form = counts._form_data(R, k)
+    field_form = field_form_data(R, k)
+    assert _classified(form) == _classified(field_form)
+    radix = 1 if all(not any(c.coords[1:]) for c in R.coeffs) else R.base.n
+    if R.p == 2 and n % 4 == 0:
+        radix *= 2
+    if radix ** n % n == 0:  # every prime of n divides radix: b = 1
+        assert form == field_form
+    elif radix == 1:
+        assert form == circulant_form_data(R, n)
 
 
 # (p, n) for the search of a normal element with the synthetic traces: every
@@ -968,9 +985,9 @@ def test_normal_form_refuses_a_trace_sequence_of_no_normal_basis(monkeypatch, p,
 
 
 def test_prime_field_coefficients_build_no_extension_field(monkeypatch):
-    # a guard on the normal-basis route: with every extension of F_q refused,
+    # a guard on the form's route: with every extension of F_q refused,
     # value_distribution still works wherever R's coefficients lie in F_p,
-    # except for p = 2 with 4 | n, which still goes through the field
+    # except for p = 2 with 4 | n, which builds F_{2^m}, m the 2-part of n
     from wildinv import counts, ff
 
     class FieldBuilt(Exception):
@@ -1000,3 +1017,23 @@ def test_prime_field_coefficients_build_no_extension_field(monkeypatch):
         refuse_extensions(R.base.n)
         with pytest.raises(FieldBuilt):
             value_distribution(R, k)
+
+
+def test_the_form_builds_only_the_field_of_a(monkeypatch):
+    # n = fk = a b and only F_{p^a} is built: R over F_2 at n = 12 has a = 4,
+    # the 2-part of n, so F_2^4 and no F_2^12; R over F_9 with a coefficient
+    # outside F_3 at k = 3 has n = 6 and a = 2, so F_9 and no F_3^6
+    from wildinv import counts, ff
+
+    F9 = field_create(3, 2)
+    cases = [
+        (poly(2, 1, [1, 1]), 12, (2, 4)),
+        (AdditivePoly(F9, [F9.gen(), F9.one()]), 3, (3, 2)),
+    ]
+    real = ff.field_create
+    monkeypatch.setattr(counts, "_DISTRIBUTION_CACHE", {})
+    for R, k, field in cases:
+        built = []
+        monkeypatch.setattr(ff, "field_create", lambda p, n: built.append((p, n)) or real(p, n))
+        assert sum(value_distribution(R, k).values()) == R.base.order ** k
+        assert built == [field]
