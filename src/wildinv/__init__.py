@@ -34,7 +34,6 @@ from .counts import (
     zeta_numerator,
 )
 from .errors import AmbientGuardError, TheoremViolation, ValidationError
-from .espgroup import GroupContext, analyze, commutator, multiply
 from .ff import (
     Field,
     FieldElement,
@@ -68,3 +67,16 @@ from .sympmod import (
 )
 
 __version__ = "0.1.0"
+
+# The group law is on no report's path, so `espgroup` loads on first use of
+# it or of one of these names (PEP 562).
+_ESPGROUP_NAMES = ("GroupContext", "analyze", "commutator", "multiply")
+
+
+def __getattr__(name):
+    if name == "espgroup" or name in _ESPGROUP_NAMES:
+        import importlib
+
+        espgroup = importlib.import_module(".espgroup", __name__)
+        return espgroup if name == "espgroup" else getattr(espgroup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -121,18 +121,7 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
         or (p != 2 and b % 2 == 0 and _legendre(sum(T[::2]) - sum(T[1::2]), p) != -1)
     ):
         raise TheoremViolation("the trace sequence must belong to a normal basis")
-    F = ff.field_create(p, a)
-    tau = F.power_traces()
-    hankel = [tau[j:j + a] for j in range(a)]
-    H = []  # (i, H_i) for each nonzero a_i
-    for i, c in enumerate(R.coeffs):
-        if c:
-            P = F.frobenius_matrix(i)
-            if f > 1:
-                P = linalg.mat_mul(F.mult_matrix(ff.embed(c, F)), P, p)
-            else:  # a_i in F_p scales the Frobenius
-                P = [[c.coords[0] * x for x in row] for row in P]
-            H.append((i, linalg.mat_mul(hankel, P, p)))
+    H = _hankel_blocks(R, ff.field_create(p, a), f)
     g = [[[sum(Hi[j][jj] * T[(d + i) % b] for i, Hi in H) % p for d in range(b)]
           for jj in range(a)] for j in range(a)]
     # B = half + half^T has entry g_{jj'}[d] + g_{j'j}[-d] at ((l, j), (l + d, j')):
@@ -140,6 +129,30 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     E = [[(g[j][jj][d] + g[jj][j][-d]) % p for d in range(b) for jj in range(a)] * 2 for j in range(a)]
     B = [Ej[s:s + n] for s in range(n, 0, -a) for Ej in E]
     return p, n, B, [g[j][j][0] for j in range(a)] * b
+
+
+def _hankel_blocks(R: addpoly.AdditivePoly, F, f: int):
+    """(i, H_i) for each nonzero a_i of R: H_i[j][j'] = Tr(x^j a_i
+    (x^{j'})^{p^i}) on F = F_{p^a}, x its generator. For R over F_p (f = 1)
+    that is a_i s_{j + j' p^i}, s_m = Tr(x^m), read from the trace sequence
+    with j' p^i reduced mod p^a - 1 (x = 0 only when a = 1, where j' = 0).
+    Else it is the Hankel matrix of the power traces times the matrices of
+    a_i and Frob^i."""
+    p, a = F.p, F.n
+    terms = [(i, c) for i, c in enumerate(R.coeffs) if c]
+    if f == 1:
+        period = p ** a - 1
+        shifts = [[jj * pow(p, i, period) % period for jj in range(a)] for i, _ in terms]
+        s = F.power_traces(a + max(map(max, shifts)))
+        return [(i, [[c.coords[0] * s[j + t] % p for t in row] for j in range(a)])
+                for (i, c), row in zip(terms, shifts)]
+    tau = F.power_traces()
+    hankel = [tau[j:j + a] for j in range(a)]
+    H = []
+    for i, c in terms:
+        P = linalg.mat_mul(F.mult_matrix(ff.embed(c, F)), F.frobenius_matrix(i), p)
+        H.append((i, linalg.mat_mul(hankel, P, p)))
+    return H
 
 
 def _legendre(a, p):
@@ -608,11 +621,17 @@ def counts_from_zeta(Z: ZetaNumerator, kmax: int) -> list:
 
 def _check_radicals(R, S, top):
     """Radical of the polar form on F_{q^k} = ker E cap F_{q^k} = ker(S^k - 1),
-    S the q-Frobenius on the module ker E, for every k <= top."""
-    Sk = linalg.identity(len(S))
-    for k in range(1, top + 1):
+    S the q-Frobenius on the module ker E, for every k <= top. S^k depends
+    only on k mod the order s of S, so only the fixed spaces of S, ..., S^s
+    (or S^top, if that comes first) are formed."""
+    unit, Sk, fixed = linalg.identity(len(S)), S, []
+    while True:
+        fixed.append(len(linalg.fixed_space(Sk, R.p)))
+        if Sk == unit or len(fixed) == top:
+            break
         Sk = linalg.mat_mul(Sk, S, R.p)
-        if radical_dimension(R, k) != len(linalg.fixed_space(Sk, R.p)):
+    for k in range(1, top + 1):
+        if radical_dimension(R, k) != fixed[(k - 1) % len(fixed)]:
             raise TheoremViolation(f"the polar form on F_q^{k} must have ker E cap F_q^{k} as its radical")
 
 

@@ -282,13 +282,15 @@ class Field:
             self._frob[k] = M
         return self._frob[k]
 
-    def power_traces(self):
-        """Absolute traces Tr(x^m), m <= 2n - 2, of the powers of the generator.
+    def power_traces(self, count=None):
+        """Absolute traces Tr(x^m), m < count (default 2n - 1), of the powers
+        of the generator.
 
         For m < n they are the power sums of the roots of the modulus, by
         Newton's identities, and must equal the traces of the multiplication
         matrices of x^m, read off the rows x^{n+j} mod modulus (j <= n - 2);
-        those rows then give the rest by linearity.
+        those rows then give the rest up to 2n - 2 by linearity, and past it
+        the modulus recurrence s_m = -sum_t c_t s_{m-n+t} does.
         """
         p, n, c = self.p, self.n, self.modulus
         s = [n % p]
@@ -298,7 +300,12 @@ class Field:
         diag = [sum(red[i + k - n][k] for k in range(n - i, n)) % p for i in range(1, n)]
         if s[1:] != diag:
             raise TheoremViolation("Newton's identities and the multiplication matrices disagree on a trace")
-        return s + [sum(a * b for a, b in zip(row, s)) % p for row in red]
+        s += [sum(a * b for a, b in zip(row, s)) % p for row in red]
+        if count is None:
+            return s
+        for m in range(len(s), count):
+            s.append(-sum(ct * s[m - n + t] for t, ct in self._terms) % p)
+        return s[:count]
 
     def mult_matrix(self, a: "FieldElement"):
         """Matrix (columns) of multiplication by a."""

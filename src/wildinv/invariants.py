@@ -11,7 +11,6 @@ than a report.
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import addpoly, ambient, counts, ff, numth, quotient, rootsys, sympmod
@@ -73,13 +72,15 @@ def herbrand_function(p: int, e: int, d_R: int, m: int, t) -> Fraction:
     return slope * t + intercept
 
 
-@dataclass
 class RamificationProfile:
     """Upper-numbering jumps with subgroup labels, and the piecewise data."""
 
-    jumps: list
-    subgroups: list
-    slopes: list
+    __slots__ = ("jumps", "subgroups", "slopes")
+
+    def __init__(self, jumps, subgroups, slopes):
+        self.jumps = jumps
+        self.subgroups = subgroups
+        self.slopes = slopes
 
     def to_json(self):
         return {
@@ -114,14 +115,21 @@ def valuations(p: int, e: int, d_R: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PrimitivityResult:
-    kind: str  # "primitive" | "imprimitive" | "primitive_unramified_unstable"
-    module: object
-    witness: object = None  # sympmod.Submodule or None
-    induction: object = None  # quotient.InductionData or None
-    decomposition: object = None  # (f1, f2) or None
-    unramified_degree: int = None
+    """kind is "primitive", "imprimitive" or "primitive_unramified_unstable";
+    witness is a sympmod.Submodule, induction a quotient.InductionData and
+    decomposition the pair (f1, f2), each None when the kind has none."""
+
+    __slots__ = ("kind", "module", "witness", "induction", "decomposition", "unramified_degree")
+
+    def __init__(self, kind, module, witness=None, induction=None, decomposition=None,
+                 unramified_degree=None):
+        self.kind = kind
+        self.module = module
+        self.witness = witness
+        self.induction = induction
+        self.decomposition = decomposition
+        self.unramified_degree = unramified_degree
 
 
 def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
@@ -159,19 +167,34 @@ def primitivity(R: addpoly.AdditivePoly, m: int) -> PrimitivityResult:
 # Full report
 
 
-@dataclass
 class Report:
-    input: dict
-    degree: int
-    d_R: int
-    d_Rm: int
-    swan: Fraction
-    valuations: dict
-    profile: RamificationProfile
-    verdict: PrimitivityResult
-    module_summary: dict
-    root_system: dict
-    curve: dict = None
+    __slots__ = (
+        "input",
+        "degree",
+        "d_R",
+        "d_Rm",
+        "swan",
+        "valuations",
+        "profile",
+        "verdict",
+        "module_summary",
+        "root_system",
+        "curve",
+    )
+
+    def __init__(self, input, degree, d_R, d_Rm, swan, valuations, profile, verdict,
+                 module_summary, root_system, curve=None):
+        self.input = input
+        self.degree = degree
+        self.d_R = d_R
+        self.d_Rm = d_Rm
+        self.swan = swan
+        self.valuations = valuations
+        self.profile = profile
+        self.verdict = verdict
+        self.module_summary = module_summary
+        self.root_system = root_system
+        self.curve = curve
 
     def to_json(self):
         out = {

@@ -7,8 +7,6 @@ totally isotropic stable submodule produces the full descent datum
 polynomial identities, never numerically.
 """
 
-from dataclasses import dataclass
-
 from . import addpoly, poly
 from .errors import TheoremViolation, ValidationError
 
@@ -59,12 +57,14 @@ def descent_identity_holds(R, r, R1, delta) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IsotropicDatum:
     """A kernel vector with the symmetric gamma choice pairing(b, b)/2."""
 
-    beta: object
-    gamma: object
+    __slots__ = ("beta", "gamma")
+
+    def __init__(self, beta, gamma):
+        self.beta = beta
+        self.gamma = gamma
 
     @classmethod
     def make(cls, R_amb: addpoly.AdditivePoly, beta):
@@ -81,13 +81,15 @@ class IsotropicDatum:
         return datum
 
 
-@dataclass
 class QuotientStep:
     """u of degree p, the coboundary part Delta0, and the descended P1."""
 
-    u: addpoly.AdditivePoly
-    delta0: list
-    P1: addpoly.AdditivePoly
+    __slots__ = ("u", "delta0", "P1")
+
+    def __init__(self, u, delta0, P1):
+        self.u = u
+        self.delta0 = delta0
+        self.P1 = P1
 
 
 def single_quotient(R_amb: addpoly.AdditivePoly, datum: IsotropicDatum) -> QuotientStep:
@@ -156,14 +158,16 @@ def push_element(step: QuotientStep, beta2, gamma2):
     return nb, ng
 
 
-@dataclass
 class InductionData:
     """Descent datum (r, R1, Delta, e') witnessing an induced structure."""
 
-    r: addpoly.AdditivePoly
-    R1: addpoly.AdditivePoly
-    delta: list
-    e_prime: int
+    __slots__ = ("r", "R1", "delta", "e_prime")
+
+    def __init__(self, r, R1, delta, e_prime):
+        self.r = r
+        self.R1 = R1
+        self.delta = delta
+        self.e_prime = e_prime
 
     @property
     def index(self):

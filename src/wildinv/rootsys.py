@@ -3,7 +3,7 @@ inverse-Frobenius twists, their integer invariants, and the symplectic type
 classification (A / B / C) used to label irreducible module summands.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from . import addpoly, ff, linalg
@@ -50,13 +50,7 @@ class RootSystem:
         return out
 
 
-@dataclass(frozen=True)
-class RSInvariants:
-    a: int
-    b: int
-    c: int
-    e_prime: int
-    f_prime: int
+RSInvariants = namedtuple("RSInvariants", "a b c e_prime f_prime")
 
 
 def invariants(W: RootSystem) -> RSInvariants:

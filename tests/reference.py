@@ -47,6 +47,11 @@ for R over F_p, as the circulant in the normal basis of
 counts._normal_traces; the references for counts._form_data, which is the
 second when a = 1 and the first when b = 1.
 
+hankel_blocks: the blocks H_i = Tr(x^j a_i (x^{j'})^{p^i}) of R over F_p
+on F = F_{p^a} as counts._form_data had them, the Hankel matrix of F's power
+traces times the matrix of a_i Frob^i; the reference for
+counts._hankel_blocks, which reads them from the trace sequence.
+
 matrix_order: the multiplicative order of a matrix mod p by repeated
 products, as linalg had it; the reference for the module's sigma order,
 which sympmod reads from the splitting degree of E.
@@ -425,6 +430,16 @@ def circulant_form_data(R, n):
     h = [sum(ai * T[(i + d) % n] for i, ai in enumerate(a)) for d in range(n)]
     b = [(h[d] + h[-d]) % p for d in range(n)]
     return p, n, [b[n - j:] + b[:n - j] for j in range(n)], [h[0] % p] * n
+
+
+def hankel_blocks(R, F):
+    """(i, H_i) for each nonzero a_i of R over F_p: the Hankel matrix of the
+    power traces of F's generator times a_i Frob^i."""
+    p, a = F.p, F.n
+    tau = F.power_traces()
+    hankel = [tau[j:j + a] for j in range(a)]
+    return [(i, mat_mul(hankel, [[c.coords[0] * x for x in row] for row in F.frobenius_matrix(i)], p))
+            for i, c in enumerate(R.coeffs) if c]
 
 
 def matrix_order(A, p, cap=10 ** 6):

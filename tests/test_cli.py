@@ -318,6 +318,28 @@ def test_curve_report_never_imports_numpy():
     assert r.stdout.split() == ["0", "False"]
 
 
+def test_import_loads_neither_dataclasses_nor_the_group_law():
+    # a fresh interpreter: the records and the package leave these out, and
+    # the group law's names load espgroup on first use
+    code = (
+        "import sys\n"
+        "import wildinv, wildinv.cli\n"
+        "print(*sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'wildinv.espgroup')"
+        " if m in sys.modules))\n"
+        "from wildinv import GroupContext, analyze, commutator, multiply\n"
+        "import wildinv.espgroup as eg\n"
+        "print((GroupContext, analyze, commutator, multiply) == (eg.GroupContext, eg.analyze, eg.commutator,"
+        " eg.multiply), wildinv.espgroup is eg)\n"
+        "try:\n"
+        "    wildinv.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_module_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["", "True True", "module 'wildinv' has no attribute 'no_such_name'"]
+
+
 def test_failed_internal_check_exits_3_with_a_json_error(monkeypatch):
     # a kernel basis one vector short trips the ambient split check on the
     # report path: exit 3 and a JSON error, not a traceback

@@ -24,6 +24,7 @@ from reference import (
     cyclotomic_polynomial,
     field_form_data,
     galois,
+    hankel_blocks,
     psi_l_product,
     root_power,
     supersingular_by_cyclotomic_factors,
@@ -536,6 +537,28 @@ def test_radical_is_the_rational_part_of_ker_e(p, f, ints):
             assert fixed == 0
 
 
+def test_radical_check_forms_fixed_spaces_only_up_to_the_order_of_s(monkeypatch):
+    # S^k depends on k mod the order s of S: s fixed spaces, every k <= top
+    # still compared
+    from wildinv import counts, linalg
+
+    R = poly(3, 1, [0, 0, 1])
+    S = _frobenius(R)
+    s = next(k for k in range(1, 100) if linalg.mat_pow(S, k, 3) == linalg.identity(len(S)))
+    top = counts.check_curve_work(R)[1]
+    assert s < top
+    calls = []
+    real_fixed = linalg.fixed_space
+    monkeypatch.setattr(linalg, "fixed_space", lambda A, p: calls.append(A) or real_fixed(A, p))
+    counts._check_radicals(R, S, top)
+    assert len(calls) == s
+    real = counts.radical_dimension
+    for bad in (s + 1, top):
+        monkeypatch.setattr(counts, "radical_dimension", lambda R, k, bad=bad: real(R, k) + (k == bad))
+        with pytest.raises(TheoremViolation):
+            counts._check_radicals(R, S, top)
+
+
 def test_radical_mismatch_raises(monkeypatch):
     from wildinv import counts
 
@@ -1037,3 +1060,32 @@ def test_the_form_builds_only_the_field_of_a(monkeypatch):
         monkeypatch.setattr(ff, "field_create", lambda p, n: built.append((p, n)) or real(p, n))
         assert sum(value_distribution(R, k).values()) == R.base.order ** k
         assert built == [field]
+
+
+# ---------------------------------------------------------------------------
+# Hankel blocks of R over F_p from the trace sequence
+
+
+def _check_hankel_blocks(p, a, ints):
+    from wildinv import counts
+
+    F = field_create(p, a)
+    R = poly(p, 1, ints)
+    assert counts._hankel_blocks(R, F, 1) == hankel_blocks(R, F)
+
+
+@pytest.mark.parametrize("p,a,i", [(2, 8, 3), (2, 16, 7), (3, 9, 2), (2, 64, 7), (2, 128, 7)])
+def test_hankel_blocks_from_the_trace_sequence_match_the_matrix_products(p, a, i):
+    _check_hankel_blocks(p, a, [(t + 1) % p for t in range(i)] + [1])
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(1, 12),
+    ints=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_hankel_blocks_from_the_trace_sequence_match_on_small_fields(p, a, ints):
+    ints = [c % p for c in ints]
+    assume(any(ints))
+    _check_hankel_blocks(p, a, ints)
