@@ -75,8 +75,8 @@ _ESPGROUP_NAMES = ("GroupContext", "analyze", "commutator", "multiply")
 
 def __getattr__(name):
     if name == "espgroup" or name in _ESPGROUP_NAMES:
-        import importlib
+        # `from . import espgroup` would ask this hook for the name again
+        import wildinv.espgroup as espgroup
 
-        espgroup = importlib.import_module(".espgroup", __name__)
         return espgroup if name == "espgroup" else getattr(espgroup, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

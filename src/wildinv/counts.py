@@ -103,8 +103,8 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     of F_{p^a} (x) F_{p^b} of the module docstring, ordered by l first. As
     Tr(u v) = Tr(u) Tr(v) across the factors, R = sum_i a_i x^{p^i} gives
     Tr(x^j beta^{p^l} R(x^{j'} beta^{p^{l'}})) = g_{jj'}[l' - l], g_{jj'}[d] =
-    sum_i H_i[j][j'] T_{d+i}, H_i the Hankel matrix of F_{p^a}'s power traces
-    times the matrix of a_i Frob^i. T must be symmetric with t(1) = sum_d T_d
+    sum_i H_i[j][j'] T_{d+i}, H_i[j][j'] = Tr(x^j a_i (x^{j'})^{p^i}) on
+    F_{p^a}, read from its trace sequence by `_hankel_blocks`. T must be symmetric with t(1) = sum_d T_d
     a nonzero square and, for p odd and b even, t(-1) a nonsquare."""
     p = R.p
     n = R.base.n * k
@@ -121,7 +121,7 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
         or (p != 2 and b % 2 == 0 and _legendre(sum(T[::2]) - sum(T[1::2]), p) != -1)
     ):
         raise TheoremViolation("the trace sequence must belong to a normal basis")
-    H = _hankel_blocks(R, ff.field_create(p, a), f)
+    H = _hankel_blocks(R, ff.field_create(p, a))
     g = [[[sum(Hi[j][jj] * T[(d + i) % b] for i, Hi in H) % p for d in range(b)]
           for jj in range(a)] for j in range(a)]
     # B = half + half^T has entry g_{jj'}[d] + g_{j'j}[-d] at ((l, j), (l + d, j')):
@@ -131,28 +131,23 @@ def _form_data(R: addpoly.AdditivePoly, k: int):
     return p, n, B, [g[j][j][0] for j in range(a)] * b
 
 
-def _hankel_blocks(R: addpoly.AdditivePoly, F, f: int):
+def _hankel_blocks(R: addpoly.AdditivePoly, F):
     """(i, H_i) for each nonzero a_i of R: H_i[j][j'] = Tr(x^j a_i
-    (x^{j'})^{p^i}) on F = F_{p^a}, x its generator. For R over F_p (f = 1)
-    that is a_i s_{j + j' p^i}, s_m = Tr(x^m), read from the trace sequence
-    with j' p^i reduced mod p^a - 1 (x = 0 only when a = 1, where j' = 0).
-    Else it is the Hankel matrix of the power traces times the matrices of
-    a_i and Frob^i."""
+    (x^{j'})^{p^i}) on F = F_{p^a}, x its generator. With a_i = sum_u c_u x^u
+    in F (c_0 = a_i for a_i in F_p) that is sum_u c_u s_{j + u + j' p^i},
+    s_m = Tr(x^m), read from the trace sequence with j' p^i reduced mod
+    p^a - 1 (x = 0 only when a = 1, where j' = 0)."""
     p, a = F.p, F.n
-    terms = [(i, c) for i, c in enumerate(R.coeffs) if c]
-    if f == 1:
-        period = p ** a - 1
-        shifts = [[jj * pow(p, i, period) % period for jj in range(a)] for i, _ in terms]
-        s = F.power_traces(a + max(map(max, shifts)))
-        return [(i, [[c.coords[0] * s[j + t] % p for t in row] for j in range(a)])
-                for (i, c), row in zip(terms, shifts)]
-    tau = F.power_traces()
-    hankel = [tau[j:j + a] for j in range(a)]
-    H = []
-    for i, c in terms:
-        P = linalg.mat_mul(F.mult_matrix(ff.embed(c, F)), F.frobenius_matrix(i), p)
-        H.append((i, linalg.mat_mul(hankel, P, p)))
-    return H
+    period = p ** a - 1
+    terms = []
+    for i, c in enumerate(R.coeffs):
+        if c:
+            cu = ff.embed(c, F).coords if any(c.coords[1:]) else c.coords[:1]
+            shifts = [jj * pow(p, i, period) % period for jj in range(a)]
+            terms.append((i, [(u, x) for u, x in enumerate(cu) if x], shifts))
+    s = F.power_traces(2 * a - 1 + max(max(shifts) for _, _, shifts in terms))
+    return [(i, [[sum(x * s[j + u + t] for u, x in cu) % p for t in shifts] for j in range(a)])
+            for i, cu, shifts in terms]
 
 
 def _legendre(a, p):

@@ -283,14 +283,14 @@ class Field:
         return self._frob[k]
 
     def power_traces(self, count=None):
-        """Absolute traces Tr(x^m), m < count (default 2n - 1), of the powers
-        of the generator.
+        """Absolute traces Tr(x^m), m < count (default 2n - 1, at least n),
+        of the powers of the generator.
 
         For m < n they are the power sums of the roots of the modulus, by
         Newton's identities, and must equal the traces of the multiplication
         matrices of x^m, read off the rows x^{n+j} mod modulus (j <= n - 2);
-        those rows then give the rest up to 2n - 2 by linearity, and past it
-        the modulus recurrence s_m = -sum_t c_t s_{m-n+t} does.
+        past them the modulus recurrence s_m = -sum_t c_t s_{m-n+t} gives
+        the rest.
         """
         p, n, c = self.p, self.n, self.modulus
         s = [n % p]
@@ -300,12 +300,9 @@ class Field:
         diag = [sum(red[i + k - n][k] for k in range(n - i, n)) % p for i in range(1, n)]
         if s[1:] != diag:
             raise TheoremViolation("Newton's identities and the multiplication matrices disagree on a trace")
-        s += [sum(a * b for a, b in zip(row, s)) % p for row in red]
-        if count is None:
-            return s
-        for m in range(len(s), count):
+        for m in range(n, 2 * n - 1 if count is None else count):
             s.append(-sum(ct * s[m - n + t] for t, ct in self._terms) % p)
-        return s[:count]
+        return s
 
     def mult_matrix(self, a: "FieldElement"):
         """Matrix (columns) of multiplication by a."""

@@ -47,9 +47,9 @@ for R over F_p, as the circulant in the normal basis of
 counts._normal_traces; the references for counts._form_data, which is the
 second when a = 1 and the first when b = 1.
 
-hankel_blocks: the blocks H_i = Tr(x^j a_i (x^{j'})^{p^i}) of R over F_p
-on F = F_{p^a} as counts._form_data had them, the Hankel matrix of F's power
-traces times the matrix of a_i Frob^i; the reference for
+hankel_blocks: the blocks H_i = Tr(x^j a_i (x^{j'})^{p^i}) of R on
+F = F_{p^a} as counts._form_data had them, the Hankel matrix of F's power
+traces times the matrices of a_i and Frob^i; the reference for
 counts._hankel_blocks, which reads them from the trace sequence.
 
 matrix_order: the multiplicative order of a matrix mod p by repeated
@@ -433,12 +433,13 @@ def circulant_form_data(R, n):
 
 
 def hankel_blocks(R, F):
-    """(i, H_i) for each nonzero a_i of R over F_p: the Hankel matrix of the
-    power traces of F's generator times a_i Frob^i."""
+    """(i, H_i) for each nonzero a_i of R, whose base field embeds in F: the
+    Hankel matrix of the power traces of F's generator times the matrices of
+    a_i and Frob^i."""
     p, a = F.p, F.n
     tau = F.power_traces()
     hankel = [tau[j:j + a] for j in range(a)]
-    return [(i, mat_mul(hankel, [[c.coords[0] * x for x in row] for row in F.frobenius_matrix(i)], p))
+    return [(i, mat_mul(hankel, mat_mul(F.mult_matrix(ff.embed(c, F)), F.frobenius_matrix(i), p), p))
             for i, c in enumerate(R.coeffs) if c]
 
 

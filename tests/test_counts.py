@@ -1063,29 +1063,39 @@ def test_the_form_builds_only_the_field_of_a(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Hankel blocks of R over F_p from the trace sequence
+# Hankel blocks of R from the trace sequence
 
 
-def _check_hankel_blocks(p, a, ints):
+def _check_hankel_blocks(p, f, a, coeffs):
+    # R over F_{p^f}, f | a, its coefficients given by their coordinates
     from wildinv import counts
 
-    F = field_create(p, a)
-    R = poly(p, 1, ints)
-    assert counts._hankel_blocks(R, F, 1) == hankel_blocks(R, F)
+    base, F = field_create(p, f), field_create(p, a)
+    R = AdditivePoly(base, [base.el(c) for c in coeffs])
+    assert counts._hankel_blocks(R, F) == hankel_blocks(R, F)
 
 
 @pytest.mark.parametrize("p,a,i", [(2, 8, 3), (2, 16, 7), (3, 9, 2), (2, 64, 7), (2, 128, 7)])
 def test_hankel_blocks_from_the_trace_sequence_match_the_matrix_products(p, a, i):
-    _check_hankel_blocks(p, a, [(t + 1) % p for t in range(i)] + [1])
+    _check_hankel_blocks(p, 1, a, [[(t + 1) % p] for t in range(i)] + [[1]])
+
+
+@pytest.mark.parametrize("p,f,a,i", [(2, 2, 8, 3), (2, 4, 16, 2), (3, 3, 9, 2), (5, 2, 4, 1)])
+def test_hankel_blocks_outside_f_p_match_the_matrix_products(p, f, a, i):
+    # coefficients with every coordinate nonzero, so each block sums f terms
+    _check_hankel_blocks(p, f, a, [[(t + u) % (p - 1) + 1 for u in range(f)] for t in range(i + 1)])
 
 
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
-    a=st.integers(1, 12),
-    ints=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    f=st.integers(1, 3),
+    m=st.integers(1, 4),
+    data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_hankel_blocks_from_the_trace_sequence_match_on_small_fields(p, a, ints):
-    ints = [c % p for c in ints]
-    assume(any(ints))
-    _check_hankel_blocks(p, a, ints)
+def test_hankel_blocks_from_the_trace_sequence_match_on_small_fields(p, f, m, data):
+    assume(f * m <= 12)
+    coord = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    coeffs = data.draw(st.lists(coord, min_size=1, max_size=4))
+    assume(any(map(any, coeffs)))
+    _check_hankel_blocks(p, f, f * m, coeffs)
