@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 unknown subcommand or stdout closed by its reader,
 happen).
 """
 
-import argparse
 import json
 import os
 import sys
@@ -16,11 +15,91 @@ from .errors import TheoremViolation, ValidationError
 SUBCOMMANDS = ("report", "primitivity", "swan", "quotient", "rootsystem", "count", "anisotropy", "prime")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors (a bad int, an unknown or a missing flag) exit 2 with a JSON error."""
+def _poly_flags(required):
+    return tuple((flag, kind, required, None, text) for flag, kind, text in (
+        ("-p", int, "prime"),
+        ("-f", int, "q = p^f"),
+        ("-R", str, "coefficients c_0;...;c_e (monomial shorthand: a single entry is a_e)"),
+        ("-e", int, "top p-power degree of R"),
+        ("-m", int, "twist integer, prime to p"),
+    ))
 
-    def error(self, message):
-        raise ValidationError(message)
+
+_MAX_K = ("--max-k", int, False, None, None)
+
+# each subcommand's flags in the order -h lists them, as (flag, kind,
+# required, default, help) with kind int, str or "store_true"
+_FLAGS = {
+    "report": _poly_flags(False) + (
+        ("--input", str, False, None, "JSON input file"),
+        ("--curve", "store_true", False, False, None),
+        ("--oracle", "store_true", False, False, None),
+        _MAX_K,
+    ),
+    "swan": tuple((flag, int, True, None, None) for flag in ("-p", "-e", "-dR", "-m")),
+    "count": _poly_flags(True) + (_MAX_K,),
+    **{cmd: _poly_flags(True) for cmd in ("primitivity", "quotient", "rootsystem", "anisotropy", "prime")},
+}
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read_flags(cmd, argv):
+    """vars(parse_args(argv)) of the subcommand's argparse parser, read
+    without argparse; None when argv holds any form but exact flags,
+    --long=value and values that do not start with '-' unless they are
+    negative integers, or lacks a required flag. argparse then reads it, for
+    its help, its errors and its other forms (-p3, prefixes of long flags)."""
+    table = _FLAGS[cmd]
+    kinds = {flag: kind for flag, kind, *_ in table}
+    flags = {_dest(flag): default for flag, _, _, default, _ in table}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        kind = kinds.get(flag)
+        if kind is None:
+            return None
+        if kind == "store_true":
+            if eq:
+                return None
+            flags[_dest(flag)] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-") and not value[1:].isdecimal():
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        flags[_dest(flag)] = value
+    if any(required and flags[_dest(flag)] is None for flag, _, required, _, _ in table):
+        return None
+    return flags
+
+
+def _parser(cmd):
+    """The argparse parser of the subcommand's flag table; its usage errors
+    (a bad int, an unknown or a missing flag) raise ValidationError, and its
+    -h prints the help and raises SystemExit."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValidationError(message)
+
+    parser = ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
+    for flag, kind, required, default, text in _FLAGS[cmd]:
+        if kind == "store_true":
+            parser.add_argument(flag, action=kind, help=text)
+        else:
+            parser.add_argument(flag, type=kind, required=required, default=default, help=text)
+    return parser
 
 
 def parse_coefficient(tok: str, base):
@@ -42,9 +121,11 @@ def parse_additive_poly(text: str, p: int, f: int, e: int) -> addpoly.AdditivePo
     of e is checked before any list of e + 1 coefficients is built."""
     base = ff.field_create(p, f)
     ambient.check_p_degree(e)
-    entries = [t for t in text.split(";") if t.strip()]
-    if not entries:
+    entries = text.split(";")
+    if not any(t.strip() for t in entries):
         raise ValidationError("empty R")
+    if not all(t.strip() for t in entries):
+        raise ValidationError(f"R {text!r} has an empty coefficient")
     if len(entries) == 1 and e >= 1:
         coeff = parse_coefficient(entries[0], base)
         coeffs = [base.zero()] * e + [coeff]
@@ -59,14 +140,6 @@ def parse_additive_poly(text: str, p: int, f: int, e: int) -> addpoly.AdditivePo
     if R.is_zero() or R.p_degree != e:
         raise ValidationError("leading coefficient a_e must be nonzero")
     return R
-
-
-def _input_args(sub, required=True):
-    sub.add_argument("-p", type=int, required=required, help="prime")
-    sub.add_argument("-f", type=int, required=required, help="q = p^f")
-    sub.add_argument("-R", type=str, required=required, help="coefficients c_0;...;c_e (monomial shorthand: a single entry is a_e)")
-    sub.add_argument("-e", type=int, required=required, help="top p-power degree of R")
-    sub.add_argument("-m", type=int, required=required, help="twist integer, prime to p")
 
 
 def _load_input_file(path):
@@ -110,6 +183,8 @@ def _load_input_file(path):
         if (R.base.p, R.base.n, R.p_degree) != (spec["p"], spec["f"], spec["e"]):
             raise ValidationError("text-form R disagrees with the declared p, f, e")
     else:
+        if isinstance(rspec, list) and any(";" in t for t in rspec):
+            raise ValidationError("input file 'R' list entries are single coefficients, without ';'")
         R = parse_additive_poly(rspec if isinstance(rspec, str) else ";".join(rspec), spec["p"], spec["f"], spec["e"])
     return R, spec["m"], flags
 
@@ -185,21 +260,16 @@ _DOCUMENTS = {"report": _report, "primitivity": _primitivity, "quotient": _quoti
 
 def _document(cmd, argv):
     """Parse one subcommand's flags, admit (R, m) and compute its document."""
-    parser = _ArgumentParser(prog=f"wildinv {cmd}", add_help=True)
+    flags = _read_flags(cmd, argv)
+    if flags is None:
+        flags = vars(_parser(cmd).parse_args(argv))
     if cmd == "swan":
-        for flag in ("-p", "-e", "-dR", "-m"):
-            parser.add_argument(flag, type=int, required=True)
-        args = parser.parse_args(argv)
-        return {"swan": int(invariants.swan_conductor(args.p, args.e, args.dR, args.m))}
-    _input_args(parser, required=cmd != "report")
-    if cmd == "report":
-        parser.add_argument("--input", type=str, default=None, help="JSON input file")
-        parser.add_argument("--curve", action="store_true")
-        parser.add_argument("--oracle", action="store_true")
-    if cmd in ("report", "count"):
-        parser.add_argument("--max-k", type=int, default=None)
-    flags = vars(parser.parse_args(argv))
+        return {"swan": int(invariants.swan_conductor(flags["p"], flags["e"], flags["dR"], flags["m"]))}
     path = flags.pop("input", None)
+    if path is not None:
+        extra = [flag for flag, _, _, default, _ in _FLAGS[cmd] if flag != "--input" and flags[_dest(flag)] != default]
+        if extra:
+            raise ValidationError(f"--input takes no other flags; also given: {', '.join(extra)}")
     p, f, text, e, m = (flags.pop(k) for k in ("p", "f", "R", "e", "m"))
     if path:
         R, m, flags = _load_input_file(path)

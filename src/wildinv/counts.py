@@ -531,7 +531,11 @@ def _ratio_polynomial_is_integral(Z: ZetaNumerator) -> bool:
 
 def check_supersingular(Z: ZetaNumerator) -> bool:
     """All lambda^2 / q roots of unity, decided exactly (Kronecker, see the
-    module docstring): D(z) must be integral and every |lambda|^2 must be q."""
+    module docstring): D(z) must be integral and every |lambda|^2 must be q.
+
+    curve_summary checks the Weil bounds itself and reads only the first
+    test; this whole test is for a library user holding a ZetaNumerator
+    from elsewhere, as demo 05 does with zeta_numerator's."""
     return _ratio_polynomial_is_integral(Z) and Z.weil_bounds_ok()
 
 

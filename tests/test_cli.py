@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildinv.cli import parse_additive_poly, run
+from wildinv.cli import SUBCOMMANDS, parse_additive_poly, run
 from wildinv.errors import ValidationError
 
 
@@ -320,12 +320,23 @@ def test_curve_report_never_imports_numpy():
 
 def test_import_loads_neither_dataclasses_nor_the_group_law():
     # a fresh interpreter: the records and the package leave these out, and
-    # the group law's names load espgroup on first use
+    # the group law's names load espgroup on first use; a well-formed argv
+    # of every subcommand is read without argparse (and its gettext), which
+    # only -h and malformed argv load
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import wildinv, wildinv.cli\n"
-        "print(*sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'wildinv.espgroup')"
-        " if m in sys.modules))\n"
+        "print(*sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'wildinv.espgroup',"
+        " 'argparse', 'gettext') if m in sys.modules))\n"
+        "poly = ['-p', '3', '-f', '1', '-R', '1', '-e', '1', '-m', '1']\n"
+        "argvs = [[cmd, *poly] for cmd in wildinv.cli.SUBCOMMANDS if cmd != 'swan']\n"
+        "argvs.append(['swan', '-p', '3', '-e', '1', '-dR', '4', '-m', '1'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [wildinv.cli.run(argv) for argv in argvs]\n"
+        "print(len(codes), set(codes), 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = wildinv.cli.run(['report', '-h'])\n"
+        "print(rc, 'argparse' in sys.modules)\n"
         "from wildinv import GroupContext, analyze, commutator, multiply\n"
         "import wildinv.espgroup as eg\n"
         "print((GroupContext, analyze, commutator, multiply) == (eg.GroupContext, eg.analyze, eg.commutator,"
@@ -337,7 +348,13 @@ def test_import_loads_neither_dataclasses_nor_the_group_law():
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_module_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == ["", "True True", "module 'wildinv' has no attribute 'no_such_name'"]
+    assert r.stdout.splitlines() == [
+        "",
+        "8 {0} False False",
+        "0 True",
+        "True True",
+        "module 'wildinv' has no attribute 'no_such_name'",
+    ]
 
 
 def test_failed_internal_check_exits_3_with_a_json_error(monkeypatch):
@@ -957,3 +974,155 @@ def test_default_count_list_too_long_to_print_exits_2(optimize):
     [(code, out, err)] = json.loads(r.stdout)
     assert code == 2 and err == ""
     assert json.loads(out) == {"error": "max_k = 462 is too large: N_462 could have more than 4300 digits"}
+
+
+# tokens of the forms the direct reader declines, for argparse to read:
+# help, '--', single-dash joins, prefixes of long flags and unknown flags
+_ODD_TOKENS = ["-h", "--help", "--", "-p3", "-p=3", "-m-1", "-dR4", "-dR=4", "--cur", "--max", "--in", "--inp=x",
+               "-d", "--bogus", "-x", "-", "--max-k=", "--curve=1", "--oracle=", "--=1"]
+# values: ints, negative ints, and strings that int() refuses or reads
+# loosely, or that start with '-' without being a negative integer
+_VALUES = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["", " 3", "3 ", "+2", "1_0", "1.5", "-1.5", "x", "1;0", "0,1", "-", "-x", "--", "-p", "-1\n",
+                     "٣", "-٣", "²", "-²", "a=b", "-3=4"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _flag_argv(draw, cmd):
+    """An argv of the subcommand: every flag of its table with a value,
+    permuted, some dropped, some repeated, some joined as --long=value, and
+    a few tokens replaced or inserted from the forms the reader declines."""
+    from wildinv.cli import _FLAGS
+
+    groups = []
+    for flag, kind, *_ in _FLAGS[cmd]:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+            if kind == "store_true":
+                groups.append([flag] if draw(st.integers(0, 5)) else [f"{flag}={draw(_VALUES)}"])
+                continue
+            value = draw(st.integers(-3, 7).map(str) if kind is int else st.sampled_from(["1", "1;0", "0,1"]))
+            if draw(st.integers(0, 5)) == 0:
+                value = draw(_VALUES)
+            if flag.startswith("--") and draw(st.booleans()):
+                groups.append([f"{flag}={value}"])
+            else:
+                groups.append([flag, value])
+    argv = [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(st.sampled_from(_ODD_TOKENS) | _VALUES)
+        i = draw(st.integers(0, len(argv)))
+        if argv and draw(st.booleans()):
+            argv[min(i, len(argv) - 1)] = token
+        else:
+            argv.insert(i, token)
+    return argv
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_direct_reader_agrees_with_argparse(cmd, data):
+    # the reader either declines an argv or returns exactly what argparse,
+    # built from the same flag table, makes of it: the same keys, values and
+    # types, and never a dict where argparse prints help or an error
+    from wildinv.cli import _parser, _read_flags
+
+    argv = data.draw(_flag_argv(cmd))
+    flags = _read_flags(cmd, argv)
+    if flags is None:
+        return
+    want = vars(_parser(cmd).parse_args(argv))
+    assert sorted((k, type(v), v) for k, v in flags.items()) == sorted((k, type(v), v) for k, v in want.items())
+
+
+def test_direct_reader_declines_every_other_form():
+    # argparse reads these: it prints help, errors, or accepts a form of
+    # its own (-p3, -p=3, --cur for --curve, '-' or '-x' as a value)
+    from wildinv.cli import _read_flags
+
+    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"]
+    declined = [
+        ["-h"], [*poly, "--help"], ["-p3", *poly[2:]], ["-p=3", *poly[2:]], [*poly, "--cur"], ["--", *poly],
+        [*poly, "--bogus"], [*poly, "x"], [*poly, "--max-k"], ["-p", "x", *poly[2:]], [*poly, "--max-k=1.5"],
+        [*poly, "--curve=1"], [*poly, "--oracle="], [*poly, "-R", "-"], [*poly, "-R", "-x"], [*poly, "-R", "-²"],
+        [*poly, "-R", "--"], [*poly, "--input=-x"], [*poly, "-R", "-1\n"],
+    ]
+    for argv in declined:
+        assert _read_flags("report", argv) is None, argv
+    for argv in (poly[:-2], poly[2:], ["-p", "3", "-e", "1", "-m", "1"]):
+        assert _read_flags("primitivity", argv) is None, argv
+    assert _read_flags("swan", ["-p", "3", "-e", "1", "-dR", "4"]) is None
+
+
+def test_well_formed_argv_is_read_without_argparse(monkeypatch):
+    # exact flags in any order, repeats (the last wins), --long=value and
+    # negative values take the direct reader; the goldens' argv among them
+    from wildinv import cli
+
+    def refuse(cmd):
+        raise AssertionError(f"argparse was built for {cmd}")
+
+    poly = ["-p", "3", "-f", "1", "-R", "1", "-e", "1", "-m", "1"]
+    read = {
+        "report": [
+            *(args for args in GOLDEN_ARGV.values()),
+            ["-m", "1", "-e", "1", "-R", "1", "-f", "1", "-p", "3"],
+            ["-p", "5", *poly, "--curve", "--curve", "--max-k=2"],
+            [*poly, "--max-k", "-1"],
+            ["--input=in.json"],
+            [],
+        ],
+        "count": [[*poly, "--max-k", "4", "--max-k=3"]],
+        "swan": [["-dR", "4", "-m", "-2", "-e", "1", "-p", "3"]],
+    }
+    for cmd, argvs in read.items():
+        for argv in argvs:
+            assert cli._read_flags(cmd, argv) is not None, argv
+    monkeypatch.setattr(cli, "_parser", refuse)
+    code, out = cap(["report", "-p", "5", *poly, "--curve", "--curve", "--max-k=2"])
+    assert code == 0 and len(json.loads(out)["curve"]["counts"]) == 2
+    code, out = cap(["swan", "-dR", "4", "-m", "2", "-e", "1", "-p", "3"])
+    assert (code, json.loads(out)) == (0, {"swan": 2})
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_input_stands_alone_and_empty_coefficients_are_refused(tmp_path, optimize):
+    # --input with any other flag, read directly or by argparse (-p3), used
+    # to ignore the flags; an empty coefficient, from -R or the file, and a
+    # ';' inside a file's list entry used to be dropped or split silently
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"p": 3, "f": 1, "R": "1", "e": 1, "m": 1}))
+    files = []
+    for i, R in enumerate([["1", ""], ["", "1"], ["1;0", "1"], "1;"]):
+        files.append(tmp_path / f"r{i}.json")
+        files[-1].write_text(json.dumps({"p": 3, "f": 1, "R": R, "e": 2 if i == 2 else 1, "m": 1}))
+    poly = ["-p", "3", "-f", "1", "-e", "1", "-m", "1"]
+    cases = [
+        (["report", "--input", str(path), "--curve"], "--input takes no other flags; also given: --curve"),
+        (["report", "-p", "5", "-m", "2", "--input", str(path)], "--input takes no other flags; also given: -p, -m"),
+        (["report", "--input", str(path), "-p3", "--max-k=2", "--oracle"],
+         "--input takes no other flags; also given: -p, --oracle, --max-k"),
+        (["report", *poly, "-R", "1;"], "R '1;' has an empty coefficient"),
+        (["primitivity", *poly, "-R", ";1"], "R ';1' has an empty coefficient"),
+        (["count", *poly, "-R", "1; ;1"], "R '1; ;1' has an empty coefficient"),
+        (["report", "--input", str(files[0])], "R '1;' has an empty coefficient"),
+        (["report", "--input", str(files[1])], "R ';1' has an empty coefficient"),
+        (["report", "--input", str(files[2])], "input file 'R' list entries are single coefficients, without ';'"),
+        (["report", "--input", str(files[3])], "R '1;' has an empty coefficient"),
+        (["report", *poly, "-R", ";"], "empty R"),
+    ]
+    r = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _FLAG_ERROR_SCRIPT, json.dumps([a for a, _ in cases])],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    for (argv, error), (code, out, err) in zip(cases, json.loads(r.stdout), strict=True):
+        assert (code, err) == (2, ""), argv
+        assert json.loads(out) == {"error": error}, argv

@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from wildinv.errors import ValidationError
+from wildinv.errors import AmbientGuardError, ValidationError
 from wildinv.invariants import (
     full_report,
     herbrand_function,
@@ -164,3 +166,47 @@ def test_conductor_jump_check_raises(monkeypatch):
     monkeypatch.setattr(invariants, "ramification_profile", shifted)
     with pytest.raises(TheoremViolation, match="extreme jump"):
         full_report(3, 1, [0, 1], 1)
+
+
+@st.composite
+def _scaled_pair(draw):
+    """A batch-sized (p, f, R, m, curve), drawn as perfbench's batch list
+    draws its inputs, and a c in F_q^x."""
+    from wildinv.ff import field_create
+
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.sampled_from((1, 2)))
+    e = draw(st.sampled_from([e for e in (0, 1, 2) if (p, e) != (2, 0) and p ** (2 * e) <= 81]))
+    curve = draw(st.booleans()) and p ** f <= 9 and (p - 1) * p ** e // 2 <= 4
+    m = draw(st.sampled_from([m for m in range(1, 9) if m % p]))
+    F = field_create(p, f)
+
+    def element(low):
+        k = draw(st.integers(low, p ** f - 1))
+        return F.el([k // p ** j % p for j in range(f)])
+
+    return p, f, [element(0) for _ in range(e)] + [element(1)], m, curve, element(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_pair())
+def test_scaling_x_by_c_keeps_the_invariants(data):
+    # R_c(x) = c R(c x) = sum a_i c^(p^i + 1) x^(p^i) for c in F_q^x: x -> c x
+    # carries the pairing, the module and the curve y^p - y = x R(x) of R_c
+    # onto those of R, so every invariant below must agree
+    p, f, coeffs, m, curve, c = data
+    scaled = [a * c ** (p ** i + 1) for i, a in enumerate(coeffs)]
+    try:
+        first = full_report(p, f, coeffs, m, curve=curve).to_json()
+    except AmbientGuardError:
+        reject()  # the batch list leaves these out too
+    docs = [first, full_report(p, f, scaled, m, curve=curve).to_json()]
+    keys = ["degree", "d_R", "d_Rm", "swan", "valuations", "ramification"] + (["curve"] if curve else [])
+    for key in keys:
+        assert docs[0][key] == docs[1][key], key
+    kept = [
+        (doc["verdict"]["kind"], doc["module"]["dim"], doc["module"]["sigma_order"],
+         len(doc["verdict"].get("witness_basis", ())))
+        for doc in docs
+    ]
+    assert kept[0] == kept[1]

@@ -170,3 +170,35 @@ def test_no_public_function_only_forwards_its_parameters():
         and _is_forwarder(node)
     ]
     assert not found, found
+
+
+def _run_at_import(node):
+    """The nodes of a module that run when it is imported: everything but
+    the bodies of its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def _imported_modules(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_argparse_or_gettext_at_import():
+    # cli reads a well-formed argv without argparse, and argparse brings
+    # gettext; only cli's fallback for help and usage errors imports it, in
+    # the function that builds the parser
+    slow = {"argparse", "gettext"}
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if slow & set(_imported_modules(_run_at_import(ast.parse(path.read_text(), filename=str(path)))))
+    ]
+    assert not found, found
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert "argparse" in set(_imported_modules(ast.walk(cli)))
